@@ -15,6 +15,7 @@ give the same point only when they are equal and the rational parts agree.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
@@ -76,6 +77,15 @@ class CirclePoint:
 
     def __setattr__(self, name, value):
         raise AttributeError("CirclePoint is immutable")
+
+    @classmethod
+    def _canonical(cls, rational: Fraction, generic: tuple) -> "CirclePoint":
+        """Trusted constructor: `rational` in [0, 1), `generic` canonical."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "rational", rational)
+        object.__setattr__(p, "generic", generic)
+        object.__setattr__(p, "_hash", hash((rational, generic)))
+        return p
 
     @classmethod
     def identity(cls) -> "CirclePoint":
@@ -185,3 +195,43 @@ class CirclePoint:
             else:
                 raise MeasureFormatError(f"bad factor {token!r} in point {text!r}")
         return cls(rational, pairs)
+
+
+class _PackedCodec:
+    """Packs circle points into single ints, so that multiplying up to n of
+    them is one integer addition.  Digit 0, in base B0 = n*L, holds the
+    rational numerator over L, the lcm of the denominators; above it each
+    generator in use has one balanced digit in base B = 2*n*max|e| + 1.
+    `product` reduces the rational digit mod 1, so equal products of up to
+    n points have equal keys, ready to group by."""
+
+    __slots__ = ("L", "B0", "B", "gens", "digit")
+
+    def __init__(self, points: Iterable[CirclePoint], n: int):
+        points = list(points)
+        self.L = math.lcm(*(p.rational.denominator for p in points))
+        self.gens = sorted({i for p in points for i, _ in p.generic})
+        self.B0 = n * self.L
+        self.B = 2 * n * max((abs(e) for p in points for _, e in p.generic), default=1) + 1
+        self.digit = {g: self.B0 * self.B**j for j, g in enumerate(self.gens)}
+
+    def key(self, p: CirclePoint) -> int:
+        scaled = p.rational.numerator * (self.L // p.rational.denominator)
+        return scaled + sum(e * self.digit[i] for i, e in p.generic)
+
+    def product(self, keys: Iterable[int]) -> int:
+        """The key of the product of the points with these keys."""
+        total = sum(keys)
+        r = total % self.B0
+        return total - r + r % self.L
+
+    def decode(self, key: int) -> CirclePoint:
+        r = key % self.B0
+        rest, B, half = (key - r) // self.B0, self.B, self.B // 2
+        pairs = []
+        for g in self.gens:
+            e = (rest + half) % B - half
+            rest = (rest - e) // B
+            if e:
+                pairs.append((g, e))
+        return CirclePoint._canonical(Fraction(r % self.L, self.L), tuple(pairs))

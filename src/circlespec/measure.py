@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
-from circlespec.circle import CirclePoint, GeneratorAllocator
+from circlespec.circle import CirclePoint, GeneratorAllocator, _PackedCodec
 from circlespec.errors import EnumerationCapError, MeasureFormatError
 
 DEFAULT_TUPLE_CAP = 10**7
@@ -101,20 +101,12 @@ class AtomicMeasure:
 
     def convolve(self, other: "AtomicMeasure") -> "AtomicMeasure":
         """Pushforward of the product measure under multiplication."""
-        acc: dict[CirclePoint, Fraction] = {}
-        for p, wp in self.items():
-            for q, wq in other.items():
-                point = p * q
-                acc[point] = acc.get(point, Fraction(0)) + wp * wq
-        return AtomicMeasure(acc)
+        return _packed_fold((self, other))
 
     def convolve_power(self, k: int) -> "AtomicMeasure":
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValueError(f"convolution power must be an int >= 1, got {k!r}")
-        out = self
-        for _ in range(k - 1):
-            out = out.convolve(self)
-        return out
+        return _packed_fold((self,) * k)
 
     def translate(self, a: CirclePoint) -> "AtomicMeasure":
         """Same as convolving with delta(a); atoms shift, weights survive."""
@@ -150,6 +142,25 @@ class AtomicMeasure:
         return all(p in other._atoms for p in self._atoms)
 
 
+def _packed_fold(factors: tuple[AtomicMeasure, ...]) -> AtomicMeasure:
+    """Convolution of the factors, folded one factor at a time over packed
+    point keys.  Weights fold as integer numerators over D^len(factors), D
+    the lcm of all weight denominators, and are divided once at the end."""
+    codec = _PackedCodec({p for mu in factors for p in mu.support()}, len(factors))
+    D = math.lcm(*(w.denominator for mu in factors for _, w in mu.items()))
+    acc = {0: 1}
+    for mu in factors:
+        step = [(codec.key(p), w.numerator * (D // w.denominator)) for p, w in mu.items()]
+        folded: dict[int, int] = {}
+        for key, w in acc.items():
+            for atom, v in step:
+                product = codec.product((key, atom))
+                folded[product] = folded.get(product, 0) + w * v
+        acc = folded
+    scale = D ** len(factors)
+    return AtomicMeasure((codec.decode(key), Fraction(w, scale)) for key, w in acc.items())
+
+
 def cs_witness_check(sigma: AtomicMeasure, factors: Iterable[AtomicMeasure]) -> bool:
     """Is sigma singular to the convolution of the given measures?
 
@@ -160,10 +171,7 @@ def cs_witness_check(sigma: AtomicMeasure, factors: Iterable[AtomicMeasure]) -> 
     factors = list(factors)
     if not factors:
         raise ValueError("cs_witness_check needs at least one factor measure")
-    conv = factors[0]
-    for nu in factors[1:]:
-        conv = conv.convolve(nu)
-    return sigma.is_singular_to(conv)
+    return sigma.is_singular_to(_packed_fold(tuple(factors)))
 
 
 def product_spectral_type(sigma: AtomicMeasure, n: int) -> AtomicMeasure:

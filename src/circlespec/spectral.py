@@ -8,24 +8,25 @@ G-orbit counts; G = S(n) gives the symmetric power, where the orbit count is
 the number of distinct atom multisets with product z.
 
 Everything here runs on that combinatorial picture with exact arithmetic.
-A "fiber" collects the tuples over one eigenvalue; a fiber is generic when
-its tuples realize one single multiset made of n distinct atoms, which is
-the only kind of fiber a fully generic measure produces.  Each counting
-claim is computable by at least two independent routes (orbit enumeration,
-multiset-partition counting, exact rational matrix rank), and the check
-operations below run every route their caps allow and insist on exact
-agreement.
+A "fiber" groups the atom multisets over one eigenvalue, found by summing
+packed integer keys; its ordered tuples are their arrangements.  A fiber is
+generic when it holds one multiset of n distinct atoms, the only kind a
+fully generic measure produces.  Each count is reached by at least two
+independent routes: orbits enumerated per multiplicity pattern, multiset-
+partition counting, and exact rank over the ordered tuples; the checks run
+every route their caps allow and insist on exact agreement.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from circlespec import linalg
-from circlespec.circle import CirclePoint, GeneratorAllocator
+from circlespec.circle import CirclePoint, GeneratorAllocator, _PackedCodec
 from circlespec.errors import EnumerationCapError
 from circlespec.measure import AtomicMeasure, generic_measure, relation_scan
 from circlespec.permgroup import (
@@ -38,60 +39,82 @@ DEFAULT_TUPLE_CAP = 10**7
 DEFAULT_MATRIX_CAP = 4096
 
 
+def _require_positive(**values) -> None:
+    for name, v in values.items():
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise ValueError(f"{name} must be an int >= 1, got {v!r}")
+
+
+def _arrangements(ms: tuple[int, ...]):
+    """Distinct orderings of a sorted multiset, in lexicographic order."""
+    if not ms:
+        yield ()
+    for i, v in enumerate(ms):
+        if i == 0 or v != ms[i - 1]:
+            for tail in _arrangements(ms[:i] + ms[i + 1 :]):
+                yield (v,) + tail
+
+
+def _pattern(ms: tuple[int, ...]) -> tuple[int, ...]:
+    """Value counts of a sorted multiset, largest first: a partition of len(ms)."""
+    return tuple(sorted((len(list(run)) for _, run in itertools.groupby(ms)), reverse=True))
+
+
 @dataclass(frozen=True)
 class FiberClass:
-    """All ordered atom tuples over one eigenvalue of the coordinate product.
+    """The atom multisets over one eigenvalue of the coordinate product.
 
-    `tuples` holds indices into `atoms` (the measure support in canonical
-    order), lexicographically sorted.  `orbits` partitions tuple positions
-    into orbits of the acting subgroup once one has acted, else None.
+    `index_multisets` holds the distinct multisets whose product is the
+    eigenvalue, as sorted tuples of indices into `atoms` (the measure support
+    in canonical order), lexicographically sorted.  The fiber's ordered
+    tuples are their arrangements: `size` counts them by multinomial
+    coefficients and `tuples` lists them on demand.
     """
 
     eigenvalue: CirclePoint
     atoms: tuple[CirclePoint, ...]
-    tuples: tuple[tuple[int, ...], ...]
-    orbits: tuple[tuple[int, ...], ...] | None = None
+    index_multisets: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
-        return len(self.tuples)
+        return sum(
+            math.factorial(len(ms)) // math.prod(map(math.factorial, _pattern(ms)))
+            for ms in self.index_multisets
+        )
 
-    def point_tuples(self) -> list[tuple[CirclePoint, ...]]:
-        return [tuple(self.atoms[i] for i in t) for t in self.tuples]
+    @property
+    def tuples(self) -> tuple[tuple[int, ...], ...]:
+        """The fiber's ordered tuples, lexicographically sorted."""
+        return tuple(sorted(t for ms in self.index_multisets for t in _arrangements(ms)))
 
     def multisets(self) -> list[tuple[int, ...]]:
         """Distinct atom multisets realized in this fiber, as sorted index tuples."""
-        return sorted({tuple(sorted(t)) for t in self.tuples})
+        return list(self.index_multisets)
 
     @property
     def is_generic(self) -> bool:
-        ms = self.multisets()
+        ms = self.index_multisets
         return len(ms) == 1 and len(set(ms[0])) == len(ms[0])
 
 
 def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> list[FiberClass]:
-    """Group all ordered n-tuples of atoms by their product, eigenvalue-sorted."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"power must be an int >= 1, got {n!r}")
+    """Group the n-multisets of atoms by their product, eigenvalue-sorted.
+
+    Each of the C(d+n-1, n) multisets is multiplied once, as a sum of packed
+    integer keys, and each eigenvalue is decoded to a CirclePoint once.  The
+    fibers stand for all d^n ordered tuples, and the cap counts those."""
+    _require_positive(power=n)
     atoms = sigma.support()
     d = len(atoms)
     if d**n > tuple_cap:
         raise EnumerationCapError(f"{d}^{n} tuples exceed the cap {tuple_cap}")
-    by_eig: dict[CirclePoint, list[tuple[int, ...]]] = {}
-    identity = CirclePoint.identity()
-
-    def descend(depth: int, prod: CirclePoint, tup: tuple[int, ...]):
-        if depth == n:
-            by_eig.setdefault(prod, []).append(tup)
-            return
-        for i in range(d):
-            descend(depth + 1, prod * atoms[i], tup + (i,))
-
-    descend(0, identity, ())
-    return [
-        FiberClass(eig, atoms, tuple(ts))
-        for eig, ts in sorted(by_eig.items(), key=lambda kv: kv[0].sort_key())
-    ]
+    codec = _PackedCodec(atoms, n)
+    keys = [codec.key(p) for p in atoms]
+    by_key: dict[int, list[tuple[int, ...]]] = {}
+    for ms in itertools.combinations_with_replacement(range(d), n):
+        by_key.setdefault(codec.product(keys[i] for i in ms), []).append(ms)
+    classes = [FiberClass(codec.decode(key), atoms, tuple(mss)) for key, mss in by_key.items()]
+    return sorted(classes, key=lambda fc: fc.eigenvalue.sort_key())
 
 
 @dataclass
@@ -169,25 +192,25 @@ def multiplicity(
     G: PermSubgroup,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
 ) -> MultiplicityReport:
-    """Orbit-count route: multiplicity at z = number of G-orbits on the fiber."""
+    """Orbit-count route: multiplicity at z = number of G-orbits on the fiber.
+
+    G permutes positions, so it maps the arrangements of each multiset onto
+    themselves, and its orbit count there depends only on the multiset's
+    multiplicity pattern.  Each pattern met is enumerated and split into
+    orbits once per call; a fiber's multiplicity sums them over its multisets.
+    """
     if G.degree != n:
         raise ValueError(f"group degree {G.degree} does not match power {n}")
     images = [p.images for p in G.elements]
-    classified = []
-    for fc in fibers(sigma, n, tuple_cap):
-        index_of = {t: k for k, t in enumerate(fc.tuples)}
-        seen = [False] * fc.size
-        orbits = []
-        for k0, t in enumerate(fc.tuples):
-            if seen[k0]:
-                continue
-            orbit = sorted({index_of[tuple(t[i] for i in imgs)] for imgs in images})
-            for j in orbit:
-                seen[j] = True
-            orbits.append(tuple(orbit))
-        classified.append(
-            (FiberClass(fc.eigenvalue, fc.atoms, fc.tuples, tuple(orbits)), len(orbits))
-        )
+    fcs = fibers(sigma, n, tuple_cap)
+    orbits: dict[tuple[int, ...], int] = {}
+    for pattern in {_pattern(ms) for fc in fcs for ms in fc.index_multisets}:
+        seen: set[tuple[int, ...]] = set()
+        for t in _arrangements(tuple(v for v, c in enumerate(pattern) for _ in range(c))):
+            if t not in seen:
+                orbits[pattern] = orbits.get(pattern, 0) + 1
+                seen.update(tuple(t[i] for i in imgs) for imgs in images)
+    classified = [(fc, sum(orbits[_pattern(ms)] for ms in fc.index_multisets)) for fc in fcs]
     return _build_report(n, G, classified)
 
 
@@ -201,7 +224,8 @@ def matrix_oracle(
     permutation block over the fiber, computed by exact rational elimination.
 
     The block of (1/#G) sum_pi U_pi over a fiber is a projection whose rank
-    is the orbit count; this route never looks at orbits, only at ranks.
+    is the orbit count; this route expands each fiber into its ordered
+    tuples and never looks at orbits or multisets, only at ranks.
     """
     if G.degree != n:
         raise ValueError(f"group degree {G.degree} does not match power {n}")
@@ -209,16 +233,16 @@ def matrix_oracle(
     if d**n > matrix_cap:
         raise EnumerationCapError(f"matrix dimension {d**n} exceeds the cap {matrix_cap}")
     images = [p.images for p in G.elements]
-    order = Fraction(G.order)
+    share = [Fraction(h, G.order) for h in range(G.order + 1)]
     classified = []
     for fc in fibers(sigma, n, tuple_cap=matrix_cap):
-        index_of = {t: k for k, t in enumerate(fc.tuples)}
-        block = [[Fraction(0)] * fc.size for _ in range(fc.size)]
-        for j, t in enumerate(fc.tuples):
+        tuples = fc.tuples
+        index_of = {t: k for k, t in enumerate(tuples)}
+        hits = [[0] * len(tuples) for _ in tuples]
+        for j, t in enumerate(tuples):
             for imgs in images:
-                i = index_of[tuple(t[i0] for i0 in imgs)]
-                block[i][j] += Fraction(1) / order
-        classified.append((fc, linalg.rank(block)))
+                hits[index_of[tuple(t[i0] for i0 in imgs)]][j] += 1
+        classified.append((fc, linalg.rank([[share[h] for h in row] for row in hits])))
     return _build_report(n, G, classified)
 
 
@@ -263,45 +287,41 @@ def check_simplicity_levels(
 # -- powers of a convolution power -------------------------------------------
 
 
-def _multiset_atom_table(atoms: tuple[CirclePoint, ...], k: int) -> tuple[list[tuple[int, ...]], list[CirclePoint]]:
-    """Atoms of the k-fold convolution of a generic measure, each tagged with
-    the k-multiset of base atoms producing it.  Collisions would mean the
-    base measure was not generic; that is a caller error worth crashing on."""
+def _level_counts(sigma: AtomicMeasure, k: int, m: int, selections) -> dict:
+    """Group selections of level atoms (k-fold products of base atoms, indexed
+    by k-multiset) by total product, a sum of packed keys, and count them per
+    eigenvalue, filed as generic when the total base multiset has km distinct
+    atoms.  One product must come from one total base multiset, compared as
+    a count-vector integer, which also fails when two level atoms collide:
+    the base measure was not generic, a caller error worth crashing on."""
+    atoms = sigma.support()
+    width = k * m
+    codec = _PackedCodec(atoms, width)
+    base = [codec.key(p) for p in atoms]
     combos = list(itertools.combinations_with_replacement(range(len(atoms)), k))
-    points = []
-    seen: dict[CirclePoint, tuple[int, ...]] = {}
-    identity = CirclePoint.identity()
-    for combo in combos:
-        p = identity
-        for i in combo:
-            p = p * atoms[i]
-        if p in seen:
+    keys = [codec.product(base[i] for i in combo) for combo in combos]
+    counts = [sum((width + 1) ** i for i in combo) for combo in combos]
+
+    def total_multiset(sel: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sorted(i for c in sel for i in combos[c]))
+
+    groups: dict[int, list] = {}  # product key -> [count, count vector, first selection]
+    for sel in selections:
+        key = codec.product(keys[c] for c in sel)
+        total = sum(counts[c] for c in sel)
+        group = groups.setdefault(key, [0, total, sel])
+        if group[1] != total:
             raise RuntimeError(
-                f"base measure is not generic: multisets {seen[p]} and {combo} share product {p}"
+                f"base measure is not generic: totals {total_multiset(group[2])} and "
+                f"{total_multiset(sel)} share product {codec.decode(key)}"
             )
-        seen[p] = combo
-        points.append(p)
-    return combos, points
-
-
-def _merge_sorted(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(a + b))
-
-
-def _level_counts_from_groups(groups: dict[CirclePoint, tuple[int, tuple[int, ...]]], width: int) -> dict:
-    """Split per-eigenvalue counts by whether the total base multiset has
-    `width` distinct atoms (the generic case)."""
-    entries: dict[CirclePoint, int] = {}
-    generic: dict[CirclePoint, int] = {}
-    degenerate: dict[CirclePoint, int] = {}
-    for eig in sorted(groups, key=lambda p: p.sort_key()):
-        count, total = groups[eig]
-        entries[eig] = count
-        if len(set(total)) == width:
-            generic[eig] = count
-        else:
-            degenerate[eig] = count
-    return {"entries": entries, "generic": generic, "degenerate": degenerate}
+        group[0] += 1
+    out: dict[str, dict[CirclePoint, int]] = {"entries": {}, "generic": {}, "degenerate": {}}
+    decoded = sorted(((codec.decode(key), g) for key, g in groups.items()), key=lambda e: e[0].sort_key())
+    for eig, (count, _, sel) in decoded:
+        out["entries"][eig] = count
+        out["generic" if len(set(total_multiset(sel))) == width else "degenerate"][eig] = count
+    return out
 
 
 def _tensor_level_counts(
@@ -310,31 +330,10 @@ def _tensor_level_counts(
     """Partition-counting route for the m-th tensor power of the k-fold
     convolution: per eigenvalue, count ordered m-tuples of k-multisets of
     base atoms with that total product."""
-    atoms = sigma.support()
-    combos, points = _multiset_atom_table(atoms, k)
-    T = len(combos)
+    T = math.comb(len(sigma) + k - 1, k)
     if T**m > tuple_cap:
         raise EnumerationCapError(f"{T}^{m} level tuples exceed the cap {tuple_cap}")
-    groups: dict[CirclePoint, tuple[int, tuple[int, ...]]] = {}
-
-    def descend(depth: int, prod: CirclePoint, total: tuple[int, ...]):
-        if depth == m:
-            prev = groups.get(prod)
-            if prev is None:
-                groups[prod] = (1, total)
-            else:
-                count, seen_total = prev
-                if seen_total != total:
-                    raise RuntimeError(
-                        f"base measure is not generic: totals {seen_total} and {total} share product {prod}"
-                    )
-                groups[prod] = (count + 1, total)
-            return
-        for c in range(T):
-            descend(depth + 1, prod * points[c], _merge_sorted(total, combos[c]))
-
-    descend(0, CirclePoint.identity(), ())
-    return _level_counts_from_groups(groups, k * m)
+    return _level_counts(sigma, k, m, itertools.product(range(T), repeat=m))
 
 
 def _symmetric_level_counts(
@@ -342,38 +341,15 @@ def _symmetric_level_counts(
 ) -> dict:
     """Partition-counting route for the m-th symmetric power: per eigenvalue,
     count unordered m-multisets of k-multisets with that total product."""
-    atoms = sigma.support()
-    combos, points = _multiset_atom_table(atoms, k)
-    T = len(combos)
+    T = math.comb(len(sigma) + k - 1, k)
     n_multisets = math.comb(T + m - 1, m)
     if n_multisets > tuple_cap:
         raise EnumerationCapError(f"{n_multisets} level multisets exceed the cap {tuple_cap}")
-    groups: dict[CirclePoint, tuple[int, tuple[int, ...]]] = {}
-    identity = CirclePoint.identity()
-    for selection in itertools.combinations_with_replacement(range(T), m):
-        prod = identity
-        total: tuple[int, ...] = ()
-        for c in selection:
-            prod = prod * points[c]
-            total = _merge_sorted(total, combos[c])
-        prev = groups.get(prod)
-        if prev is None:
-            groups[prod] = (1, total)
-        else:
-            count, seen_total = prev
-            if seen_total != total:
-                raise RuntimeError(
-                    f"base measure is not generic: totals {seen_total} and {total} share product {prod}"
-                )
-            groups[prod] = (count + 1, total)
-    return _level_counts_from_groups(groups, k * m)
+    return _level_counts(sigma, k, m, itertools.combinations_with_replacement(range(T), m))
 
 
 def _histogram(values) -> dict[str, int]:
-    out: dict[int, int] = {}
-    for v in values:
-        out[v] = out.get(v, 0) + 1
-    return {str(v): out[v] for v in sorted(out)}
+    return {str(v): count for v, count in sorted(Counter(values).items())}
 
 
 def _generic_summary(counts: dict) -> tuple[int | None, bool]:
@@ -383,17 +359,20 @@ def _generic_summary(counts: dict) -> tuple[int | None, bool]:
     return None, False
 
 
-def _cross_check_routes(
+def _power_report(
     sigma: AtomicMeasure,
     k: int,
     m: int,
     counts: dict,
+    formula: int,
     G: PermSubgroup,
     tuple_cap: int,
     matrix_cap: int,
-) -> tuple[dict, dict, bool]:
-    """Run the subgroup-orbit and matrix-rank routes when their caps allow and
-    compare them per eigenvalue against the partition-counting entries."""
+) -> dict:
+    """The report fields that the tensor and the symmetric power checks share,
+    from "atoms" on.  Runs the subgroup-orbit and matrix-rank routes when
+    their caps allow, compares them per eigenvalue against the partition-
+    counting entries, and compares the generic value with the closed form."""
     d = len(sigma.support())
     n = k * m
     agree = True
@@ -420,7 +399,22 @@ def _cross_check_routes(
         }
         agree = agree and matches
 
-    return orbit_route, matrix_route, agree
+    generic_value, homogeneous = _generic_summary(counts)
+    warning = None if d >= n else f"no generic fiber: d={d} < {n}"
+    formula_ok = warning is not None or (homogeneous and generic_value == formula)
+    return {
+        "atoms": d,
+        "formula": formula,
+        "generic_value": generic_value,
+        "homogeneous_on_generic": homogeneous,
+        "generic_eigenvalues": len(counts["generic"]),
+        "degenerate_histogram": _histogram(counts["degenerate"].values()),
+        "group": G.describe(),
+        "orbit_route": orbit_route,
+        "matrix_route": matrix_route,
+        "warning": warning,
+        "passed": bool(agree and formula_ok),
+    }
 
 
 def check_tensor_power(
@@ -438,34 +432,13 @@ def check_tensor_power(
     atoms, orbit counting under the within-blocks subgroup of S(mk), and
     exact matrix rank.  All present routes must agree on every eigenvalue.
     """
-    for name, v in (("k", k), ("m", m), ("d", d)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{name} must be an int >= 1, got {v!r}")
+    _require_positive(k=k, m=m, d=d)
     sigma = generic_measure(d, allocator)
     counts = _tensor_level_counts(sigma, k, m, tuple_cap)
     formula = math.factorial(m * k) // math.factorial(k) ** m
-    generic_value, homogeneous = _generic_summary(counts)
     G = contiguous_block_group(k, m)
-    orbit_route, matrix_route, agree = _cross_check_routes(
-        sigma, k, m, counts, G, tuple_cap, matrix_cap
-    )
-    warning = None if d >= m * k else f"no generic fiber: d={d} < {m * k}"
-    formula_ok = warning is not None or (homogeneous and generic_value == formula)
-    return {
-        "conv_power": k,
-        "tensor_power": m,
-        "atoms": d,
-        "formula": formula,
-        "generic_value": generic_value,
-        "homogeneous_on_generic": homogeneous,
-        "generic_eigenvalues": len(counts["generic"]),
-        "degenerate_histogram": _histogram(counts["degenerate"].values()),
-        "group": G.describe(),
-        "orbit_route": orbit_route,
-        "matrix_route": matrix_route,
-        "warning": warning,
-        "passed": bool(agree and formula_ok),
-    }
+    report = _power_report(sigma, k, m, counts, formula, G, tuple_cap, matrix_cap)
+    return {"conv_power": k, "tensor_power": m, **report}
 
 
 def check_symmetric_power(
@@ -479,34 +452,13 @@ def check_symmetric_power(
     """Same as check_tensor_power but for the symmetric power: unordered
     m-multisets of k-multisets, closed form (mk)!/((k!)^m m!), cross-checked
     against the wreath subgroup (within-block permutations plus block swaps)."""
-    for name, v in (("k", k), ("m", m), ("d", d)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{name} must be an int >= 1, got {v!r}")
+    _require_positive(k=k, m=m, d=d)
     sigma = generic_measure(d, allocator)
     counts = _symmetric_level_counts(sigma, k, m, tuple_cap)
     formula = math.factorial(m * k) // (math.factorial(k) ** m * math.factorial(m))
-    generic_value, homogeneous = _generic_summary(counts)
     G = wreath_block_group(k, m)
-    orbit_route, matrix_route, agree = _cross_check_routes(
-        sigma, k, m, counts, G, tuple_cap, matrix_cap
-    )
-    warning = None if d >= m * k else f"no generic fiber: d={d} < {m * k}"
-    formula_ok = warning is not None or (homogeneous and generic_value == formula)
-    return {
-        "conv_power": k,
-        "symmetric_power": m,
-        "atoms": d,
-        "formula": formula,
-        "generic_value": generic_value,
-        "homogeneous_on_generic": homogeneous,
-        "generic_eigenvalues": len(counts["generic"]),
-        "degenerate_histogram": _histogram(counts["degenerate"].values()),
-        "group": G.describe(),
-        "orbit_route": orbit_route,
-        "matrix_route": matrix_route,
-        "warning": warning,
-        "passed": bool(agree and formula_ok),
-    }
+    report = _power_report(sigma, k, m, counts, formula, G, tuple_cap, matrix_cap)
+    return {"conv_power": k, "symmetric_power": m, **report}
 
 
 def fock_multiplicity_set(
@@ -521,9 +473,7 @@ def fock_multiplicity_set(
     that the convolution levels sigma^{*k}, sigma^{*2k}, ... are pairwise
     mutually singular (so the multiplicities genuinely live on disjoint
     spectral pieces)."""
-    for name, v in (("k", k), ("m_max", m_max), ("d", d)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{name} must be an int >= 1, got {v!r}")
+    _require_positive(k=k, m_max=m_max, d=d)
     sigma = generic_measure(d)
     per_level: dict[str, int | None] = {}
     values = []
@@ -569,9 +519,7 @@ def cs_criterion(k: int, m: int, n: int) -> dict:
     When it holds, the order of the strand-wise subgroup exceeds the level
     multiplicity (mk)!/(k!)^m, which is the model's finite witness for the
     k-fold convolution being singular to every product of n levels."""
-    for name, v in (("k", k), ("m", m), ("n", n)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{name} must be an int >= 1, got {v!r}")
+    _require_positive(k=k, m=m, n=n)
     group_order = math.factorial(m) ** n
     tensor_multiplicity = math.factorial(m * k) // math.factorial(k) ** m
     return {
@@ -587,10 +535,7 @@ def cs_criterion(k: int, m: int, n: int) -> dict:
 def minimal_m_for_cs(k: int, m_cap: int = 64) -> dict:
     """Smallest m with a_m = (m!)^(k+1) (k!)^m / (mk)! > 1, with the full
     exact sequence of a_m values computed along the way."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be an int >= 1, got {k!r}")
-    if not isinstance(m_cap, int) or isinstance(m_cap, bool) or m_cap < 1:
-        raise ValueError(f"m_cap must be an int >= 1, got {m_cap!r}")
+    _require_positive(k=k, m_cap=m_cap)
     sequence: list[Fraction] = []
     found = None
     for m in range(1, m_cap + 1):
@@ -633,9 +578,7 @@ def check_translate_singularity(
     For a generic base measure this holds whenever n != m (the total-degree
     strata are disjoint) or a is not the identity; it fails exactly for
     n = m, a = identity, where the two measures coincide."""
-    for name, v in (("n", n), ("m", m)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{name} must be an int >= 1, got {v!r}")
+    _require_positive(n=n, m=m)
     d = len(sigma)
     _conv_support_guard(d, max(n, m), tuple_cap)
     left = sigma.convolve_power(n)
@@ -719,8 +662,7 @@ def girsanov_step(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_C
     search tries the product of the two highest-multiplicity level-n
     eigenvalues first (the construction's own witness) before scanning all
     level-2n fibers.  q = 1 makes the claim trivially true."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"power must be an int >= 1, got {n!r}")
+    _require_positive(power=n)
     if len(sigma) < 1:
         raise ValueError("measure must have at least one atom")
     level_1 = _symmetric_counts_by_eigenvalue(sigma, 1, tuple_cap)

@@ -5,6 +5,7 @@ Each test runs the corresponding battery criterion (the same code the CLI
 terminal, enforces the runtime budget, and asserts the criterion passed.
 """
 
+import hashlib
 import io
 import time
 from contextlib import redirect_stdout
@@ -14,6 +15,8 @@ from circlespec.spectral import DEFAULT_MATRIX_CAP, DEFAULT_TUPLE_CAP
 from circlespec import suite as battery
 
 SEED = 0
+# sha256 of the stdout of `circlespec suite --seed 0`, fixed by the ROADMAP.
+SUITE_SHA256 = "cb01aef9f67a3c35b251154a9f61e1e9a9f3b57cc1d252d12e48c7286ad2a083"
 
 
 def run_criterion(fn, budget_seconds, label, capsys):
@@ -108,3 +111,4 @@ def test_criterion_10_suite_determinism(capsys):
         print(f"\nACCEPTANCE 10/10 determinism: {'PASS' if ok else 'FAIL'} ({elapsed:.2f}s)")
     assert code1 == 0 and code2 == 0
     assert out1 == out2, "suite output is not byte-identical across equal seeds"
+    assert hashlib.sha256(out1).hexdigest() == SUITE_SHA256

@@ -73,6 +73,43 @@ def test_convolve_power_matches_iterated_convolve():
         mu.convolve_power(0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_measures(), st.integers(min_value=1, max_value=4))
+def test_convolve_power_matches_point_keyed_convolution(mu, k):
+    brute = mu
+    for _ in range(k - 1):
+        brute = AtomicMeasure(brute_convolve(brute, mu))
+    assert list(mu.convolve_power(k).items()) == list(brute.items())
+
+
+def test_convolution_meets_mod_one_and_wide_exponents():
+    # 3/4 * 3/4 lands on 1/2 only modulo 1: both products must add weight there.
+    zero, half, three_quarters = (CirclePoint(Fraction(r, 4)) for r in (0, 2, 3))
+    mu = AtomicMeasure({zero: Fraction(1, 5), half: Fraction(2, 5), three_quarters: Fraction(2, 5)})
+    square = mu.convolve_power(2)
+    assert square.weight(half) == 2 * Fraction(1, 5) * Fraction(2, 5) + Fraction(2, 5) ** 2
+    assert dict(square.items()) == brute_convolve(mu, mu)
+    up, down = CirclePoint.generator(0, 50), CirclePoint.generator(0, -50)
+    wide = AtomicMeasure({up: Fraction(1, 2), down: Fraction(1, 2)})
+    assert dict(wide.convolve(wide).items()) == {
+        up * up: Fraction(1, 4),
+        CirclePoint(): Fraction(1, 2),
+        down * down: Fraction(1, 4),
+    }
+
+
+def test_convolution_with_large_coprime_denominators():
+    # The lcm of the denominators is about 10^12; 1/100000007 is prime alone.
+    a, b = CirclePoint(Fraction(1, 1000003)), CirclePoint(Fraction(1, 999983), {0: 1})
+    mu = AtomicMeasure({a: Fraction(1, 3), b: Fraction(2, 3)})
+    assert dict(mu.convolve(mu).items()) == brute_convolve(mu, mu)
+    cube = AtomicMeasure(brute_convolve(AtomicMeasure(brute_convolve(mu, mu)), mu))
+    assert list(mu.convolve_power(3).items()) == list(cube.items())
+    lone = AtomicMeasure.delta(CirclePoint(Fraction(1, 100000007)))
+    assert dict(lone.convolve(mu).items()) == brute_convolve(lone, mu)
+    assert cs_witness_check(lone, [mu, mu]) is True
+
+
 def test_generic_convolution_support_counts_multisets():
     # d fresh generators: supp(mu^{*k}) enumerates k-multisets exactly.
     mu = generic_measure(4)

@@ -1,7 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circlespec import (
     AtomicMeasure,
@@ -27,7 +29,24 @@ from circlespec import (
     tensor_vs_symmetric,
 )
 
-from tests.helpers import designed_relation_measure
+from tests.helpers import designed_relation_measure, small_measures
+
+
+def brute_fibers(mu, n):
+    """Ordered tuples grouped by their CirclePoint product, eigenvalue-sorted."""
+    atoms = mu.support()
+    groups = {}
+    for t in itertools.product(range(len(atoms)), repeat=n):
+        groups.setdefault(math.prod((atoms[i] for i in t), start=CirclePoint()), []).append(t)
+    return sorted(groups.items(), key=lambda kv: kv[0].sort_key())
+
+
+def brute_orbit_counts(mu, n, G):
+    """Per eigenvalue, the G-orbits on ordered tuples, named by their least member."""
+    return {
+        eig: len({min(tuple(t[i] for i in g.images) for g in G.elements) for t in ts})
+        for eig, ts in brute_fibers(mu, n)
+    }
 
 
 def test_fibers_partition_all_tuples():
@@ -68,6 +87,55 @@ def test_designed_relation_doubles_a_fiber():
 def test_fibers_cap():
     with pytest.raises(EnumerationCapError):
         fibers(generic_measure(10), 4, tuple_cap=100)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_measures(), st.integers(min_value=1, max_value=4))
+def test_fibers_match_tuple_grouping(mu, n):
+    fcs = fibers(mu, n)
+    brute = brute_fibers(mu, n)
+    assert [fc.eigenvalue for fc in fcs] == [eig for eig, _ in brute]
+    for fc, (_, ts) in zip(fcs, brute):
+        assert fc.size == len(ts)
+        assert list(fc.tuples) == ts
+        assert fc.multisets() == sorted({tuple(sorted(t)) for t in ts})
+
+
+def test_fibers_meet_mod_one_and_wide_exponents():
+    # 3/4 * 3/4 meets 1 * 1/2 only modulo 1; g0^50 * g0^-50 cancels exactly.
+    zero, half, three_quarters = (CirclePoint(Fraction(r, 4)) for r in (0, 2, 3))
+    rational = AtomicMeasure({p: Fraction(1, 3) for p in (zero, half, three_quarters)})
+    fc = next(fc for fc in fibers(rational, 2) if fc.eigenvalue == half)
+    assert fc.multisets() == [(0, 1), (2, 2)] and fc.size == 3
+    up, down = CirclePoint.generator(0, 50), CirclePoint.generator(0, -50)
+    wide = AtomicMeasure({up: 1, down: 1, CirclePoint(Fraction(1, 3), {0: 1, 1: -50}): 1})
+    assert [fc.eigenvalue for fc in fibers(wide, 2)][:2] == [CirclePoint(), down * down]
+    for mu in (rational, wide):
+        for n in (2, 3):
+            fcs = fibers(mu, n)
+            assert [(fc.eigenvalue, list(fc.tuples)) for fc in fcs] == brute_fibers(mu, n)
+
+
+def test_fibers_with_large_coprime_denominators():
+    # The lcm of the denominators is about 10^12 here; the key codec must not
+    # do work proportional to it.
+    a, b = CirclePoint(Fraction(1, 1000003)), CirclePoint(Fraction(1, 999983), {0: 1})
+    lone = AtomicMeasure({CirclePoint(Fraction(1, 100000007)): 1})
+    for mu in (AtomicMeasure({a: 1, b: 2, a * b: 1}), lone):
+        for n in (1, 2, 3):
+            fcs = fibers(mu, n)
+            assert [(fc.eigenvalue, list(fc.tuples)) for fc in fcs] == brute_fibers(mu, n)
+            G = PermSubgroup.symmetric(n)
+            assert multiplicity(mu, n, G).entries == brute_orbit_counts(mu, n, G)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_measures(), st.integers(min_value=1, max_value=4))
+def test_orbit_route_matches_rank_route_and_tuple_orbits(mu, n):
+    for G in (PermSubgroup.trivial(n), PermSubgroup.cyclic(n), PermSubgroup.symmetric(n)):
+        entries = list(multiplicity(mu, n, G).entries.items())
+        assert entries == list(matrix_oracle(mu, n, G).entries.items())
+        assert entries == list(brute_orbit_counts(mu, n, G).items())
 
 
 def test_multiplicity_reference_values():
