@@ -1,9 +1,11 @@
-"""Dense exact matrices over the rationals: lists of lists of Fraction.
+"""Dense exact matrices over the rationals, as lists of rows.
 
-Nothing here ever touches floating point; rank in particular is one of the
-independent verification routes and must stay exact.
+Nothing here ever touches floating point.  `rank` is one of the independent
+verification routes: it takes `int` or `Fraction` rows and eliminates on
+integers only.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -16,10 +18,6 @@ def identity(n):
     for i in range(n):
         m[i][i] = Fraction(1)
     return m
-
-
-def mat_eq(a, b):
-    return a == b
 
 
 def mat_add(a, b):
@@ -54,25 +52,29 @@ def kron(a, b):
 
 
 def rank(a):
-    """Rank over Q by Gaussian elimination with exact fractions."""
-    if not a or not a[0]:
-        return 0
-    m = [list(row) for row in a]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        lead = m[r][c]
-        for i in range(r + 1, nrows):
-            if m[i][c]:
-                f = m[i][c] / lead
-                row_i, row_r = m[i], m[r]
-                for j in range(c, ncols):
-                    row_i[j] -= f * row_r[j]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank over Q of rows of `int` or `Fraction` entries, by fraction-free
+    elimination on sparse integer rows {column: int}.
+
+    Each row v is scaled into integers by the lcm of its denominators and
+    made primitive (content divided out); neither changes the rank.  If its
+    leading column c has an echelon row p, v becomes (p[c]/g)*v - (v[c]/g)*p
+    with g = gcd(p[c], v[c]), which clears c; otherwise v is the echelon row
+    for c.  The rank is the number of echelon rows.  No residue arithmetic:
+    a rank taken mod a prime can undercount.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in a:
+        nonzero = [(c, x) for c, x in enumerate(row) if x]
+        den = math.lcm(*(x.denominator for _, x in nonzero))
+        v = {c: x.numerator * (den // x.denominator) for c, x in nonzero}
+        while v:
+            g = math.gcd(*v.values())
+            v = {c: x // g for c, x in v.items()} if g != 1 else v
+            lead = min(v)
+            p = pivots.setdefault(lead, v)
+            if p is v:
+                break
+            g = math.gcd(p[lead], v[lead])
+            s, t = p[lead] // g, v[lead] // g
+            v = {c: x for c in v.keys() | p.keys() if (x := s * v.get(c, 0) - t * p.get(c, 0))}
+    return len(pivots)

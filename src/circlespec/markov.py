@@ -437,7 +437,7 @@ def inclusion_exclusion_identity(
                 [linalg.identity(dims[i]) if i in T else q(i) for i in range(n)]
             )
             rhs = linalg.mat_add(rhs, linalg.scalar_mul(sign, term))
-    matrix_identity = linalg.mat_eq(lhs, rhs)
+    matrix_identity = lhs == rhs
 
     dim_report = dimension_identity(dims)
     return {
@@ -471,4 +471,4 @@ def commutation_check(phi: MarkovOp, t_perm: Perm, s_perm: Perm) -> bool:
 
     left = linalg.mat_mul(list(map(list, phi.matrix)), koopman(t_perm))
     right = linalg.mat_mul(koopman(s_perm), list(map(list, phi.matrix)))
-    return linalg.mat_eq(left, right)
+    return left == right

@@ -5,8 +5,8 @@ Convolution multiplies atoms pairwise and adds weights; singularity is
 support disjointness and absolute continuity is support inclusion, which is
 the whole story for purely atomic measures.  `generic_measure` builds the
 model of "d points drawn from a continuous measure": d fresh generators,
-equal weight, no multiplicative relations.  `relation_scan` certifies that
-absence of relations by exhaustive search.
+equal weight, no multiplicative relations.  `relation_scan` only searches
+exponents +-1 on distinct atoms, so it does not certify that absence.
 """
 
 from __future__ import annotations
@@ -218,11 +218,11 @@ class Relation:
 
 
 def relation_scan(mu: AtomicMeasure, degree: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> list[Relation]:
-    """Exhaustive search for relations prod z_i^{+-1} = rational constant.
-
-    Scans every subset of 1..degree distinct atoms with sign vectors
-    normalized to a +1 leading exponent, so each relation is reported once.
-    An empty result certifies the measure is generic up to that degree.
+    """Search for relations prod z_i^{+-1} = rational constant among 1..degree
+    distinct atoms, leading sign +1, each reported once.  Other exponents and
+    repeated atoms are never tried, so [] does not certify genericity: for
+    a = g0, b = g1, c = g0^2 g1^-1 the scan is [] at degrees 2 and 3, yet
+    a*a = b*c and the symmetric square is not simple.
     """
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
         raise ValueError(f"scan degree must be an int >= 2, got {degree!r}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -221,28 +222,31 @@ def matrix_oracle(
     matrix_cap: int = DEFAULT_MATRIX_CAP,
 ) -> MultiplicityReport:
     """Rank route: multiplicity at z = rank of the averaged coordinate-
-    permutation block over the fiber, computed by exact rational elimination.
+    permutation block over the fiber, computed by fraction-free elimination.
 
     The block of (1/#G) sum_pi U_pi over a fiber is a projection whose rank
-    is the orbit count; this route expands each fiber into its ordered
-    tuples and never looks at orbits or multisets, only at ranks.
+    is the orbit count.  Its entries are hit counts (how many pi send tuple j
+    to tuple i) over #G; ranking the integer hit counts is exact, as scaling
+    by #G leaves the rank unchanged.  The route expands each fiber into its
+    ordered tuples and reads ranks of full blocks, never orbits or multisets.
     """
     if G.degree != n:
         raise ValueError(f"group degree {G.degree} does not match power {n}")
     d = len(sigma.support())
     if d**n > matrix_cap:
         raise EnumerationCapError(f"matrix dimension {d**n} exceeds the cap {matrix_cap}")
-    images = [p.images for p in G.elements]
-    share = [Fraction(h, G.order) for h in range(G.order + 1)]
+    # Tuples are keyed by the identity's getter: for n = 1 each getter returns a bare item.
+    getters = [operator.itemgetter(*p.images) for p in G.elements]
+    key = operator.itemgetter(*range(n))
     classified = []
     for fc in fibers(sigma, n, tuple_cap=matrix_cap):
         tuples = fc.tuples
-        index_of = {t: k for k, t in enumerate(tuples)}
+        index_of = {key(t): k for k, t in enumerate(tuples)}
         hits = [[0] * len(tuples) for _ in tuples]
         for j, t in enumerate(tuples):
-            for imgs in images:
-                hits[index_of[tuple(t[i0] for i0 in imgs)]][j] += 1
-        classified.append((fc, linalg.rank([[share[h] for h in row] for row in hits])))
+            for get in getters:
+                hits[index_of[get(t)]][j] += 1
+        classified.append((fc, linalg.rank(hits)))
     return _build_report(n, G, classified)
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from circlespec.circle import CirclePoint, GeneratorAllocator
 from circlespec.markov import (
@@ -43,14 +45,6 @@ from circlespec.spectral import (
 )
 
 
-def _perm_from_cycles(n: int, cycles) -> Perm:
-    images = list(range(n))
-    for cycle in cycles:
-        for a, b in zip(cycle, cycle[1:] + (cycle[0],)):
-            images[a] = b
-    return Perm(images)
-
-
 # Generator sets, as disjoint-cycle lists, spanning the subgroup zoo of S(3)
 # and S(4): trivial, cyclic, Klein, dihedral, alternating, full, embedded.
 SUBGROUP_CATALOGUE = [
@@ -77,7 +71,7 @@ def criterion_orbit_formula(seed, tuple_cap, matrix_cap) -> dict:
     rows = []
     ok = True
     for n, gen_cycles in SUBGROUP_CATALOGUE:
-        G = PermSubgroup(n, [_perm_from_cycles(n, cs) for cs in gen_cycles])
+        G = PermSubgroup(n, [reduce(mul, (Perm.from_cycle(n, c) for c in cs)) for cs in gen_cycles])
         enumerated = orbit_count_free(G, tuple_cap)
         formula = math.factorial(n) // G.order
         rows.append(

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from circlespec import (
     check_symmetric_power,
     check_tensor_power,
     check_translate_singularity,
+    contiguous_block_group,
     cs_criterion,
     fibers,
     fock_multiplicity_set,
@@ -136,6 +138,26 @@ def test_orbit_route_matches_rank_route_and_tuple_orbits(mu, n):
         entries = list(multiplicity(mu, n, G).entries.items())
         assert entries == list(matrix_oracle(mu, n, G).entries.items())
         assert entries == list(brute_orbit_counts(mu, n, G).items())
+
+
+def test_rank_route_matches_orbit_route_on_large_relation_fibers():
+    # Seven atoms on the one generator g0: at n = 4 the fibers are far from
+    # generic, up to 116 tuples and 12 multisets over one eigenvalue.
+    shifts = [(0, 1), (0, 2), (0, 3), (0, 4), (Fraction(1, 2), 1), (Fraction(1, 2), 3), (Fraction(1, 3), 2)]
+    mu = AtomicMeasure({CirclePoint(r, {0: e}): 1 for r, e in shifts})
+    n = 4
+    groups = (PermSubgroup.trivial(n), PermSubgroup.cyclic(n), PermSubgroup.symmetric(n), contiguous_block_group(2, 2))
+    reports = [(matrix_oracle(mu, n, G), multiplicity(mu, n, G)) for G in groups]
+    for rank, orbit in reports:
+        assert rank.entries == orbit.entries
+    support = mu.support()
+    tuples = Counter(math.prod(t, start=CirclePoint()) for t in itertools.product(support, repeat=n))
+    multisets = Counter(
+        math.prod(ms, start=CirclePoint()) for ms in itertools.combinations_with_replacement(support, n)
+    )
+    assert reports[0][0].entries == tuples
+    assert reports[2][0].entries == multisets
+    assert max(tuples.values()) == 116 and max(multisets.values()) == 12
 
 
 def test_multiplicity_reference_values():
