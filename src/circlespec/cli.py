@@ -16,15 +16,7 @@ import sys
 
 from circlespec.circle import CirclePoint
 from circlespec.errors import EnumerationCapError, MeasureFormatError
-from circlespec.markov import (
-    FactorStructure,
-    MarkovOp,
-    coupling_from_markov,
-    inclusion_exclusion_identity,
-    markov_from_coupling,
-    product_space,
-    project_markov,
-)
+from circlespec.markov import inclusion_exclusion_identity
 from circlespec.measure import generic_measure, measure_from_json, relation_scan
 from circlespec.permgroup import Perm, PermSubgroup
 from circlespec.spectral import (
@@ -42,12 +34,7 @@ from circlespec.spectral import (
     nonsimple_counterexample,
     paired_relation_measure,
 )
-from circlespec.suite import (
-    _random_coupling,
-    _random_coupling_onto_product,
-    _random_space,
-    run_suite,
-)
+from circlespec.suite import check_projections, check_round_trips, run_suite
 
 
 def _load_measure(args, default_atoms=None):
@@ -207,15 +194,7 @@ def _cmd_relations(args):
 
 
 def _cmd_markov_round_trip(args):
-    rng = random.Random(args.seed)
-    failures = []
-    for index in range(args.count):
-        c = _random_coupling(rng)
-        phi = markov_from_coupling(c)
-        if coupling_from_markov(phi) != c:
-            failures.append({"stage": "coupling", "index": index})
-        if markov_from_coupling(coupling_from_markov(phi)) != phi:
-            failures.append({"stage": "operator", "index": index})
+    failures = check_round_trips(random.Random(args.seed), args.count)
     report = {"count": args.count, "failures": failures, "passed": not failures}
     return report["passed"], report, None
 
@@ -223,30 +202,7 @@ def _cmd_markov_round_trip(args):
 def _cmd_markov_lm_kk(args):
     if not 1 <= args.n <= 3:
         raise ValueError("--n must be between 1 and 3")
-    rng = random.Random(args.seed)
-    failures = []
-    cases = 0
-    for trial in range(args.count):
-        components = tuple(_random_space(rng, 3, f"c{i}_") for i in range(args.n))
-        phi = markov_from_coupling(
-            _random_coupling_onto_product(rng, components, rng.randint(1, 3))
-        )
-        full = product_space(components)
-        for mask in range(2**args.n):
-            selected = tuple(i for i in range(args.n) if mask >> i & 1)
-            factor = FactorStructure(components, selected)
-            try:
-                projected = project_markov(phi, factor)
-            except RuntimeError as exc:
-                failures.append(
-                    {"trial": trial, "selected": list(selected), "error": str(exc)}
-                )
-                continue
-            cases += 1
-            if len(selected) == args.n and projected != phi:
-                failures.append({"trial": trial, "stage": "full-selector"})
-            if not selected and projected != MarkovOp.mean(phi.source, full):
-                failures.append({"trial": trial, "stage": "empty-selector"})
+    cases, failures = check_projections(random.Random(args.seed), args.n, args.count)
     report = {
         "components": args.n,
         "trials": args.count,

@@ -28,11 +28,6 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def scalar_mul(c, a):
-    c = Fraction(c)
-    return [[c * x for x in row] for row in a]
-
-
 def mat_mul(a, b):
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")

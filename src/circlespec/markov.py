@@ -10,7 +10,10 @@ The module's centerpiece is an executable identity: composing a Markov
 operator into a product space with the conditional expectation onto a
 sub-product equals the operator of the relatively independent extension of
 the restricted coupling.  `project_markov` computes both sides separately
-and refuses to return if they differ.
+and refuses to return if they differ.  The conditional expectation is a
+Kronecker product of per-component factors, so the direct side applies it
+axis by axis to integer numerators ((A⊗B)·vec X = vec(B·X·Aᵀ)), reading no
+coupling; `inclusion_exclusion_identity` compares integer-scaled matrices.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -258,12 +262,16 @@ class FactorStructure:
             raise ValueError("selected index out of range")
 
     def full_space(self) -> FiniteSpace:
-        return product_space(self.components)
+        return self._spaces[0]
 
     def sub_space(self) -> FiniteSpace | None:
-        if not self.selected:
-            return None
-        return product_space([self.components[i] for i in self.selected])
+        return self._spaces[1]
+
+    @cached_property
+    def _spaces(self) -> tuple[FiniteSpace, FiniteSpace | None]:
+        """Full product and selected sub-product, built and validated once."""
+        sub = [self.components[i] for i in self.selected]
+        return product_space(self.components), product_space(sub) if sub else None
 
     def full_points(self) -> list[tuple[int, ...]]:
         return list(itertools.product(*(range(c.size) for c in self.components)))
@@ -321,7 +329,8 @@ def rel_indep_extension(lam: Coupling, factor: FactorStructure) -> Coupling:
 
 def conditional_expectation_matrix(factor: FactorStructure) -> list[list[Fraction]]:
     """Matrix on functions over the full product averaging out the unselected
-    coordinates: (Ef)(y) depends only on the selected part of y."""
+    coordinates: (Ef)(y) depends only on the selected part of y.  The dense
+    definition; `project_markov` applies E factored instead."""
     points = factor.full_points()
     unselected = [i for i in range(len(factor.components)) if i not in factor.selected]
     n = len(points)
@@ -335,15 +344,48 @@ def conditional_expectation_matrix(factor: FactorStructure) -> list[list[Fractio
     return matrix
 
 
+def _integer_row(probs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer weights w and common denominator D with probs == w / D."""
+    den = math.lcm(*(p.denominator for p in probs))
+    return [p.numerator * (den // p.denominator) for p in probs], den
+
+
+def _factored_expectation(phi: MarkovOp, factor: FactorStructure) -> list[list[Fraction]]:
+    """E·phi for E = ⊗_i F_i (F_i = I if i is selected, else 1·p_iᵀ) without
+    forming E: on phi's columns, scaled once to integers, each line along an
+    unselected axis i (stride prod_{j>i} d_j) becomes its sum weighted by
+    w_i = D_i·p_i, and the common denominator is multiplied by D_i."""
+    den = math.lcm(*(x.denominator for row in phi.matrix for x in row))
+    cols = [[x.numerator * (den // x.denominator) for x in col] for col in zip(*phi.matrix)]
+    stride = len(phi.matrix)
+    for i, space in enumerate(factor.components):
+        block, stride = stride, stride // space.size
+        if i in factor.selected:
+            continue
+        weights, axis_den = _integer_row(space.probs)
+        den *= axis_den
+        for v in cols:
+            for start in range(0, len(v), block):
+                for first in range(start, start + stride):
+                    line = range(first, first + block, stride)
+                    total = sum(w * v[j] for w, j in zip(weights, line))
+                    for j in line:
+                        v[j] = total
+    return [[Fraction(x, den) for x in row] for row in zip(*cols)]
+
+
 def project_markov(phi: MarkovOp, factor: FactorStructure) -> MarkovOp:
     """Compose phi (into the full product) with conditional expectation onto
     the selected components, and verify, by exact computation, that the
     result is the Markov operator of the relatively independent extension of
-    the restricted coupling.  The identity failing raises: it is the point."""
+    the restricted coupling.  The identity failing raises: it is the point.
+    The direct side (`_factored_expectation`, equal to the dense product
+    `conditional_expectation_matrix(factor) · phi`) reads only phi and the
+    component probabilities; only the extension side goes through couplings."""
     full = factor.full_space()
     if phi.target != full:
         raise ValueError("operator target is not the factor's full product")
-    direct = linalg.mat_mul(conditional_expectation_matrix(factor), list(map(list, phi.matrix)))
+    direct = _factored_expectation(phi, factor)
 
     lam = coupling_from_markov(phi)
     if factor.selected:
@@ -359,7 +401,7 @@ def project_markov(phi: MarkovOp, factor: FactorStructure) -> MarkovOp:
             "projection identity failed: conditional expectation of the operator "
             "differs from the relatively-independent-extension operator"
         )
-    return MarkovOp(phi.source, full, direct)
+    return via_extension  # equal to the direct side, and already validated
 
 
 def dimension_identity(dims: Sequence[int]) -> dict:
@@ -399,14 +441,20 @@ def inclusion_exclusion_identity(
         Id - tensor_i (Id - q_i) = sum_{k=0}^{n-1} (-1)^(n-k-1) sum_{|T|=k} p_T
 
     and on dimensions:  prod d_i - 1 = sum over non-empty S of prod_{i in S} (d_i - 1).
+
+    The matrices are compared on integers, each factor scaled by the common
+    denominator D_i of p_i (D_i·Id; rows w_i = D_i·p_i for q_i).  The cap
+    charges the (2^n - 1)·n·total² entries that the Kronecker steps of the
+    2^n - 1 terms write against 256·matrix_cap (about 10^6 by default).
     """
     dims = list(dims)
     n = len(dims)
     if n < 1 or any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in dims):
         raise ValueError("dims must be a non-empty list of ints >= 1")
     total = math.prod(dims)
-    if total > matrix_cap:
-        raise EnumerationCapError(f"full dimension {total} exceeds the cap {matrix_cap}")
+    entries = (2**n - 1) * n * total**2
+    if entries > 256 * matrix_cap:
+        raise EnumerationCapError(f"{entries} dense entries exceed 256 * the cap {matrix_cap}")
     if probs is None:
         probs = [[Fraction(1, d)] * d for d in dims]
     probs = [[Fraction(p) for p in row] for row in probs]
@@ -415,28 +463,23 @@ def inclusion_exclusion_identity(
     for row in probs:
         if any(p <= 0 for p in row) or sum(row) != 1:
             raise ValueError("each probability row must be positive and sum to 1")
+    weights, scales = zip(*map(_integer_row, probs))
 
-    def q(i):
-        return [list(probs[i])] * dims[i]
+    def scaled_identity(size, c):
+        return [[c if r == s else 0 for s in range(size)] for r in range(size)]
 
-    def tensor_chain(factors):
-        out = factors[0]
-        for f in factors[1:]:
-            out = linalg.kron(out, f)
-        return out
-
+    eyes = [scaled_identity(d, c) for d, c in zip(dims, scales)]  # D_i·Id
+    means = [[w] * d for w, d in zip(weights, dims)]  # D_i·q_i
     lhs = linalg.mat_sub(
-        linalg.identity(total),
-        tensor_chain([linalg.mat_sub(linalg.identity(dims[i]), q(i)) for i in range(n)]),
+        scaled_identity(total, math.prod(scales)),
+        reduce(linalg.kron, [linalg.mat_sub(e, m) for e, m in zip(eyes, means)]),
     )
-    rhs = linalg.zeros(total, total)
+    rhs = scaled_identity(total, 0)
     for k in range(n):
-        sign = (-1) ** (n - k - 1)
+        accumulate = linalg.mat_add if (n - k) % 2 else linalg.mat_sub  # sign (-1)^(n-k-1)
         for T in itertools.combinations(range(n), k):
-            term = tensor_chain(
-                [linalg.identity(dims[i]) if i in T else q(i) for i in range(n)]
-            )
-            rhs = linalg.mat_add(rhs, linalg.scalar_mul(sign, term))
+            term = reduce(linalg.kron, [eyes[i] if i in T else means[i] for i in range(n)])
+            rhs = accumulate(rhs, term)
     matrix_identity = lhs == rhs
 
     dim_report = dimension_identity(dims)

@@ -287,48 +287,55 @@ def _random_coupling_onto_product(rng: random.Random, components, left_size: int
     return Coupling(left, full, joint)
 
 
-def criterion_markov_identities(seed, tuple_cap, matrix_cap) -> dict:
-    """Coupling round trips, the projection-extension identity over every
-    selector, inclusion-exclusion matrices, and the dimension identity."""
-    rng = random.Random(seed + 1)
+def check_round_trips(rng: random.Random, count: int) -> list[dict]:
+    """The round trips of `count` random couplings that changed their input."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     failures = []
-
-    round_trips = 50
-    for index in range(round_trips):
+    for index in range(count):
         c = _random_coupling(rng)
         phi = markov_from_coupling(c)
         if coupling_from_markov(phi) != c:
             failures.append({"stage": "coupling-round-trip", "index": index})
         if markov_from_coupling(coupling_from_markov(phi)) != phi:
             failures.append({"stage": "markov-round-trip", "index": index})
+    return failures
 
-    projection_cases = 0
-    for n in range(1, 4):
-        for trial in range(3):
-            components = tuple(
-                _random_space(rng, 3, f"c{i}_") for i in range(n)
-            )
-            phi = markov_from_coupling(
-                _random_coupling_onto_product(rng, components, rng.randint(1, 3))
-            )
-            full = product_space(components)
-            selectors = [
-                tuple(i for i in range(n) if mask >> i & 1) for mask in range(2**n)
-            ]
-            for selected in selectors:
-                factor = FactorStructure(components, selected)
-                try:
-                    projected = project_markov(phi, factor)
-                except RuntimeError as exc:
-                    failures.append(
-                        {"stage": "projection-identity", "n": n, "selected": list(selected), "error": str(exc)}
-                    )
-                    continue
-                projection_cases += 1
-                if len(selected) == n and projected != phi:
-                    failures.append({"stage": "full-selector", "n": n, "trial": trial})
-                if not selected and projected != MarkovOp.mean(phi.source, full):
-                    failures.append({"stage": "empty-selector", "n": n, "trial": trial})
+
+def check_projections(rng: random.Random, n: int, count: int) -> tuple[int, list[dict]]:
+    """Project `count` random operators into n-component products onto every
+    selector: (projections whose two routes agreed, failures)."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    cases, failures = 0, []
+    for trial in range(count):
+        components = tuple(_random_space(rng, 3, f"c{i}_") for i in range(n))
+        phi = markov_from_coupling(_random_coupling_onto_product(rng, components, rng.randint(1, 3)))
+        for mask in range(2**n):
+            selected = tuple(i for i in range(n) if mask >> i & 1)
+            try:
+                projected = project_markov(phi, FactorStructure(components, selected))
+            except RuntimeError as exc:
+                failure = {"stage": "projection-identity", "n": n, "trial": trial, "selected": list(selected)}
+                failures.append({**failure, "error": str(exc)})
+                continue
+            cases += 1
+            if len(selected) == n and projected != phi:
+                failures.append({"stage": "full-selector", "n": n, "trial": trial})
+            if not selected and projected != MarkovOp.mean(phi.source, phi.target):
+                failures.append({"stage": "empty-selector", "n": n, "trial": trial})
+    return cases, failures
+
+
+def criterion_markov_identities(seed, tuple_cap, matrix_cap) -> dict:
+    """Coupling round trips, the projection-extension identity over every
+    selector, inclusion-exclusion matrices, and the dimension identity."""
+    rng = random.Random(seed + 1)
+    round_trips = 50
+    failures = check_round_trips(rng, round_trips)
+    projections = [check_projections(rng, n, 3) for n in range(1, 4)]
+    projection_cases = sum(cases for cases, _ in projections)
+    failures += [failure for _, found in projections for failure in found]
 
     incl_excl = []
     for n in (2, 3, 4):
@@ -342,12 +349,10 @@ def criterion_markov_identities(seed, tuple_cap, matrix_cap) -> dict:
         if not rep["passed"]:
             failures.append({"stage": "inclusion-exclusion", "dims": dims})
 
-    dim_vectors = 0
-    for _ in range(20):
+    dim_vectors = 20
+    for _ in range(dim_vectors):
         dims = [rng.randint(1, 6) for _ in range(rng.randint(1, 6))]
-        rep = dimension_identity(dims)
-        dim_vectors += 1
-        if not rep["dimension_identity"]:
+        if not dimension_identity(dims)["dimension_identity"]:
             failures.append({"stage": "dimension-identity", "dims": dims})
 
     return {

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -154,6 +155,43 @@ def test_markov_subcommands():
 def test_markov_bad_dims_is_exit_2(capsys):
     assert main(["markov", "incl-excl", "--dims", "2,x"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["markov", "round-trip", "--count", "-3"],
+        ["markov", "round-trip", "--count", "0"],
+        ["markov", "lm-kk", "--count", "-1"],
+        ["markov", "lm-kk", "--n", "3", "--count", "0"],
+    ],
+)
+def test_markov_non_positive_count_is_exit_2(argv, capsys):
+    assert run_cli(argv)[0] == 2
+    assert "count must be at least 1" in capsys.readouterr().err
+
+
+# incl-excl charges (2^n - 1) * n * total^2 dense entries against 256 * matrix_cap.
+# With --matrix-cap 64 the limit is 16384: [128] and [1]*10 (10230) are the
+# largest admitted inputs of their kind, [129] and [1]*11 (22517) the next up.
+@pytest.mark.parametrize("admitted, rejected", [("128", "129"), (",".join("1" * 10), ",".join("1" * 11)), ("7,7", "8,7")])
+def test_incl_excl_cap_admits_within_budget_and_rejects_fast(admitted, rejected, capsys):
+    start = time.perf_counter()
+    code, env = run_json(["markov", "incl-excl", "--dims", admitted, "--matrix-cap", "64"])
+    assert code == 0 and env["report"]["passed"]
+    assert time.perf_counter() - start < 2.0
+    start = time.perf_counter()
+    assert run_cli(["markov", "incl-excl", "--dims", rejected, "--matrix-cap", "64"])[0] == 2
+    assert time.perf_counter() - start < 0.5
+    assert "cap exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims", ["64,64", "16,16,16"])
+def test_incl_excl_default_cap_rejects_large_products_fast(dims, capsys):
+    start = time.perf_counter()
+    assert run_cli(["markov", "incl-excl", "--dims", dims])[0] == 2
+    assert time.perf_counter() - start < 0.5
+    assert "cap exceeded" in capsys.readouterr().err
 
 
 def test_json_output_is_deterministic():

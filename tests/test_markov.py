@@ -1,7 +1,10 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circlespec import (
     Coupling,
@@ -21,6 +24,7 @@ from circlespec import (
     project_markov,
     rel_indep_extension,
 )
+from circlespec import linalg, markov
 
 F = Fraction
 
@@ -263,3 +267,158 @@ def test_json_objects_are_plain():
     assert obj["joint"][0][0] == "1/4"
     phi = markov_from_coupling(c)
     assert phi.to_json_obj()["matrix"][0][0] == "1/2"
+
+
+def operator_onto(components, entries):
+    """Markov operator into the product of `components` from the coupling
+    whose column j splits the product mass p_j in proportion to entries[x][j]."""
+    full = product_space(components)
+    joint = [[F(0)] * full.size for _ in entries]
+    for j, p in enumerate(full.probs):
+        col = sum(row[j] for row in entries)
+        for x, row in enumerate(entries):
+            joint[x][j] = F(row[j], col) * p
+    left = FiniteSpace((f"x{i}" for i in range(len(entries))), (sum(row) for row in joint))
+    return markov_from_coupling(Coupling(left, full, joint))
+
+
+def all_selectors(n):
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in range(2**n)]
+
+
+def dense_projection(phi, factor):
+    return linalg.mat_mul(conditional_expectation_matrix(factor), list(map(list, phi.matrix)))
+
+
+@st.composite
+def projection_cases(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    weights = [draw(st.lists(st.integers(1, 7), min_size=d, max_size=d)) for d in sizes]
+    components = tuple(
+        FiniteSpace((f"c{i}_{j}" for j in range(len(ws))), (F(w, sum(ws)) for w in ws))
+        for i, ws in enumerate(weights)
+    )
+    total = math.prod(sizes)
+    left = draw(st.integers(1, 3))
+    entries = draw(st.lists(st.lists(st.integers(1, 9), min_size=total, max_size=total), min_size=left, max_size=left))
+    return components, operator_onto(components, entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(projection_cases())
+def test_factored_projection_equals_dense_definition(case):
+    components, phi = case
+    for selected in all_selectors(len(components)):
+        factor = FactorStructure(components, selected)
+        assert [list(row) for row in project_markov(phi, factor).matrix] == dense_projection(phi, factor)
+
+
+# 1000003 and 999983 are primes: every product denominator is a new coprime combination.
+BIG = (
+    FiniteSpace(("a0", "a1"), (F(1, 1000003), F(1000002, 1000003))),
+    FiniteSpace(("b0", "b1", "b2"), (F(1, 999983), F(2, 999983), F(999980, 999983))),
+    FiniteSpace(("c0", "c1"), (F(1, 3), F(2, 3))),
+)
+
+
+def test_projection_with_coprime_large_denominators():
+    phi = operator_onto(BIG, [[1, 9, 2, 8, 3, 7, 4, 6, 5, 5, 6, 4], [9] * 12])
+    for selected in all_selectors(3):
+        factor = FactorStructure(BIG, selected)
+        assert [list(row) for row in project_markov(phi, factor).matrix] == dense_projection(phi, factor)
+
+
+def test_factored_route_uses_no_coupling_function(monkeypatch):
+    phi = operator_onto(BIG, [[1, 9, 2, 8, 3, 7, 4, 6, 5, 5, 6, 4]])
+    expected = {s: dense_projection(phi, FactorStructure(BIG, s)) for s in all_selectors(3)}
+
+    def forbidden(*args):
+        raise AssertionError("the direct route called a coupling function")
+
+    for name in ("coupling_from_markov", "marginal_coupling", "rel_indep_extension", "markov_from_coupling"):
+        monkeypatch.setattr(markov, name, forbidden)
+    for selected, dense in expected.items():
+        assert markov._factored_expectation(phi, FactorStructure(BIG, selected)) == dense
+
+
+def test_project_markov_raises_when_the_extension_route_is_perturbed(monkeypatch):
+    """Move mass eps around a 2x2 rectangle of the extension's joint: both
+    marginals stay exact, so only the identity check can catch it."""
+    original = markov.rel_indep_extension
+
+    def shifted(lam, factor):
+        c = original(lam, factor)
+        joint = [list(row) for row in c.joint]
+        eps = min(joint[0][0], joint[1][1]) / 2
+        joint[0][0] -= eps
+        joint[0][1] += eps
+        joint[1][0] += eps
+        joint[1][1] -= eps
+        return Coupling(c.left, c.right, joint)
+
+    components = BIG[2:] + BIG[:1]
+    phi = operator_onto(components, [[1, 2, 3, 4], [4, 3, 2, 1]])
+    monkeypatch.setattr(markov, "rel_indep_extension", shifted)
+    for selected in all_selectors(2):
+        with pytest.raises(RuntimeError, match="projection identity failed"):
+            project_markov(phi, FactorStructure(components, selected))
+
+
+def test_factor_structure_builds_its_spaces_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(markov, "product_space", lambda comps: calls.append(1) or product_space(comps))
+    components = BIG[2:] + BIG[:1]
+    phi = operator_onto(components, [[1, 2, 3, 4]])
+    factor = FactorStructure(components, (1,))
+    project_markov(phi, factor)
+    assert len(calls) == 2  # the full product and the selected sub-product
+    project_markov(phi, factor)
+    assert len(calls) == 2
+
+
+def dense_inclusion_exclusion(probs):
+    """Both sides of the identity as dense Fraction matrices."""
+    n = len(probs)
+    eyes = [linalg.identity(len(p)) for p in probs]
+    means = [[list(p)] * len(p) for p in probs]
+
+    def chain(factors):
+        out = [[F(1)]]
+        for f in factors:
+            out = linalg.kron(out, f)
+        return out
+
+    total = len(chain(eyes))
+    lhs = linalg.mat_sub(linalg.identity(total), chain([linalg.mat_sub(e, m) for e, m in zip(eyes, means)]))
+    rhs = linalg.zeros(total, total)
+    for k in range(n):
+        for T in itertools.combinations(range(n), k):
+            term = chain([eyes[i] if i in T else means[i] for i in range(n)])
+            sign = (-1) ** (n - k - 1)
+            rhs = linalg.mat_add(rhs, [[sign * x for x in row] for row in term])
+    return lhs, rhs
+
+
+def test_inclusion_exclusion_with_coprime_large_denominators():
+    probs = [list(c.probs) for c in BIG]
+    lhs, rhs = dense_inclusion_exclusion(probs)
+    assert lhs == rhs
+    rep = inclusion_exclusion_identity([2, 3, 2], probs)
+    assert rep["matrix_identity"] and rep["passed"]
+
+
+def test_inclusion_exclusion_check_is_live(monkeypatch):
+    """Corrupting one entry of one accumulated term makes the check fail."""
+    original = linalg.mat_add
+    corrupted = []
+
+    def add_then_corrupt(a, b):
+        out = original(a, b)
+        if not corrupted:
+            out[0][0] += 1
+            corrupted.append(True)
+        return out
+
+    monkeypatch.setattr(linalg, "mat_add", add_then_corrupt)
+    rep = inclusion_exclusion_identity([2, 3], [[F(1, 1000003), F(1000002, 1000003)], list(BIG[1].probs)])
+    assert corrupted and not rep["matrix_identity"] and not rep["passed"]
