@@ -203,9 +203,10 @@ class _PackedCodec:
     rational numerator over L, the lcm of the denominators; above it each
     generator in use has one balanced digit in base B = 2*n*max|e| + 1.
     `product` reduces the rational digit mod 1, so equal products of up to
-    n points have equal keys, ready to group by."""
+    n points have equal keys, ready to group by.  `ordered` sorts on integer
+    keys and decodes each once, building one Fraction per residue met."""
 
-    __slots__ = ("L", "B0", "B", "gens", "digit")
+    __slots__ = ("L", "B0", "B", "gens", "digit", "fractions")
 
     def __init__(self, points: Iterable[CirclePoint], n: int):
         points = list(points)
@@ -214,6 +215,7 @@ class _PackedCodec:
         self.B0 = n * self.L
         self.B = 2 * n * max((abs(e) for p in points for _, e in p.generic), default=1) + 1
         self.digit = {g: self.B0 * self.B**j for j, g in enumerate(self.gens)}
+        self.fractions: dict[int, Fraction] = {}
 
     def key(self, p: CirclePoint) -> int:
         scaled = p.rational.numerator * (self.L // p.rational.denominator)
@@ -225,7 +227,8 @@ class _PackedCodec:
         r = total % self.B0
         return total - r + r % self.L
 
-    def decode(self, key: int) -> CirclePoint:
+    def sort_key(self, key: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(numerator over L, generic pairs): sorts as `CirclePoint.sort_key` does."""
         r = key % self.B0
         rest, B, half = (key - r) // self.B0, self.B, self.B // 2
         pairs = []
@@ -234,4 +237,16 @@ class _PackedCodec:
             rest = (rest - e) // B
             if e:
                 pairs.append((g, e))
-        return CirclePoint._canonical(Fraction(r % self.L, self.L), tuple(pairs))
+        return r % self.L, tuple(pairs)
+
+    def point(self, r: int, pairs: tuple[tuple[int, int], ...]) -> CirclePoint:
+        """The point with sort key (r, pairs)."""
+        if r not in self.fractions:
+            self.fractions[r] = Fraction(r, self.L)
+        return CirclePoint._canonical(self.fractions[r], pairs)
+
+    def ordered(self, items: Iterable[tuple[int, object]]) -> list[tuple[CirclePoint, object]]:
+        """(point, value) for each (key, value), in canonical point order.
+        Distinct keys have distinct sort keys, so the sort never compares values."""
+        keyed = sorted((self.sort_key(key), value) for key, value in items)
+        return [(self.point(r, pairs), value) for (r, pairs), value in keyed]

@@ -104,7 +104,7 @@ def _cmd_multiplicity(args):
     n = args.power
     if args.gens is not None:
         images = json.loads(args.gens)
-        if not isinstance(images, list) or not images:
+        if not (isinstance(images, list) and images and all(isinstance(im, list) for im in images)):
             raise ValueError("--gens must be a JSON list of image lists")
         G = PermSubgroup(n, [Perm(im) for im in images])
     elif args.group == "trivial":

@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types and the default enumeration caps."""
+
+DEFAULT_TUPLE_CAP = 10**7
+DEFAULT_MATRIX_CAP = 4096
 
 
 class EnumerationCapError(RuntimeError):

@@ -26,10 +26,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from circlespec import linalg
-from circlespec.errors import EnumerationCapError
+from circlespec.errors import DEFAULT_MATRIX_CAP, EnumerationCapError
 from circlespec.permgroup import Perm
-
-DEFAULT_MATRIX_CAP = 4096
 
 
 class FiniteSpace:

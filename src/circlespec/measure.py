@@ -20,9 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
 from circlespec.circle import CirclePoint, GeneratorAllocator, _PackedCodec
-from circlespec.errors import EnumerationCapError, MeasureFormatError
-
-DEFAULT_TUPLE_CAP = 10**7
+from circlespec.errors import DEFAULT_TUPLE_CAP, EnumerationCapError, MeasureFormatError
 
 _FRACTION_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
@@ -64,6 +62,13 @@ class AtomicMeasure:
 
     def __setattr__(self, name, value):
         raise AttributeError("AtomicMeasure is immutable")
+
+    @classmethod
+    def _canonical(cls, atoms: dict[CirclePoint, Fraction]) -> "AtomicMeasure":
+        """Trusted constructor: atoms in canonical order, positive Fraction weights."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "_atoms", atoms)
+        return mu
 
     @classmethod
     def delta(cls, point: CirclePoint, weight=1) -> "AtomicMeasure":
@@ -145,7 +150,8 @@ class AtomicMeasure:
 def _packed_fold(factors: tuple[AtomicMeasure, ...]) -> AtomicMeasure:
     """Convolution of the factors, folded one factor at a time over packed
     point keys.  Weights fold as integer numerators over D^len(factors), D
-    the lcm of all weight denominators, and are divided once at the end."""
+    the lcm of all weight denominators, and are divided once at the end;
+    the codec orders the atoms, so they skip the validating constructor."""
     codec = _PackedCodec({p for mu in factors for p in mu.support()}, len(factors))
     D = math.lcm(*(w.denominator for mu in factors for _, w in mu.items()))
     acc = {0: 1}
@@ -158,7 +164,7 @@ def _packed_fold(factors: tuple[AtomicMeasure, ...]) -> AtomicMeasure:
                 folded[product] = folded.get(product, 0) + w * v
         acc = folded
     scale = D ** len(factors)
-    return AtomicMeasure((codec.decode(key), Fraction(w, scale)) for key, w in acc.items())
+    return AtomicMeasure._canonical({p: Fraction(w, scale) for p, w in codec.ordered(acc.items())})
 
 
 def cs_witness_check(sigma: AtomicMeasure, factors: Iterable[AtomicMeasure]) -> bool:

@@ -15,10 +15,9 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
-from circlespec.errors import EnumerationCapError
+from circlespec.errors import DEFAULT_TUPLE_CAP, EnumerationCapError
 
 DEFAULT_DEGREE_CAP = 8
-DEFAULT_TUPLE_CAP = 10**7
 
 
 class Perm:
@@ -28,6 +27,8 @@ class Perm:
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
+        if any(not isinstance(i, int) or isinstance(i, bool) for i in images):
+            raise ValueError(f"permutation images must be ints, got {images!r}")
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
         object.__setattr__(self, "images", images)

@@ -28,16 +28,13 @@ from fractions import Fraction
 
 from circlespec import linalg
 from circlespec.circle import CirclePoint, GeneratorAllocator, _PackedCodec
-from circlespec.errors import EnumerationCapError
+from circlespec.errors import DEFAULT_MATRIX_CAP, DEFAULT_TUPLE_CAP, EnumerationCapError
 from circlespec.measure import AtomicMeasure, generic_measure, relation_scan
 from circlespec.permgroup import (
     PermSubgroup,
     contiguous_block_group,
     wreath_block_group,
 )
-
-DEFAULT_TUPLE_CAP = 10**7
-DEFAULT_MATRIX_CAP = 4096
 
 
 def _require_positive(**values) -> None:
@@ -102,8 +99,8 @@ def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> 
     """Group the n-multisets of atoms by their product, eigenvalue-sorted.
 
     Each of the C(d+n-1, n) multisets is multiplied once, as a sum of packed
-    integer keys, and each eigenvalue is decoded to a CirclePoint once.  The
-    fibers stand for all d^n ordered tuples, and the cap counts those."""
+    integer keys, and sorted and decoded by the codec, once per eigenvalue.
+    The fibers stand for all d^n ordered tuples, and the cap counts those."""
     _require_positive(power=n)
     atoms = sigma.support()
     d = len(atoms)
@@ -114,8 +111,7 @@ def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> 
     by_key: dict[int, list[tuple[int, ...]]] = {}
     for ms in itertools.combinations_with_replacement(range(d), n):
         by_key.setdefault(codec.product(keys[i] for i in ms), []).append(ms)
-    classes = [FiberClass(codec.decode(key), atoms, tuple(mss)) for key, mss in by_key.items()]
-    return sorted(classes, key=lambda fc: fc.eigenvalue.sort_key())
+    return [FiberClass(eig, atoms, tuple(mss)) for eig, mss in codec.ordered(by_key.items())]
 
 
 @dataclass
@@ -291,40 +287,35 @@ def check_simplicity_levels(
 # -- powers of a convolution power -------------------------------------------
 
 
-def _level_counts(sigma: AtomicMeasure, k: int, m: int, selections) -> dict:
-    """Group selections of level atoms (k-fold products of base atoms, indexed
-    by k-multiset) by total product, a sum of packed keys, and count them per
-    eigenvalue, filed as generic when the total base multiset has km distinct
-    atoms.  One product must come from one total base multiset, compared as
-    a count-vector integer, which also fails when two level atoms collide:
-    the base measure was not generic, a caller error worth crashing on."""
+def _level_counts(sigma: AtomicMeasure, k: int, m: int, select) -> dict:
+    """Count the selections `select(vectors, m)` of level atoms (k-multisets
+    of base atoms, as count vectors with one base-(km+1) digit per atom) per
+    total base multiset, the sum of their vectors, all in C.  Each total is
+    multiplied once, as a sum of packed keys, and is generic when no digit
+    exceeds 1.  Two totals sharing a product, also when two level atoms
+    collide, mean the base measure was not generic: a caller error."""
     atoms = sigma.support()
-    width = k * m
-    codec = _PackedCodec(atoms, width)
+    radix = k * m + 1
+    powers = [radix**i for i in range(len(atoms))]
+    codec = _PackedCodec(atoms, k * m)
     base = [codec.key(p) for p in atoms]
-    combos = list(itertools.combinations_with_replacement(range(len(atoms)), k))
-    keys = [codec.product(base[i] for i in combo) for combo in combos]
-    counts = [sum((width + 1) ** i for i in combo) for combo in combos]
-
-    def total_multiset(sel: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sorted(i for c in sel for i in combos[c]))
-
-    groups: dict[int, list] = {}  # product key -> [count, count vector, first selection]
-    for sel in selections:
-        key = codec.product(keys[c] for c in sel)
-        total = sum(counts[c] for c in sel)
-        group = groups.setdefault(key, [0, total, sel])
-        if group[1] != total:
+    vectors = [sum(c) for c in itertools.combinations_with_replacement(powers, k)]
+    by_key: dict[int, tuple[int, list[int]]] = {}  # product key -> (count, digits of the total)
+    for total, count in Counter(map(sum, select(vectors, m))).items():
+        digits = [total // p % radix for p in powers]
+        key = codec.product(map(operator.mul, digits, base))
+        if key in by_key:
+            a, b = (tuple(i for i, c in enumerate(ds) for _ in range(c))
+                    for ds in (by_key[key][1], digits))
             raise RuntimeError(
-                f"base measure is not generic: totals {total_multiset(group[2])} and "
-                f"{total_multiset(sel)} share product {codec.decode(key)}"
+                f"base measure is not generic: totals {a} and {b} share product "
+                f"{codec.point(*codec.sort_key(key))}"
             )
-        group[0] += 1
+        by_key[key] = (count, digits)
     out: dict[str, dict[CirclePoint, int]] = {"entries": {}, "generic": {}, "degenerate": {}}
-    decoded = sorted(((codec.decode(key), g) for key, g in groups.items()), key=lambda e: e[0].sort_key())
-    for eig, (count, _, sel) in decoded:
+    for eig, (count, digits) in codec.ordered(by_key.items()):
         out["entries"][eig] = count
-        out["generic" if len(set(total_multiset(sel))) == width else "degenerate"][eig] = count
+        out["generic" if max(digits) <= 1 else "degenerate"][eig] = count
     return out
 
 
@@ -337,7 +328,7 @@ def _tensor_level_counts(
     T = math.comb(len(sigma) + k - 1, k)
     if T**m > tuple_cap:
         raise EnumerationCapError(f"{T}^{m} level tuples exceed the cap {tuple_cap}")
-    return _level_counts(sigma, k, m, itertools.product(range(T), repeat=m))
+    return _level_counts(sigma, k, m, lambda vectors, m: itertools.product(vectors, repeat=m))
 
 
 def _symmetric_level_counts(
@@ -349,7 +340,7 @@ def _symmetric_level_counts(
     n_multisets = math.comb(T + m - 1, m)
     if n_multisets > tuple_cap:
         raise EnumerationCapError(f"{n_multisets} level multisets exceed the cap {tuple_cap}")
-    return _level_counts(sigma, k, m, itertools.combinations_with_replacement(range(T), m))
+    return _level_counts(sigma, k, m, itertools.combinations_with_replacement)
 
 
 def _histogram(values) -> dict[str, int]:

@@ -7,9 +7,14 @@ terminal, enforces the runtime budget, and asserts the criterion passed.
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
+import circlespec
 from circlespec.cli import main
 from circlespec.spectral import DEFAULT_MATRIX_CAP, DEFAULT_TUPLE_CAP
 from circlespec import suite as battery
@@ -112,3 +117,18 @@ def test_criterion_10_suite_determinism(capsys):
     assert code1 == 0 and code2 == 0
     assert out1 == out2, "suite output is not byte-identical across equal seeds"
     assert hashlib.sha256(out1).hexdigest() == SUITE_SHA256
+
+
+def test_suite_hash_does_not_depend_on_string_hashing():
+    src = str(Path(circlespec.__file__).resolve().parents[1])
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "circlespec.cli", "suite", "--seed", str(SEED)],
+            env=env,
+            capture_output=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == SUITE_SHA256

@@ -1,10 +1,14 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from circlespec import CirclePoint, GeneratorAllocator, MeasureFormatError
+from circlespec.circle import _PackedCodec
+
+from tests.helpers import point_strategy as helper_points
 
 
 def point_strategy(max_index=5, max_exp=3):
@@ -127,3 +131,38 @@ def test_unique_factorization_over_fresh_generators():
                 prod = prod * gens[i]
             assert prod not in products, (combo, products[prod])
             products[prod] = combo
+
+
+def assert_codec_order(points):
+    """Sorting packed keys on the codec's integer sort key gives the order of
+    CirclePoint.sort_key, for the points and for their pairwise products,
+    and each codec builds one Fraction per residue it decodes."""
+    for n in (1, 2):
+        codec = _PackedCodec(points, n)
+        tuples = list(itertools.product(points, repeat=n))
+        keys = [codec.product(map(codec.key, t)) for t in tuples]
+        products = [math.prod(t, start=CirclePoint()) for t in tuples]
+        by_int = [codec.point(*codec.sort_key(key)) for key in sorted(keys, key=codec.sort_key)]
+        assert by_int == sorted(products, key=CirclePoint.sort_key)
+        ordered = codec.ordered((key, key) for key in set(keys))
+        assert [p for p, _ in ordered] == sorted(set(products), key=CirclePoint.sort_key)
+        assert all(codec.product([codec.key(p)]) == key for p, key in ordered)
+        assert sorted(codec.fractions.values()) == sorted({p.rational for p in products})
+
+
+@given(st.lists(helper_points(), min_size=1, max_size=5))
+def test_codec_integer_order_matches_point_order(ps):
+    assert_codec_order(ps)
+
+
+def test_codec_integer_order_with_coprime_denominators():
+    # The lcm of the denominators is about 10^12.
+    assert_codec_order(
+        [
+            CirclePoint(Fraction(1, 1000003), {0: -2}),
+            CirclePoint(Fraction(999982, 999983), {0: 1, 1: -3}),
+            CirclePoint(Fraction(500001, 1000003)),
+            CirclePoint(0, {1: -1}),
+            CirclePoint(Fraction(1, 999983), {0: -2}),
+        ]
+    )

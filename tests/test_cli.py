@@ -211,3 +211,9 @@ def test_table_format_renders():
     )
     assert code == 0
     assert "eigenvalue" in out and "generic value" in out
+
+
+@pytest.mark.parametrize("gens", ["[1]", '[["a",0]]', "[[1.0,0.0]]", "[[true,false]]"])
+def test_malformed_gens_is_exit_2(gens, capsys):
+    assert main(["multiplicity", "--atoms", "3", "--power", "2", "--gens", gens]) == 2
+    assert "input error" in capsys.readouterr().err

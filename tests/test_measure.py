@@ -20,6 +20,7 @@ from circlespec import (
     product_spectral_type,
     relation_scan,
 )
+from circlespec.measure import _packed_fold
 
 from tests.helpers import designed_relation_measure, small_measures
 
@@ -233,3 +234,24 @@ def test_convolution_commutes_and_multiplies_mass(mu, nu):
 @given(small_measures())
 def test_json_round_trip_property(mu):
     assert measure_from_json(measure_to_json(mu)) == mu
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_measures(), small_measures())
+def test_packed_fold_equals_validating_constructor(mu, nu):
+    # The fold hands its atoms to the trusted constructor; the public one,
+    # which sorts and validates, must find nothing to change.
+    for factors in ((mu,), (mu, nu), (mu, nu, mu)):
+        folded = _packed_fold(factors)
+        checked = AtomicMeasure(list(folded.items()))
+        assert folded == checked
+        assert list(folded.items()) == list(checked.items())
+        assert all(type(w) is Fraction and w > 0 for _, w in folded.items())
+
+
+def test_packed_fold_equals_validating_constructor_with_coprime_denominators():
+    a, b = CirclePoint(Fraction(1, 1000003), {0: -1}), CirclePoint(Fraction(1, 999983), {0: 1})
+    mu = AtomicMeasure({a: Fraction(1, 3), b: Fraction(2, 3)})
+    folded = _packed_fold((mu, mu, mu))
+    assert list(folded.items()) == list(AtomicMeasure(list(folded.items())).items())
+    assert dict(folded.items()) == brute_convolve(AtomicMeasure(brute_convolve(mu, mu)), mu)

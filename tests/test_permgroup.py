@@ -26,6 +26,12 @@ def test_perm_basics():
         Perm([0, 0, 1])
 
 
+@pytest.mark.parametrize("images", [[True, False], [1.0, 0.0], ["a", 0]])
+def test_perm_rejects_images_that_are_not_ints(images):
+    with pytest.raises(ValueError):
+        Perm(images)
+
+
 def test_composition_acts_right_to_left():
     # (p * q)(i) = p(q(i))
     p = Perm.from_cycle(3, (0, 1))

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from circlespec import (
     AtomicMeasure,
@@ -30,6 +30,7 @@ from circlespec import (
     simple_spectrum,
     tensor_vs_symmetric,
 )
+from circlespec.spectral import _symmetric_level_counts, _tensor_level_counts
 
 from tests.helpers import designed_relation_measure, small_measures
 
@@ -265,6 +266,83 @@ def test_fock_multiplicity_set_small():
     assert rep["passed"]
     assert rep["set"] == [1, 3]
     assert rep["levels_pairwise_singular"]
+
+
+@st.composite
+def twisted_generic_measures(draw, max_atoms=5):
+    """Atoms on distinct fresh generators (exponent +-1 or +-2), some twisted
+    by a rational rotation: no product relation, whatever the twists."""
+    d = draw(st.integers(min_value=1, max_value=max_atoms))
+    twist = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)])
+    twists = draw(st.lists(twist, min_size=d, max_size=d))
+    exponents = draw(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=d, max_size=d))
+    return AtomicMeasure(
+        {CirclePoint(r, {i: e}): Fraction(1, d) for i, (r, e) in enumerate(zip(twists, exponents))}
+    )
+
+
+def brute_level_counts(mu, k, m, select):
+    """Per eigenvalue, eigenvalue-sorted: the selections of m level atoms
+    (k-fold CirclePoint products) with that product, and the set of their
+    total base multisets."""
+    atoms = mu.support()
+    levels = list(itertools.combinations_with_replacement(range(len(atoms)), k))
+    points = [math.prod((atoms[i] for i in level), start=CirclePoint()) for level in levels]
+    counts, totals = Counter(), {}
+    for sel in select(range(len(levels)), m):
+        eig = math.prod((points[c] for c in sel), start=CirclePoint())
+        counts[eig] += 1
+        totals.setdefault(eig, set()).add(tuple(sorted(i for c in sel for i in levels[c])))
+    return sorted(counts.items(), key=lambda kv: kv[0].sort_key()), totals
+
+
+LEVEL_ROUTES = [
+    (_tensor_level_counts, lambda xs, m: itertools.product(xs, repeat=m)),
+    (_symmetric_level_counts, itertools.combinations_with_replacement),
+]
+
+
+@pytest.mark.parametrize("route, select", LEVEL_ROUTES)
+@settings(max_examples=40, deadline=None)
+@given(
+    twisted_generic_measures(),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+)
+def test_level_counts_match_enumerated_products(route, select, mu, k, m):
+    assume(math.comb(len(mu) + k - 1, k) ** m <= 5000)
+    expected, totals = brute_level_counts(mu, k, m, select)
+    counts = route(mu, k, m)
+    assert list(counts["entries"].items()) == expected
+    assert all(len(ts) == 1 for ts in totals.values())
+    generic = [(eig, c) for eig, c in expected if len(set(min(totals[eig]))) == k * m]
+    assert list(counts["generic"].items()) == generic
+    assert list(counts["degenerate"].items()) == [e for e in expected if e not in generic]
+
+
+@pytest.mark.parametrize("route, select", LEVEL_ROUTES)
+@settings(max_examples=40, deadline=None)
+@given(small_measures(), st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=2))
+def test_level_counts_guard_fires_exactly_on_shared_products(route, select, mu, k, m):
+    expected, totals = brute_level_counts(mu, k, m, select)
+    if any(len(ts) > 1 for ts in totals.values()):
+        with pytest.raises(RuntimeError, match="not generic"):
+            route(mu, k, m)
+    else:
+        assert list(route(mu, k, m)["entries"].items()) == expected
+
+
+@pytest.mark.parametrize("route", [route for route, _ in LEVEL_ROUTES])
+def test_level_counts_reject_non_generic_base(route):
+    g0, g1 = CirclePoint.generator(0), CirclePoint.generator(1)
+    # support order g0, g0^2 g1^-1, g1: the level atoms g0*g0 and g1*(g0^2 g1^-1) collide
+    mu = AtomicMeasure({g0: 1, g1: 1, g0 * g0 * g1.inverse(): 1})
+    for m in (1, 2):
+        with pytest.raises(RuntimeError, match=r"totals \(0, 0(, 0, 0)?\) and \((0, 0, )?1, 2\)"):
+            route(mu, 2, m)
+    # x*y = z*w
+    with pytest.raises(RuntimeError, match="not generic"):
+        route(designed_relation_measure(), 1, 2)
 
 
 def test_cs_criterion_examples():
