@@ -5,12 +5,10 @@ from circlespec.errors import EnumerationCapError, MeasureFormatError
 from circlespec.measure import (
     AtomicMeasure,
     Relation,
-    cs_witness_check,
     generic_measure,
     measure_from_json,
     measure_to_json,
     parse_fraction,
-    product_spectral_type,
     relation_scan,
 )
 from circlespec.permgroup import (
@@ -18,9 +16,7 @@ from circlespec.permgroup import (
     PermSubgroup,
     closure,
     contiguous_block_group,
-    interleaved_block_group,
     orbit_count_free,
-    orbits_on_points,
     wreath_block_group,
 )
 from circlespec.spectral import (
@@ -40,14 +36,12 @@ from circlespec.spectral import (
     nonsimple_counterexample,
     paired_relation_measure,
     simple_spectrum,
-    tensor_vs_symmetric,
 )
 from circlespec.markov import (
     Coupling,
     FactorStructure,
     FiniteSpace,
     MarkovOp,
-    commutation_check,
     conditional_expectation_matrix,
     coupling_from_markov,
     dimension_identity,

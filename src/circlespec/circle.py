@@ -33,10 +33,8 @@ class GeneratorAllocator:
     `fresh_point` shares no generator with anything allocated before it.
     """
 
-    def __init__(self, start: int = 0):
-        if start < 0:
-            raise ValueError("allocator start index must be non-negative")
-        self.next_index = start
+    def __init__(self):
+        self.next_index = 0
 
     def fresh(self) -> int:
         i = self.next_index

@@ -15,13 +15,11 @@ import random
 import sys
 
 from circlespec.circle import CirclePoint
-from circlespec.errors import EnumerationCapError, MeasureFormatError
+from circlespec.errors import DEFAULT_MATRIX_CAP, DEFAULT_TUPLE_CAP, EnumerationCapError, MeasureFormatError
 from circlespec.markov import inclusion_exclusion_identity
 from circlespec.measure import generic_measure, measure_from_json, relation_scan
 from circlespec.permgroup import Perm, PermSubgroup
 from circlespec.spectral import (
-    DEFAULT_MATRIX_CAP,
-    DEFAULT_TUPLE_CAP,
     check_simplicity_levels,
     check_symmetric_power,
     check_tensor_power,
@@ -117,15 +115,10 @@ def _cmd_multiplicity(args):
     return None, rep.to_json_obj(), rep.to_table()
 
 
-def _cmd_krot(args):
+def _cmd_power(args):
+    check = check_tensor_power if args.command == "krot" else check_symmetric_power
     d = args.atoms if args.atoms is not None else args.k * args.m + 2
-    rep = check_tensor_power(args.k, args.m, d, args.tuple_cap, args.matrix_cap)
-    return rep["passed"], rep, None
-
-
-def _cmd_sym_krot(args):
-    d = args.atoms if args.atoms is not None else args.k * args.m + 2
-    rep = check_symmetric_power(args.k, args.m, d, args.tuple_cap, args.matrix_cap)
+    rep = check(args.k, args.m, d, args.tuple_cap, args.matrix_cap)
     return rep["passed"], rep, None
 
 
@@ -229,6 +222,74 @@ def _cmd_suite(args):
     return rep["passed"], rep, "\n".join(lines)
 
 
+def _required(flag):
+    return flag, {"type": int, "required": True}
+
+
+def _int(flag, default=None, help_text=None):
+    return flag, {"type": int, "default": default, "help": help_text}
+
+
+_MEASURE = ("--measure", {"help": "measure JSON file"})
+_POWER_ARGS = (_required("--k"), _required("--m"), _int("--atoms", help_text="base atoms (default m*k + 2)"))
+
+# (command path, help, arguments as (flag, add_argument keywords), handler).
+# A row without a handler is a group whose subcommands follow it; every
+# other row is a leaf that also takes the common options.
+COMMANDS = (
+    (("multiplicity",), "multiplicity report for a power of a measure under a subgroup", (
+        _MEASURE,
+        _int("--atoms", help_text="use a generic measure with this many atoms"),
+        _required("--power"),
+        ("--group", {"choices": ("trivial", "cyclic", "symmetric"), "default": "symmetric"}),
+        ("--gens", {"help": 'JSON list of permutation image lists, e.g. "[[1,0,2]]"'}),
+    ), _cmd_multiplicity),
+    (("krot",), "tensor-power multiplicity of a convolution power vs the closed form",
+     _POWER_ARGS, _cmd_power),
+    (("sym-krot",), "symmetric-power multiplicity of a convolution power vs the closed form",
+     _POWER_ARGS, _cmd_power),
+    (("fock-set",), "the set of symmetric-power multiplicities across levels",
+     (_int("--k", 2), _int("--max-m", 4), _int("--atoms", 8)), _cmd_fock_set),
+    (("cs-criterion",), "group order vs tensor multiplicity inequality",
+     (_required("--k"), _required("--m"), _required("--n")), _cmd_cs_criterion),
+    (("cs-min-m",), "least level m with (m!)^(k+1) (k!)^m > (mk)!",
+     (_required("--k"), _int("--m-cap", 64)), _cmd_cs_min_m),
+    (("translate-singular",), "singularity of a convolution power against a translated one", (
+        _MEASURE,
+        _int("--atoms", help_text="generic measure size (default 4)"),
+        _required("--n"),
+        _required("--m"),
+        ("--shift", {"default": "fresh", "help": '"fresh", "identity", or a point like "1/3*g5^2"'}),
+    ), _cmd_translate_singular),
+    (("nonsimple",), "break symmetric-square simplicity with a translate sum", (
+        _MEASURE,
+        _int("--atoms", help_text="generic measure size (default 2)"),
+        ("--shift", {"default": "fresh", "help": '"fresh" or a point expression'}),
+    ), _cmd_nonsimple),
+    (("girsanov",), "square a designed multiplicity by doubling the level",
+     (_MEASURE, _int("--atoms", help_text="generic measure size"), _int("--n", 2)), _cmd_girsanov),
+    (("vproste",), "level-by-level simplicity with the downward-monotonicity check", (
+        _MEASURE,
+        _int("--atoms", help_text="generic measure size (default 3)"),
+        _int("--max-level", 4),
+    ), _cmd_vproste),
+    (("relations",), "scan the support for multiplicative relations", (
+        _MEASURE,
+        _int("--atoms", help_text="generic measure size (default 4)"),
+        _int("--degree", 4),
+    ), _cmd_relations),
+    (("markov",), "finite Markov-operator identities", (), None),
+    (("markov", "round-trip"), "coupling <-> operator round trips on random rational couplings",
+     (_int("--count", 50),), _cmd_markov_round_trip),
+    (("markov", "lm-kk"),
+     "conditional expectation onto a sub-product vs the relatively independent extension",
+     (_int("--n", 2, "product components (1..3)"), _int("--count", 3, "random trials")), _cmd_markov_lm_kk),
+    (("markov", "incl-excl"), "inclusion-exclusion of mean projections on a finite product",
+     (("--dims", {"default": "2,2", "help": 'comma-separated sizes, e.g. "2,3,2"'}),), _cmd_markov_incl_excl),
+    (("suite",), "run the full acceptance battery", (), _cmd_suite),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
@@ -240,160 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="circlespec",
         description="Exact spectral-multiplicity checks on atomic circle models.",
     )
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser(
-        "multiplicity",
-        parents=[common],
-        help="multiplicity report for a power of a measure under a subgroup",
-    )
-    p.add_argument("--measure", help="measure JSON file")
-    p.add_argument("--atoms", type=int, help="use a generic measure with this many atoms")
-    p.add_argument("--power", type=int, required=True)
-    p.add_argument("--group", choices=("trivial", "cyclic", "symmetric"), default="symmetric")
-    p.add_argument("--gens", help='JSON list of permutation image lists, e.g. "[[1,0,2]]"')
-    p.set_defaults(func=_cmd_multiplicity)
-
-    p = sub.add_parser(
-        "krot",
-        parents=[common],
-        help="tensor-power multiplicity of a convolution power vs the closed form",
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--atoms", type=int, help="base atoms (default m*k + 2)")
-    p.set_defaults(func=_cmd_krot)
-
-    p = sub.add_parser(
-        "sym-krot",
-        parents=[common],
-        help="symmetric-power multiplicity of a convolution power vs the closed form",
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--atoms", type=int, help="base atoms (default m*k + 2)")
-    p.set_defaults(func=_cmd_sym_krot)
-
-    p = sub.add_parser(
-        "fock-set",
-        parents=[common],
-        help="the set of symmetric-power multiplicities across levels",
-    )
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--max-m", type=int, default=4)
-    p.add_argument("--atoms", type=int, default=8)
-    p.set_defaults(func=_cmd_fock_set)
-
-    p = sub.add_parser(
-        "cs-criterion",
-        parents=[common],
-        help="group order vs tensor multiplicity inequality",
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_cs_criterion)
-
-    p = sub.add_parser(
-        "cs-min-m",
-        parents=[common],
-        help="least level m with (m!)^(k+1) (k!)^m > (mk)!",
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m-cap", type=int, default=64)
-    p.set_defaults(func=_cmd_cs_min_m)
-
-    p = sub.add_parser(
-        "translate-singular",
-        parents=[common],
-        help="singularity of a convolution power against a translated one",
-    )
-    p.add_argument("--measure", help="measure JSON file")
-    p.add_argument("--atoms", type=int, help="generic measure size (default 4)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument(
-        "--shift",
-        default="fresh",
-        help='"fresh", "identity", or a point like "1/3*g5^2"',
-    )
-    p.set_defaults(func=_cmd_translate_singular)
-
-    p = sub.add_parser(
-        "nonsimple",
-        parents=[common],
-        help="break symmetric-square simplicity with a translate sum",
-    )
-    p.add_argument("--measure", help="measure JSON file")
-    p.add_argument("--atoms", type=int, help="generic measure size (default 2)")
-    p.add_argument("--shift", default="fresh", help='"fresh" or a point expression')
-    p.set_defaults(func=_cmd_nonsimple)
-
-    p = sub.add_parser(
-        "girsanov",
-        parents=[common],
-        help="square a designed multiplicity by doubling the level",
-    )
-    p.add_argument("--measure", help="measure JSON file")
-    p.add_argument("--atoms", type=int, help="generic measure size")
-    p.add_argument("--n", type=int, default=2)
-    p.set_defaults(func=_cmd_girsanov)
-
-    p = sub.add_parser(
-        "vproste",
-        parents=[common],
-        help="level-by-level simplicity with the downward-monotonicity check",
-    )
-    p.add_argument("--measure", help="measure JSON file")
-    p.add_argument("--atoms", type=int, help="generic measure size (default 3)")
-    p.add_argument("--max-level", type=int, default=4)
-    p.set_defaults(func=_cmd_vproste)
-
-    p = sub.add_parser(
-        "relations",
-        parents=[common],
-        help="scan the support for multiplicative relations",
-    )
-    p.add_argument("--measure", help="measure JSON file")
-    p.add_argument("--atoms", type=int, help="generic measure size (default 4)")
-    p.add_argument("--degree", type=int, default=4)
-    p.set_defaults(func=_cmd_relations)
-
-    markov = sub.add_parser("markov", help="finite Markov-operator identities")
-    msub = markov.add_subparsers(dest="markov_command")
-
-    p = msub.add_parser(
-        "round-trip",
-        parents=[common],
-        help="coupling <-> operator round trips on random rational couplings",
-    )
-    p.add_argument("--count", type=int, default=50)
-    p.set_defaults(func=_cmd_markov_round_trip)
-
-    p = msub.add_parser(
-        "lm-kk",
-        parents=[common],
-        help="conditional expectation onto a sub-product vs the relatively independent extension",
-    )
-    p.add_argument("--n", type=int, default=2, help="product components (1..3)")
-    p.add_argument("--count", type=int, default=3, help="random trials")
-    p.set_defaults(func=_cmd_markov_lm_kk)
-
-    p = msub.add_parser(
-        "incl-excl",
-        parents=[common],
-        help="inclusion-exclusion of mean projections on a finite product",
-    )
-    p.add_argument("--dims", default="2,2", help='comma-separated sizes, e.g. "2,3,2"')
-    p.set_defaults(func=_cmd_markov_incl_excl)
-
-    p = sub.add_parser(
-        "suite",
-        parents=[common],
-        help="run the full acceptance battery",
-    )
-    p.set_defaults(func=_cmd_suite)
-
+    subparsers = {(): parser.add_subparsers(dest="command")}
+    for path, help_text, arguments, handler in COMMANDS:
+        parent = subparsers[path[:-1]]
+        if handler is None:
+            group = parent.add_parser(path[-1], help=help_text)
+            subparsers[path] = group.add_subparsers(dest=f"{path[-1]}_command")
+            continue
+        p = parent.add_parser(path[-1], parents=[common], help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -27,7 +27,6 @@ from typing import Iterable, Sequence
 
 from circlespec import linalg
 from circlespec.errors import DEFAULT_MATRIX_CAP, EnumerationCapError
-from circlespec.permgroup import Perm
 
 
 class FiniteSpace:
@@ -490,26 +489,3 @@ def inclusion_exclusion_identity(
         "passed": matrix_identity and dim_report["dimension_identity"],
     }
 
-
-def commutation_check(phi: MarkovOp, t_perm: Perm, s_perm: Perm) -> bool:
-    """Does phi intertwine the two point permutations (phi after T equals S
-    after phi, with permutations acting by composition on functions)?
-
-    Both permutations must preserve their space's measure; anything else is
-    an input error, not a falsified identity."""
-    if t_perm.degree != phi.source.size or s_perm.degree != phi.target.size:
-        raise ValueError("permutation degrees do not match the spaces")
-    if any(phi.source.probs[t_perm(i)] != phi.source.probs[i] for i in range(t_perm.degree)):
-        raise ValueError("source permutation does not preserve the measure")
-    if any(phi.target.probs[s_perm(i)] != phi.target.probs[i] for i in range(s_perm.degree)):
-        raise ValueError("target permutation does not preserve the measure")
-
-    def koopman(perm):
-        m = linalg.zeros(perm.degree, perm.degree)
-        for x in range(perm.degree):
-            m[x][perm(x)] = Fraction(1)
-        return m
-
-    left = linalg.mat_mul(list(map(list, phi.matrix)), koopman(t_perm))
-    right = linalg.mat_mul(koopman(s_perm), list(map(list, phi.matrix)))
-    return left == right

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
 from circlespec.circle import CirclePoint, GeneratorAllocator, _PackedCodec
-from circlespec.errors import DEFAULT_TUPLE_CAP, EnumerationCapError, MeasureFormatError
+from circlespec.errors import DEFAULT_TUPLE_CAP, EnumerationCapError, MeasureFormatError, require_positive
 
 _FRACTION_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
@@ -109,8 +109,7 @@ class AtomicMeasure:
         return _packed_fold((self, other))
 
     def convolve_power(self, k: int) -> "AtomicMeasure":
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValueError(f"convolution power must be an int >= 1, got {k!r}")
+        require_positive(**{"convolution power": k})
         return _packed_fold((self,) * k)
 
     def translate(self, a: CirclePoint) -> "AtomicMeasure":
@@ -167,36 +166,10 @@ def _packed_fold(factors: tuple[AtomicMeasure, ...]) -> AtomicMeasure:
     return AtomicMeasure._canonical({p: Fraction(w, scale) for p, w in codec.ordered(acc.items())})
 
 
-def cs_witness_check(sigma: AtomicMeasure, factors: Iterable[AtomicMeasure]) -> bool:
-    """Is sigma singular to the convolution of the given measures?
-
-    A True answer for factors drawn from the generic model witnesses the
-    convolution-singularity behaviour at the model level only; it proves
-    nothing about honest continuous measures.
-    """
-    factors = list(factors)
-    if not factors:
-        raise ValueError("cs_witness_check needs at least one factor measure")
-    return sigma.is_singular_to(_packed_fold(tuple(factors)))
-
-
-def product_spectral_type(sigma: AtomicMeasure, n: int) -> AtomicMeasure:
-    """delta at the identity plus the first n convolution powers of sigma."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"level count must be an int >= 1, got {n!r}")
-    total = AtomicMeasure.delta(CirclePoint.identity())
-    power = None
-    for _ in range(n):
-        power = sigma if power is None else power.convolve(sigma)
-        total = total + power
-    return total
-
-
 def generic_measure(d: int, allocator: GeneratorAllocator | None = None) -> AtomicMeasure:
     """d fresh atoms, weight 1/d each: the exact model of d points of a
     continuous measure, free of multiplicative relations."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ValueError(f"atom count must be an int >= 1, got {d!r}")
+    require_positive(**{"atom count": d})
     allocator = allocator or GeneratorAllocator()
     w = Fraction(1, d)
     return AtomicMeasure(((allocator.fresh_point(), w) for _ in range(d)))

@@ -1,12 +1,12 @@
 """Small permutation groups, fully enumerated.
 
 Everything downstream counts orbits of a subgroup G <= S(n) acting on
-n-tuples, so groups are kept as explicit element sets (degree is capped at 8
-by default; 8! = 40320 elements is still comfortable).  `orbit_count_free`
-computes the orbit count on enumerating tuples twice, by the index formula
-n!/#G and by direct enumeration, and refuses to return if the two disagree:
-the action there is free, so every orbit has exactly #G elements, and a
-mismatch means the engine is broken.
+n-tuples, so groups are kept as explicit element sets (degree is capped at
+`errors.DEFAULT_DEGREE_CAP` = 8; 8! = 40320 elements is still comfortable).
+`orbit_count_free` computes the orbit count on enumerating tuples twice, by
+the index formula n!/#G and by direct enumeration, and refuses to return if
+the two disagree: the action there is free, so every orbit has exactly #G
+elements, and a mismatch means the engine is broken.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
-from circlespec.errors import DEFAULT_TUPLE_CAP, EnumerationCapError
-
-DEFAULT_DEGREE_CAP = 8
+from circlespec.errors import DEFAULT_DEGREE_CAP, DEFAULT_TUPLE_CAP, EnumerationCapError
 
 
 class Perm:
@@ -97,12 +95,12 @@ class Perm:
         return f"Perm({list(self.images)})"
 
 
-def closure(n: int, generators: Iterable[Perm], degree_cap: int = DEFAULT_DEGREE_CAP) -> tuple[Perm, ...]:
+def closure(n: int, generators: Iterable[Perm]) -> tuple[Perm, ...]:
     """Breadth-first closure of the generators inside S(n), sorted."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    if n > degree_cap:
-        raise EnumerationCapError(f"degree {n} exceeds the cap {degree_cap}")
+    if n > DEFAULT_DEGREE_CAP:
+        raise EnumerationCapError(f"degree {n} exceeds the cap {DEFAULT_DEGREE_CAP}")
     gens = list(generators)
     for g in gens:
         if g.degree != n:
@@ -126,11 +124,11 @@ class PermSubgroup:
 
     __slots__ = ("degree", "generators", "elements")
 
-    def __init__(self, degree: int, generators: Iterable[Perm], degree_cap: int = DEFAULT_DEGREE_CAP):
+    def __init__(self, degree: int, generators: Iterable[Perm]):
         generators = tuple(generators)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "elements", closure(degree, generators, degree_cap))
+        object.__setattr__(self, "elements", closure(degree, generators))
 
     def __setattr__(self, name, value):
         raise AttributeError("PermSubgroup is immutable")
@@ -140,13 +138,13 @@ class PermSubgroup:
         return cls(n, ())
 
     @classmethod
-    def symmetric(cls, n: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> "PermSubgroup":
+    def symmetric(cls, n: int) -> "PermSubgroup":
         if n < 2:
             return cls.trivial(n)
         gens = [Perm.transposition(n, 0, 1)]
         if n > 2:
             gens.append(Perm.from_cycle(n, list(range(n))))
-        return cls(n, gens, degree_cap)
+        return cls(n, gens)
 
     @classmethod
     def cyclic(cls, n: int) -> "PermSubgroup":
@@ -206,7 +204,7 @@ def orbit_count_free(G: PermSubgroup, tuple_cap: int = DEFAULT_TUPLE_CAP) -> int
     return enumerated
 
 
-def blockwise_group(degree: int, blocks: Sequence[Sequence[int]], degree_cap: int = DEFAULT_DEGREE_CAP) -> PermSubgroup:
+def blockwise_group(degree: int, blocks: Sequence[Sequence[int]]) -> PermSubgroup:
     """Direct product of full symmetric groups, one per block of positions."""
     seen_positions: set[int] = set()
     for block in blocks:
@@ -221,14 +219,14 @@ def blockwise_group(degree: int, blocks: Sequence[Sequence[int]], degree_cap: in
             gens.append(Perm.transposition(degree, block[0], block[1]))
         if len(block) >= 3:
             gens.append(Perm.from_cycle(degree, block))
-    G = PermSubgroup(degree, gens, degree_cap)
+    G = PermSubgroup(degree, gens)
     expected = math.prod(math.factorial(len(b)) for b in blocks)
     if G.order != expected:
         raise RuntimeError(f"blockwise closure gave order {G.order}, expected {expected}")
     return G
 
 
-def contiguous_block_group(block_size: int, blocks: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> PermSubgroup:
+def contiguous_block_group(block_size: int, blocks: int) -> PermSubgroup:
     """Permutations acting within each of `blocks` contiguous runs of
     `block_size` positions: order (block_size!)^blocks.
 
@@ -240,64 +238,25 @@ def contiguous_block_group(block_size: int, blocks: int, degree_cap: int = DEFAU
         raise ValueError("block_size and blocks must be >= 1")
     degree = block_size * blocks
     parts = [list(range(block_size * j, block_size * (j + 1))) for j in range(blocks)]
-    return blockwise_group(degree, parts, degree_cap)
+    return blockwise_group(degree, parts)
 
 
-def interleaved_block_group(strands: int, strand_len: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> PermSubgroup:
-    """Permutations acting within each of `strands` arithmetic strands of
-    `strand_len` positions: order (strand_len!)^strands.
-
-    Positions encode pairs (i, j), i in [strands], j in [strand_len],
-    column-major: position = i + strands * j, so strand i is
-    {i, i + strands, i + 2*strands, ...}.
-    """
-    if strands < 1 or strand_len < 1:
-        raise ValueError("strands and strand_len must be >= 1")
-    degree = strands * strand_len
-    parts = [list(range(i, degree, strands)) for i in range(strands)]
-    return blockwise_group(degree, parts, degree_cap)
-
-
-def wreath_block_group(block_size: int, blocks: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> PermSubgroup:
+def wreath_block_group(block_size: int, blocks: int) -> PermSubgroup:
     """Within-block permutations plus whole-block swaps:
     order (block_size!)^blocks * blocks!."""
     if block_size < 1 or blocks < 1:
         raise ValueError("block_size and blocks must be >= 1")
     degree = block_size * blocks
-    gens = list(contiguous_block_group(block_size, blocks, degree_cap).generators)
+    gens = list(contiguous_block_group(block_size, blocks).generators)
     for j in range(blocks - 1):
         images = list(range(degree))
         for i in range(block_size):
             a, b = block_size * j + i, block_size * (j + 1) + i
             images[a], images[b] = images[b], images[a]
         gens.append(Perm(images))
-    G = PermSubgroup(degree, gens, degree_cap)
+    G = PermSubgroup(degree, gens)
     expected = math.factorial(block_size) ** blocks * math.factorial(blocks)
     if G.order != expected:
         raise RuntimeError(f"wreath closure gave order {G.order}, expected {expected}")
     return G
 
-
-def orbits_on_points(G: PermSubgroup, points: Sequence[tuple]) -> list[list[tuple]]:
-    """Partition the given coordinate tuples into G-orbits.
-
-    Tuples are related when some element of G permutes one into the other;
-    the orbit of a tuple may extend beyond the input list, in which case only
-    the listed members are returned.  Output order follows first appearance.
-    """
-    n = G.degree
-    for t in points:
-        if len(t) != n:
-            raise ValueError(f"tuple length {len(t)} does not match degree {n}")
-    images = [p.images for p in G.elements]
-    reps: dict[tuple, int] = {}
-    orbits: list[list[tuple]] = []
-    for t in points:
-        canon = min(tuple(t[i] for i in imgs) for imgs in images)
-        k = reps.get(canon)
-        if k is None:
-            reps[canon] = len(orbits)
-            orbits.append([t])
-        else:
-            orbits[k].append(t)
-    return orbits

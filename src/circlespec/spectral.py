@@ -28,19 +28,13 @@ from fractions import Fraction
 
 from circlespec import linalg
 from circlespec.circle import CirclePoint, GeneratorAllocator, _PackedCodec
-from circlespec.errors import DEFAULT_MATRIX_CAP, DEFAULT_TUPLE_CAP, EnumerationCapError
+from circlespec.errors import DEFAULT_MATRIX_CAP, DEFAULT_TUPLE_CAP, EnumerationCapError, require_positive
 from circlespec.measure import AtomicMeasure, generic_measure, relation_scan
 from circlespec.permgroup import (
     PermSubgroup,
     contiguous_block_group,
     wreath_block_group,
 )
-
-
-def _require_positive(**values) -> None:
-    for name, v in values.items():
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{name} must be an int >= 1, got {v!r}")
 
 
 def _arrangements(ms: tuple[int, ...]):
@@ -85,14 +79,15 @@ class FiberClass:
         """The fiber's ordered tuples, lexicographically sorted."""
         return tuple(sorted(t for ms in self.index_multisets for t in _arrangements(ms)))
 
-    def multisets(self) -> list[tuple[int, ...]]:
-        """Distinct atom multisets realized in this fiber, as sorted index tuples."""
-        return list(self.index_multisets)
-
     @property
     def is_generic(self) -> bool:
         ms = self.index_multisets
         return len(ms) == 1 and len(set(ms[0])) == len(ms[0])
+
+
+def _require_tuples(d: int, n: int, tuple_cap: int) -> None:
+    if d**n > tuple_cap:
+        raise EnumerationCapError(f"{d}^{n} tuples exceed the cap {tuple_cap}")
 
 
 def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> list[FiberClass]:
@@ -101,11 +96,10 @@ def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> 
     Each of the C(d+n-1, n) multisets is multiplied once, as a sum of packed
     integer keys, and sorted and decoded by the codec, once per eigenvalue.
     The fibers stand for all d^n ordered tuples, and the cap counts those."""
-    _require_positive(power=n)
+    require_positive(power=n)
     atoms = sigma.support()
     d = len(atoms)
-    if d**n > tuple_cap:
-        raise EnumerationCapError(f"{d}^{n} tuples exceed the cap {tuple_cap}")
+    _require_tuples(d, n, tuple_cap)
     codec = _PackedCodec(atoms, n)
     keys = [codec.key(p) for p in atoms]
     by_key: dict[int, list[tuple[int, ...]]] = {}
@@ -249,26 +243,27 @@ def matrix_oracle(
 def simple_spectrum(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> bool:
     """True when the n-th symmetric power is multiplicity-free: every product
     of n atoms is achieved by exactly one atom multiset."""
-    return all(len(fc.multisets()) == 1 for fc in fibers(sigma, n, tuple_cap))
+    return all(len(fc.index_multisets) == 1 for fc in fibers(sigma, n, tuple_cap))
 
 
 def check_simplicity_levels(
     sigma: AtomicMeasure, max_level: int, tuple_cap: int = DEFAULT_TUPLE_CAP
 ) -> dict:
     """Simplicity level by level, with the downward-monotonicity check:
-    a simple level k forces simplicity at every level below it."""
-    if not isinstance(max_level, int) or isinstance(max_level, bool) or max_level < 1:
-        raise ValueError(f"max level must be an int >= 1, got {max_level!r}")
+    a simple level k forces simplicity at every level below it.  The cap is
+    checked for the top level before any level runs."""
+    require_positive(**{"max level": max_level})
+    _require_tuples(len(sigma), max_level, tuple_cap)
     levels: dict[int, bool] = {}
     witnesses: dict[int, dict] = {}
     for j in range(1, max_level + 1):
-        bad = [fc for fc in fibers(sigma, j, tuple_cap) if len(fc.multisets()) > 1]
+        bad = [fc for fc in fibers(sigma, j, tuple_cap) if len(fc.index_multisets) > 1]
         levels[j] = not bad
         if bad:
             fc = bad[0]
             witnesses[j] = {
                 "eigenvalue": str(fc.eigenvalue),
-                "multisets": [[str(fc.atoms[i]) for i in ms] for ms in fc.multisets()],
+                "multisets": [[str(fc.atoms[i]) for i in ms] for ms in fc.index_multisets],
             }
     violations = [
         {"lower": j, "higher": k, "witness": witnesses[j]}
@@ -331,15 +326,18 @@ def _tensor_level_counts(
     return _level_counts(sigma, k, m, lambda vectors, m: itertools.product(vectors, repeat=m))
 
 
+def _require_level_multisets(d: int, k: int, m: int, tuple_cap: int) -> None:
+    n_multisets = math.comb(math.comb(d + k - 1, k) + m - 1, m)
+    if n_multisets > tuple_cap:
+        raise EnumerationCapError(f"{n_multisets} level multisets exceed the cap {tuple_cap}")
+
+
 def _symmetric_level_counts(
     sigma: AtomicMeasure, k: int, m: int, tuple_cap: int = DEFAULT_TUPLE_CAP
 ) -> dict:
     """Partition-counting route for the m-th symmetric power: per eigenvalue,
     count unordered m-multisets of k-multisets with that total product."""
-    T = math.comb(len(sigma) + k - 1, k)
-    n_multisets = math.comb(T + m - 1, m)
-    if n_multisets > tuple_cap:
-        raise EnumerationCapError(f"{n_multisets} level multisets exceed the cap {tuple_cap}")
+    _require_level_multisets(len(sigma), k, m, tuple_cap)
     return _level_counts(sigma, k, m, itertools.combinations_with_replacement)
 
 
@@ -371,28 +369,20 @@ def _power_report(
     d = len(sigma.support())
     n = k * m
     agree = True
-
-    orbit_route: dict = {"ran": False}
-    if d**n <= tuple_cap:
-        rep = multiplicity(sigma, n, G, tuple_cap)
-        matches = rep.entries == counts["entries"]
-        orbit_route = {
-            "ran": True,
-            "generic_value": rep.generic_value,
-            "matches_partition_count": matches,
-        }
-        agree = agree and matches
-
-    matrix_route: dict = {"ran": False}
-    if d**n <= matrix_cap:
-        rep = matrix_oracle(sigma, n, G, matrix_cap)
-        matches = rep.entries == counts["entries"]
-        matrix_route = {
-            "ran": True,
-            "generic_value": rep.generic_value,
-            "matches_partition_count": matches,
-        }
-        agree = agree and matches
+    # Built per call, so that rebinding either route in this module reaches it.
+    routes = (("orbit_route", multiplicity, tuple_cap), ("matrix_route", matrix_oracle, matrix_cap))
+    route_reports: dict[str, dict] = {}
+    for name, route, cap in routes:
+        route_reports[name] = {"ran": False}
+        if d**n <= cap:
+            rep = route(sigma, n, G, cap)
+            matches = rep.entries == counts["entries"]
+            route_reports[name] = {
+                "ran": True,
+                "generic_value": rep.generic_value,
+                "matches_partition_count": matches,
+            }
+            agree = agree and matches
 
     generic_value, homogeneous = _generic_summary(counts)
     warning = None if d >= n else f"no generic fiber: d={d} < {n}"
@@ -405,8 +395,7 @@ def _power_report(
         "generic_eigenvalues": len(counts["generic"]),
         "degenerate_histogram": _histogram(counts["degenerate"].values()),
         "group": G.describe(),
-        "orbit_route": orbit_route,
-        "matrix_route": matrix_route,
+        **route_reports,
         "warning": warning,
         "passed": bool(agree and formula_ok),
     }
@@ -418,7 +407,6 @@ def check_tensor_power(
     d: int,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
-    allocator: GeneratorAllocator | None = None,
 ) -> dict:
     """Multiplicity of the m-th tensor power of the k-fold convolution of a
     generic d-atom measure, against the closed form (mk)!/(k!)^m.
@@ -427,8 +415,8 @@ def check_tensor_power(
     atoms, orbit counting under the within-blocks subgroup of S(mk), and
     exact matrix rank.  All present routes must agree on every eigenvalue.
     """
-    _require_positive(k=k, m=m, d=d)
-    sigma = generic_measure(d, allocator)
+    require_positive(k=k, m=m, d=d)
+    sigma = generic_measure(d)
     counts = _tensor_level_counts(sigma, k, m, tuple_cap)
     formula = math.factorial(m * k) // math.factorial(k) ** m
     G = contiguous_block_group(k, m)
@@ -442,13 +430,12 @@ def check_symmetric_power(
     d: int,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
-    allocator: GeneratorAllocator | None = None,
 ) -> dict:
     """Same as check_tensor_power but for the symmetric power: unordered
     m-multisets of k-multisets, closed form (mk)!/((k!)^m m!), cross-checked
     against the wreath subgroup (within-block permutations plus block swaps)."""
-    _require_positive(k=k, m=m, d=d)
-    sigma = generic_measure(d, allocator)
+    require_positive(k=k, m=m, d=d)
+    sigma = generic_measure(d)
     counts = _symmetric_level_counts(sigma, k, m, tuple_cap)
     formula = math.factorial(m * k) // (math.factorial(k) ** m * math.factorial(m))
     G = wreath_block_group(k, m)
@@ -467,8 +454,10 @@ def fock_multiplicity_set(
     k-fold convolution of one shared generic d-atom measure, plus the check
     that the convolution levels sigma^{*k}, sigma^{*2k}, ... are pairwise
     mutually singular (so the multiplicities genuinely live on disjoint
-    spectral pieces)."""
-    _require_positive(k=k, m_max=m_max, d=d)
+    spectral pieces).  The cap is checked for level m_max before any level
+    runs."""
+    require_positive(k=k, m_max=m_max, d=d)
+    _require_level_multisets(d, k, m_max, tuple_cap)
     sigma = generic_measure(d)
     per_level: dict[str, int | None] = {}
     values = []
@@ -514,7 +503,7 @@ def cs_criterion(k: int, m: int, n: int) -> dict:
     When it holds, the order of the strand-wise subgroup exceeds the level
     multiplicity (mk)!/(k!)^m, which is the model's finite witness for the
     k-fold convolution being singular to every product of n levels."""
-    _require_positive(k=k, m=m, n=n)
+    require_positive(k=k, m=m, n=n)
     group_order = math.factorial(m) ** n
     tensor_multiplicity = math.factorial(m * k) // math.factorial(k) ** m
     return {
@@ -530,7 +519,7 @@ def cs_criterion(k: int, m: int, n: int) -> dict:
 def minimal_m_for_cs(k: int, m_cap: int = 64) -> dict:
     """Smallest m with a_m = (m!)^(k+1) (k!)^m / (mk)! > 1, with the full
     exact sequence of a_m values computed along the way."""
-    _require_positive(k=k, m_cap=m_cap)
+    require_positive(k=k, m_cap=m_cap)
     sequence: list[Fraction] = []
     found = None
     for m in range(1, m_cap + 1):
@@ -573,7 +562,7 @@ def check_translate_singularity(
     For a generic base measure this holds whenever n != m (the total-degree
     strata are disjoint) or a is not the identity; it fails exactly for
     n = m, a = identity, where the two measures coincide."""
-    _require_positive(n=n, m=m)
+    require_positive(n=n, m=m)
     d = len(sigma)
     _conv_support_guard(d, max(n, m), tuple_cap)
     left = sigma.convolve_power(n)
@@ -625,13 +614,13 @@ def nonsimple_counterexample(
         report["found"] = False
         return report
     witness = next(
-        (fc for fc in fibers(tau, 2, tuple_cap) if len(fc.multisets()) > 1), None
+        (fc for fc in fibers(tau, 2, tuple_cap) if len(fc.index_multisets) > 1), None
     )
     if witness is not None:
         report["witness"] = {
             "eigenvalue": str(witness.eigenvalue),
-            "multiplicity": len(witness.multisets()),
-            "multisets": [[str(witness.atoms[i]) for i in ms] for ms in witness.multisets()],
+            "multiplicity": len(witness.index_multisets),
+            "multisets": [[str(witness.atoms[i]) for i in ms] for ms in witness.index_multisets],
         }
     report["found"] = bool(
         overlap and not report["simple_level_2"] and witness is not None
@@ -645,7 +634,7 @@ def nonsimple_counterexample(
 def _symmetric_counts_by_eigenvalue(
     sigma: AtomicMeasure, n: int, tuple_cap: int
 ) -> dict[CirclePoint, list[tuple[int, ...]]]:
-    return {fc.eigenvalue: fc.multisets() for fc in fibers(sigma, n, tuple_cap)}
+    return {fc.eigenvalue: fc.index_multisets for fc in fibers(sigma, n, tuple_cap)}
 
 
 def girsanov_step(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> dict:
@@ -656,10 +645,12 @@ def girsanov_step(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_C
     yields a level-2n eigenvalue realized by at least q^2 multisets.  The
     search tries the product of the two highest-multiplicity level-n
     eigenvalues first (the construction's own witness) before scanning all
-    level-2n fibers.  q = 1 makes the claim trivially true."""
-    _require_positive(power=n)
+    level-2n fibers.  q = 1 makes the claim trivially true.  The cap is
+    checked for level 2n before any level runs."""
+    require_positive(power=n)
     if len(sigma) < 1:
         raise ValueError("measure must have at least one atom")
+    _require_tuples(len(sigma), 2 * n, tuple_cap)
     level_1 = _symmetric_counts_by_eigenvalue(sigma, 1, tuple_cap)
     level_n = _symmetric_counts_by_eigenvalue(sigma, n, tuple_cap)
     level_2n = _symmetric_counts_by_eigenvalue(sigma, 2 * n, tuple_cap)
@@ -712,11 +703,11 @@ def girsanov_step(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_C
     }
 
 
-def paired_relation_measure(allocator: GeneratorAllocator | None = None) -> AtomicMeasure:
+def paired_relation_measure() -> AtomicMeasure:
     """Eight atoms carrying two independent product relations
     x*y = z*w and x'*y' = z'*w': the designed input whose symmetric square
     has multiplicity 2 and whose fourth symmetric power reaches 4."""
-    alloc = allocator or GeneratorAllocator()
+    alloc = GeneratorAllocator()
     weights = {}
     for _ in range(2):
         x, y, z = (alloc.fresh_point() for _ in range(3))
@@ -725,41 +716,3 @@ def paired_relation_measure(allocator: GeneratorAllocator | None = None) -> Atom
             weights[p] = Fraction(1, 8)
     return AtomicMeasure(weights)
 
-
-def tensor_vs_symmetric(
-    sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_CAP
-) -> dict:
-    """Per fiber: the full tuple count against n! times the multiset count.
-
-    On generic fibers the tensor multiplicity must be exactly n! times the
-    symmetric one (each multiset of n distinct atoms has n! orderings);
-    degenerate fibers, where orderings collide, are flagged rather than
-    asserted against."""
-    n_fact = math.factorial(n)
-    rows = []
-    generic_ok = True
-    flagged = 0
-    for fc in fibers(sigma, n, tuple_cap):
-        sym = len(fc.multisets())
-        split = fc.size == n_fact * sym
-        if fc.is_generic:
-            generic_ok = generic_ok and split
-        elif not split:
-            flagged += 1
-        rows.append(
-            {
-                "eigenvalue": str(fc.eigenvalue),
-                "tensor": fc.size,
-                "symmetric": sym,
-                "generic": fc.is_generic,
-                "factorial_split": split,
-            }
-        )
-    return {
-        "power": n,
-        "factorial": n_fact,
-        "rows": rows,
-        "generic_rows_ok": generic_ok,
-        "degenerate_flagged": flagged,
-        "passed": generic_ok,
-    }

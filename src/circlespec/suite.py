@@ -16,6 +16,7 @@ from functools import reduce
 from operator import mul
 
 from circlespec.circle import CirclePoint, GeneratorAllocator
+from circlespec.errors import DEFAULT_MATRIX_CAP, DEFAULT_TUPLE_CAP
 from circlespec.markov import (
     Coupling,
     FactorStructure,
@@ -31,8 +32,6 @@ from circlespec.markov import (
 from circlespec.measure import AtomicMeasure, generic_measure
 from circlespec.permgroup import Perm, PermSubgroup, orbit_count_free
 from circlespec.spectral import (
-    DEFAULT_MATRIX_CAP,
-    DEFAULT_TUPLE_CAP,
     check_simplicity_levels,
     check_tensor_power,
     check_translate_singularity,

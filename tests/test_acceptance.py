@@ -16,7 +16,7 @@ from pathlib import Path
 
 import circlespec
 from circlespec.cli import main
-from circlespec.spectral import DEFAULT_MATRIX_CAP, DEFAULT_TUPLE_CAP
+from circlespec.errors import DEFAULT_MATRIX_CAP, DEFAULT_TUPLE_CAP
 from circlespec import suite as battery
 
 SEED = 0

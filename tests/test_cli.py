@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from circlespec import measure_to_json
-from circlespec.cli import main
+from circlespec.cli import _params, build_parser, main
 
 from tests.helpers import designed_relation_measure
 
@@ -194,6 +194,23 @@ def test_incl_excl_default_cap_rejects_large_products_fast(dims, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+# The top level's cap is checked before any level runs: the lower levels of
+# these inputs are admitted and would take seconds before the top one fails.
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ("fock-set --k 2 --max-m 4 --atoms 20", "83369265 level multisets exceed the cap 10000000"),
+        ("vproste --atoms 30 --max-level 5", "30^5 tuples exceed the cap 10000000"),
+        ("girsanov --atoms 300 --n 2", "300^4 tuples exceed the cap 10000000"),
+    ],
+)
+def test_level_caps_reject_before_any_level_runs(argv, err, capsys):
+    start = time.perf_counter()
+    assert run_cli(argv.split()) == (2, "")
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == f"cap exceeded: {err}\n"
+
+
 def test_json_output_is_deterministic():
     args = ["markov", "round-trip", "--count", "8", "--seed", "3"]
     assert run_cli(args) == run_cli(args)
@@ -217,3 +234,36 @@ def test_table_format_renders():
 def test_malformed_gens_is_exit_2(gens, capsys):
     assert main(["multiplicity", "--atoms", "3", "--power", "2", "--gens", gens]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+CAP_DEFAULTS = {"matrix_cap": 4096, "tuple_cap": 10000000}
+
+
+@pytest.mark.parametrize(
+    "command, required, params",
+    [
+        (["multiplicity"], ["--power", "2"], {"group": "symmetric", "power": 2}),
+        (["krot"], ["--k", "1", "--m", "2"], {"k": 1, "m": 2}),
+        (["sym-krot"], ["--k", "1", "--m", "2"], {"k": 1, "m": 2}),
+        (["fock-set"], [], {"atoms": 8, "k": 2, "max_m": 4}),
+        (["cs-criterion"], ["--k", "1", "--m", "2", "--n", "2"], {"k": 1, "m": 2, "n": 2}),
+        (["cs-min-m"], ["--k", "1"], {"k": 1, "m_cap": 64}),
+        (["translate-singular"], ["--n", "1", "--m", "2"], {"m": 2, "n": 1, "shift": "fresh"}),
+        (["nonsimple"], [], {"shift": "fresh"}),
+        (["girsanov"], [], {"n": 2}),
+        (["vproste"], [], {"max_level": 4}),
+        (["relations"], [], {"degree": 4}),
+        (["markov", "round-trip"], [], {"count": 50}),
+        (["markov", "lm-kk"], [], {"count": 3, "n": 2}),
+        (["markov", "incl-excl"], [], {"dims": "2,2"}),
+        (["suite"], [], {}),
+    ],
+)
+def test_leaf_parser_defaults_and_help(command, required, params, capsys):
+    args = build_parser().parse_args(command + required)
+    assert _params(args) == {**CAP_DEFAULTS, **params}
+    assert (args.command, args.format, args.seed) == (command[0], "json", 0)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(command + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: circlespec {' '.join(command)} ")

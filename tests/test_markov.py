@@ -12,8 +12,6 @@ from circlespec import (
     FactorStructure,
     FiniteSpace,
     MarkovOp,
-    Perm,
-    commutation_check,
     conditional_expectation_matrix,
     coupling_from_markov,
     dimension_identity,
@@ -243,19 +241,6 @@ def test_dimension_identity_values():
     for _ in range(20):
         dims = [rng.randint(1, 7) for _ in range(rng.randint(1, 7))]
         assert dimension_identity(dims)["dimension_identity"]
-
-
-def test_commutation_check():
-    space = FiniteSpace.uniform(4)
-    ident = MarkovOp.identity(space)
-    shift = Perm([1, 2, 3, 0])
-    assert commutation_check(ident, shift, shift)
-    assert not commutation_check(ident, shift, Perm.identity(4))
-    mean = MarkovOp.mean(space, space)
-    assert commutation_check(mean, shift, Perm.identity(4))
-    skew = FiniteSpace(("a", "b"), (F(1, 4), F(3, 4)))
-    with pytest.raises(ValueError):
-        commutation_check(MarkovOp.identity(skew), Perm([1, 0]), Perm.identity(2))
 
 
 def test_json_objects_are_plain():

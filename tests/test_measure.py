@@ -12,12 +12,10 @@ from circlespec import (
     CirclePoint,
     GeneratorAllocator,
     MeasureFormatError,
-    cs_witness_check,
     generic_measure,
     measure_from_json,
     measure_to_json,
     parse_fraction,
-    product_spectral_type,
     relation_scan,
 )
 from circlespec.measure import _packed_fold
@@ -108,7 +106,7 @@ def test_convolution_with_large_coprime_denominators():
     assert list(mu.convolve_power(3).items()) == list(cube.items())
     lone = AtomicMeasure.delta(CirclePoint(Fraction(1, 100000007)))
     assert dict(lone.convolve(mu).items()) == brute_convolve(lone, mu)
-    assert cs_witness_check(lone, [mu, mu]) is True
+    assert lone.is_singular_to(mu.convolve(mu))
 
 
 def test_generic_convolution_support_counts_multisets():
@@ -134,25 +132,6 @@ def test_convolution_strata_of_generic_measure_are_disjoint():
     powers = [mu.convolve_power(k) for k in (1, 2, 3, 4)]
     for i, j in itertools.combinations(range(4), 2):
         assert powers[i].is_singular_to(powers[j])
-
-
-def test_cs_witness_check():
-    alloc = GeneratorAllocator()
-    mu = generic_measure(2, alloc)
-    nu = generic_measure(2, alloc)
-    assert cs_witness_check(mu.convolve(nu).translate(alloc.fresh_point()), [mu, nu])
-    assert not cs_witness_check(mu.convolve(nu), [mu, nu])
-    with pytest.raises(ValueError):
-        cs_witness_check(mu, [])
-
-
-def test_product_spectral_type_counts():
-    mu = generic_measure(3).normalize()
-    spec = product_spectral_type(mu, 2)
-    # delta at identity + 3 level-1 atoms + 6 level-2 multisets
-    assert len(spec) == 1 + 3 + 6
-    assert spec.weight(CirclePoint.identity()) == 1
-    assert spec.mass == 3
 
 
 def test_scale_add_normalize():

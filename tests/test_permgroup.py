@@ -8,9 +8,7 @@ from circlespec import (
     PermSubgroup,
     closure,
     contiguous_block_group,
-    interleaved_block_group,
     orbit_count_free,
-    orbits_on_points,
     wreath_block_group,
 )
 
@@ -87,7 +85,6 @@ def test_orbit_count_free_cap():
 def test_block_group_orders():
     assert contiguous_block_group(2, 2).order == 4
     assert contiguous_block_group(3, 2).order == 36
-    assert interleaved_block_group(2, 3).order == 36
     assert wreath_block_group(2, 2).order == 8
     assert wreath_block_group(2, 3).order == 48
 
@@ -97,28 +94,6 @@ def test_contiguous_blocks_fix_block_membership():
     for p in G.elements:
         for i in range(4):
             assert p(i) // 2 == i // 2
-
-
-def test_interleaved_blocks_fix_residue():
-    G = interleaved_block_group(2, 3)
-    for p in G.elements:
-        for i in range(6):
-            assert p(i) % 2 == i % 2
-
-
-def test_orbits_on_points():
-    # tuples carry atom indices; the group permutes coordinate positions
-    G = PermSubgroup.symmetric(2)
-    tuples = [(0, 1), (1, 0), (0, 0), (2, 3), (3, 2), (1, 1)]
-    orbits = orbits_on_points(G, tuples)
-    assert [tuple(sorted(o)) for o in orbits] == [
-        ((0, 1), (1, 0)),
-        ((0, 0),),
-        ((2, 3), (3, 2)),
-        ((1, 1),),
-    ]
-    with pytest.raises(ValueError):
-        orbits_on_points(G, [(0, 1, 2)])
 
 
 def test_describe_is_json_ready():

@@ -28,7 +28,6 @@ from circlespec import (
     nonsimple_counterexample,
     paired_relation_measure,
     simple_spectrum,
-    tensor_vs_symmetric,
 )
 from circlespec.spectral import _symmetric_level_counts, _tensor_level_counts
 
@@ -70,15 +69,15 @@ def test_fiber_counts_follow_multiset_combinatorics():
     for n in (1, 2, 3):
         fcs = fibers(mu, n)
         assert sum(fc.size for fc in fcs) == 4**n
-        assert sum(len(fc.multisets()) for fc in fcs) == math.comb(4 + n - 1, n)
+        assert sum(len(fc.index_multisets) for fc in fcs) == math.comb(4 + n - 1, n)
         # fresh generators: one multiset per eigenvalue
-        assert all(len(fc.multisets()) == 1 for fc in fcs)
+        assert all(len(fc.index_multisets) == 1 for fc in fcs)
 
 
 def test_designed_relation_doubles_a_fiber():
     mu = designed_relation_measure()
     fcs = fibers(mu, 2)
-    doubled = [fc for fc in fcs if len(fc.multisets()) == 2]
+    doubled = [fc for fc in fcs if len(fc.index_multisets) == 2]
     assert len(doubled) == 1
     fc = doubled[0]
     assert fc.size == 4
@@ -101,7 +100,7 @@ def test_fibers_match_tuple_grouping(mu, n):
     for fc, (_, ts) in zip(fcs, brute):
         assert fc.size == len(ts)
         assert list(fc.tuples) == ts
-        assert fc.multisets() == sorted({tuple(sorted(t)) for t in ts})
+        assert list(fc.index_multisets) == sorted({tuple(sorted(t)) for t in ts})
 
 
 def test_fibers_meet_mod_one_and_wide_exponents():
@@ -109,7 +108,7 @@ def test_fibers_meet_mod_one_and_wide_exponents():
     zero, half, three_quarters = (CirclePoint(Fraction(r, 4)) for r in (0, 2, 3))
     rational = AtomicMeasure({p: Fraction(1, 3) for p in (zero, half, three_quarters)})
     fc = next(fc for fc in fibers(rational, 2) if fc.eigenvalue == half)
-    assert fc.multisets() == [(0, 1), (2, 2)] and fc.size == 3
+    assert fc.index_multisets == ((0, 1), (2, 2)) and fc.size == 3
     up, down = CirclePoint.generator(0, 50), CirclePoint.generator(0, -50)
     wide = AtomicMeasure({up: 1, down: 1, CirclePoint(Fraction(1, 3), {0: 1, 1: -50}): 1})
     assert [fc.eigenvalue for fc in fibers(wide, 2)][:2] == [CirclePoint(), down * down]
@@ -218,6 +217,22 @@ def test_simple_spectrum_and_levels():
     rep = check_simplicity_levels(mu, 4)
     assert rep["levels"] == {"1": True, "2": True, "3": True, "4": True}
     assert rep["monotone"] and rep["violations"] == []
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: generic_measure(0), "atom count must be an int >= 1, got 0"),
+        (lambda: generic_measure(2).convolve_power(True), "convolution power must be an int >= 1, got True"),
+        (lambda: check_simplicity_levels(generic_measure(2), "3"), "max level must be an int >= 1, got '3'"),
+        (lambda: fock_multiplicity_set(2, 0, 8), "m_max must be an int >= 1, got 0"),
+    ],
+    ids=["generic_measure", "convolve_power", "check_simplicity_levels", "fock_multiplicity_set"],
+)
+def test_positive_int_checks_name_the_argument(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_two_point_translate_orbit_is_simple():
@@ -422,20 +437,3 @@ def test_paired_relation_measure_shape():
     mu = paired_relation_measure()
     assert len(mu) == 8
     assert mu.mass == 1
-
-
-def test_tensor_vs_symmetric_split():
-    rep = tensor_vs_symmetric(generic_measure(3), 2)
-    assert rep["passed"] and rep["factorial"] == 2
-    degenerate = [r for r in rep["rows"] if not r["generic"]]
-    assert len(degenerate) == 3  # the squares
-    for row in rep["rows"]:
-        if row["generic"]:
-            assert row["tensor"] == 2 * row["symmetric"]
-
-
-def test_tensor_vs_symmetric_flags_relation_fiber():
-    rep = tensor_vs_symmetric(designed_relation_measure(), 2)
-    assert rep["passed"]
-    doubled = [r for r in rep["rows"] if r["symmetric"] == 2]
-    assert len(doubled) == 1 and doubled[0]["tensor"] == 4
