@@ -123,7 +123,7 @@ def _cmd_power(args):
 
 
 def _cmd_fock_set(args):
-    rep = fock_multiplicity_set(args.k, args.max_m, args.atoms, args.tuple_cap, args.matrix_cap)
+    rep = fock_multiplicity_set(args.k, args.max_m, args.atoms, args.tuple_cap)
     return rep["passed"], rep, None
 
 

@@ -14,6 +14,15 @@ and refuses to return if they differ.  The conditional expectation is a
 Kronecker product of per-component factors, so the direct side applies it
 axis by axis to integer numerators ((A⊗B)·vec X = vec(B·X·Aᵀ)), reading no
 coupling; `inclusion_exclusion_identity` compares integer-scaled matrices.
+
+The public `Coupling` and `MarkovOp` constructors validate every entry and
+both marginals.  Results that exact maps derive from already valid objects
+skip that check through the trusted `_canonical` constructors: the couplings
+of `coupling_from_markov`, `marginal_coupling` and `rel_indep_extension`,
+the one-point restriction inside `project_markov`, and `MarkovOp.compose`.
+`markov_from_coupling` still validates: it builds the operator that
+`project_markov` returns from its extension route and the operator side of
+every round trip, so each identity validates one output of its own.
 """
 
 from __future__ import annotations
@@ -92,7 +101,10 @@ def product_space(components: Sequence[FiniteSpace]) -> FiniteSpace:
 
 class Coupling:
     """A joint distribution on left x right with the two spaces as exact
-    marginals.  joint[i][j] is the mass on (left point i, right point j)."""
+    marginals.  joint[i][j] is the mass on (left point i, right point j).
+
+    The constructor validates; `_canonical` trusts, and serves only the
+    couplings this module derives from valid ones (see the module notes)."""
 
     __slots__ = ("left", "right", "joint")
 
@@ -119,6 +131,16 @@ class Coupling:
 
     def __setattr__(self, name, value):
         raise AttributeError("Coupling is immutable")
+
+    @classmethod
+    def _canonical(cls, left: FiniteSpace, right: FiniteSpace, joint: tuple) -> "Coupling":
+        """Trusted constructor: `joint` rows are tuples of non-negative
+        Fractions with `left` and `right` as exact marginals."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "left", left)
+        object.__setattr__(c, "right", right)
+        object.__setattr__(c, "joint", joint)
+        return c
 
     @classmethod
     def product(cls, left: FiniteSpace, right: FiniteSpace) -> "Coupling":
@@ -157,7 +179,10 @@ class MarkovOp:
 
     Two stochastic constraints, both induced by the coupling correspondence:
     rows sum to one (constants are preserved) and target-weighted columns
-    reproduce the source probabilities (the measure is preserved)."""
+    reproduce the source probabilities (the measure is preserved).
+
+    The constructor validates both; `_canonical` trusts, and serves only
+    `compose`, whose result is valid whenever its two factors are."""
 
     __slots__ = ("source", "target", "matrix")
 
@@ -184,6 +209,16 @@ class MarkovOp:
         raise AttributeError("MarkovOp is immutable")
 
     @classmethod
+    def _canonical(cls, source: FiniteSpace, target: FiniteSpace, matrix: tuple) -> "MarkovOp":
+        """Trusted constructor: `matrix` rows are tuples of non-negative
+        Fractions that sum to one and push the target onto the source."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "source", source)
+        object.__setattr__(op, "target", target)
+        object.__setattr__(op, "matrix", matrix)
+        return op
+
+    @classmethod
     def identity(cls, space: FiniteSpace) -> "MarkovOp":
         return cls(space, space, linalg.identity(space.size))
 
@@ -201,7 +236,8 @@ class MarkovOp:
         """self after other (other: A -> B, self: B -> C gives A -> C)."""
         if other.target != self.source:
             raise ValueError("spaces do not chain")
-        return MarkovOp(other.source, self.target, linalg.mat_mul(self.matrix, other.matrix))
+        product = linalg.mat_mul(self.matrix, other.matrix)
+        return MarkovOp._canonical(other.source, self.target, tuple(map(tuple, product)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MarkovOp):
@@ -234,11 +270,11 @@ def markov_from_coupling(c: Coupling) -> MarkovOp:
 
 def coupling_from_markov(phi: MarkovOp) -> Coupling:
     """Exact inverse of markov_from_coupling."""
-    joint = [
-        [phi.matrix[t][s] * phi.target.probs[t] for t in range(phi.target.size)]
+    joint = tuple(
+        tuple(phi.matrix[t][s] * phi.target.probs[t] for t in range(phi.target.size))
         for s in range(phi.source.size)
-    ]
-    return Coupling(phi.source, phi.target, joint)
+    )
+    return Coupling._canonical(phi.source, phi.target, joint)
 
 
 @dataclass(frozen=True)
@@ -294,7 +330,7 @@ def marginal_coupling(lam: Coupling, factor: FactorStructure) -> Coupling:
     for x in range(lam.left.size):
         for j, point in enumerate(points):
             joint[x][factor.sub_index(point)] += lam.joint[x][j]
-    return Coupling(lam.left, sub, joint)
+    return Coupling._canonical(lam.left, sub, tuple(map(tuple, joint)))
 
 
 def rel_indep_extension(lam: Coupling, factor: FactorStructure) -> Coupling:
@@ -320,8 +356,8 @@ def rel_indep_extension(lam: Coupling, factor: FactorStructure) -> Coupling:
                 (factor.components[i].probs[point[i]] for i in unselected), start=Fraction(1)
             )
             row.append(base * extra)
-        joint.append(row)
-    return Coupling(lam.left, full, joint)
+        joint.append(tuple(row))
+    return Coupling._canonical(lam.left, full, tuple(joint))
 
 
 def conditional_expectation_matrix(factor: FactorStructure) -> list[list[Fraction]]:
@@ -389,9 +425,7 @@ def project_markov(phi: MarkovOp, factor: FactorStructure) -> MarkovOp:
         restricted = marginal_coupling(lam, factor)
     else:
         one_point = FiniteSpace(("*",), (Fraction(1),))
-        restricted = Coupling(
-            lam.left, one_point, [[lam.left.probs[x]] for x in range(lam.left.size)]
-        )
+        restricted = Coupling._canonical(lam.left, one_point, tuple((p,) for p in lam.left.probs))
     via_extension = markov_from_coupling(rel_indep_extension(restricted, factor))
     if direct != list(map(list, via_extension.matrix)):
         raise RuntimeError(

@@ -90,12 +90,14 @@ def _require_tuples(d: int, n: int, tuple_cap: int) -> None:
         raise EnumerationCapError(f"{d}^{n} tuples exceed the cap {tuple_cap}")
 
 
-def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> list[FiberClass]:
-    """Group the n-multisets of atoms by their product, eigenvalue-sorted.
-
-    Each of the C(d+n-1, n) multisets is multiplied once, as a sum of packed
-    integer keys, and sorted and decoded by the codec, once per eigenvalue.
-    The fibers stand for all d^n ordered tuples, and the cap counts those."""
+def _group_by_product(
+    sigma: AtomicMeasure, n: int, tuple_cap: int
+) -> tuple[tuple[CirclePoint, ...], _PackedCodec, dict[int, list[tuple[int, ...]]]]:
+    """(atoms, codec, by_key): the n-multisets of atom indices grouped by the
+    packed key of their product, each list in lexicographic order.  Each of
+    the C(d+n-1, n) multisets is multiplied once, as a sum of packed integer
+    keys; nothing is sorted or decoded.  The cap counts the d^n ordered
+    tuples the multisets stand for."""
     require_positive(power=n)
     atoms = sigma.support()
     d = len(atoms)
@@ -105,7 +107,29 @@ def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> 
     by_key: dict[int, list[tuple[int, ...]]] = {}
     for ms in itertools.combinations_with_replacement(range(d), n):
         by_key.setdefault(codec.product(keys[i] for i in ms), []).append(ms)
+    return atoms, codec, by_key
+
+
+def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> list[FiberClass]:
+    """Group the n-multisets of atoms by their product, eigenvalue-sorted.
+
+    The grouping is `_group_by_product`'s; the codec then sorts the packed
+    keys and decodes each once.  The fibers stand for all d^n ordered
+    tuples, and the cap counts those."""
+    atoms, codec, by_key = _group_by_product(sigma, n, tuple_cap)
     return [FiberClass(eig, atoms, tuple(mss)) for eig, mss in codec.ordered(by_key.items())]
+
+
+def _first_nonsimple_fiber(sigma: AtomicMeasure, n: int, tuple_cap: int) -> FiberClass | None:
+    """The eigenvalue-first fiber of n-multisets holding more than one
+    multiset, or None when the n-th symmetric power is simple.  Multisets
+    are counted per packed key; only the returned fiber's key is decoded."""
+    atoms, codec, by_key = _group_by_product(sigma, n, tuple_cap)
+    shared = [key for key, mss in by_key.items() if len(mss) > 1]
+    if not shared:
+        return None
+    key = min(shared, key=codec.sort_key)
+    return FiberClass(codec.point(*codec.sort_key(key)), atoms, tuple(by_key[key]))
 
 
 @dataclass
@@ -242,25 +266,27 @@ def matrix_oracle(
 
 def simple_spectrum(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> bool:
     """True when the n-th symmetric power is multiplicity-free: every product
-    of n atoms is achieved by exactly one atom multiset."""
-    return all(len(fc.index_multisets) == 1 for fc in fibers(sigma, n, tuple_cap))
+    of n atoms is achieved by exactly one atom multiset.  Counts multisets
+    per packed product key and decodes at most one witness eigenvalue."""
+    return _first_nonsimple_fiber(sigma, n, tuple_cap) is None
 
 
 def check_simplicity_levels(
     sigma: AtomicMeasure, max_level: int, tuple_cap: int = DEFAULT_TUPLE_CAP
 ) -> dict:
     """Simplicity level by level, with the downward-monotonicity check:
-    a simple level k forces simplicity at every level below it.  The cap is
+    a simple level k forces simplicity at every level below it.  Each level
+    counts multisets per packed product key and decodes only its witness,
+    the eigenvalue-first fiber with more than one multiset.  The cap is
     checked for the top level before any level runs."""
     require_positive(**{"max level": max_level})
     _require_tuples(len(sigma), max_level, tuple_cap)
     levels: dict[int, bool] = {}
     witnesses: dict[int, dict] = {}
     for j in range(1, max_level + 1):
-        bad = [fc for fc in fibers(sigma, j, tuple_cap) if len(fc.index_multisets) > 1]
-        levels[j] = not bad
-        if bad:
-            fc = bad[0]
+        fc = _first_nonsimple_fiber(sigma, j, tuple_cap)
+        levels[j] = fc is None
+        if fc is not None:
             witnesses[j] = {
                 "eigenvalue": str(fc.eigenvalue),
                 "multisets": [[str(fc.atoms[i]) for i in ms] for ms in fc.index_multisets],
@@ -443,19 +469,37 @@ def check_symmetric_power(
     return {"conv_power": k, "symmetric_power": m, **report}
 
 
+def _level_supports(sigma: AtomicMeasure, k: int, m_max: int) -> tuple[_PackedCodec, list[set[int]]]:
+    """The supports of sigma^{*k}, sigma^{*2k}, ..., sigma^{*k m_max}, as sets
+    of packed keys from one codec for power k*m_max, so keys of different
+    levels compare: level m holds the products of the km-multisets of atoms."""
+    atoms = sigma.support()
+    codec = _PackedCodec(atoms, k * m_max)
+    keys = [codec.key(p) for p in atoms]
+    supports = [
+        {
+            codec.product(keys[i] for i in ms)
+            for ms in itertools.combinations_with_replacement(range(len(atoms)), k * m)
+        }
+        for m in range(1, m_max + 1)
+    ]
+    return codec, supports
+
+
 def fock_multiplicity_set(
     k: int,
     m_max: int,
     d: int,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
 ) -> dict:
     """Generic multiplicities of the symmetric powers m = 1..m_max of the
     k-fold convolution of one shared generic d-atom measure, plus the check
     that the convolution levels sigma^{*k}, sigma^{*2k}, ... are pairwise
     mutually singular (so the multiplicities genuinely live on disjoint
-    spectral pieces).  The cap is checked for level m_max before any level
-    runs."""
+    spectral pieces).  Level supports are compared as the packed-key sets
+    of `_level_supports`, never built as measures or decoded: two levels
+    are singular exactly when their key sets are disjoint.  The cap is
+    checked for level m_max before any level runs."""
     require_positive(k=k, m_max=m_max, d=d)
     _require_level_multisets(d, k, m_max, tuple_cap)
     sigma = generic_measure(d)
@@ -474,9 +518,9 @@ def fock_multiplicity_set(
             values.append(value)
         else:
             ok = False
-    levels = [sigma.convolve_power(k * m) for m in range(1, m_max + 1)]
+    _, levels = _level_supports(sigma, k, m_max)
     disjoint = all(
-        levels[i].is_singular_to(levels[j])
+        levels[i].isdisjoint(levels[j])
         for i in range(len(levels))
         for j in range(i + 1, len(levels))
     )
@@ -598,6 +642,7 @@ def nonsimple_counterexample(
     tau = sigma + shifted
     tau_shift = tau.translate(a)
     overlap = [p for p in tau.support() if tau_shift.weight(p) > 0]
+    witness = _first_nonsimple_fiber(tau, 2, tuple_cap)
     d = len(sigma)
     report = {
         "base_atoms": d,
@@ -605,7 +650,7 @@ def nonsimple_counterexample(
         "tau_atoms": len(tau),
         "overlap": [str(p) for p in overlap],
         "translate_not_singular": bool(overlap),
-        "simple_level_2": simple_spectrum(tau, 2, tuple_cap),
+        "simple_level_2": witness is None,
         "witness": None,
         "note": None,
     }
@@ -613,18 +658,13 @@ def nonsimple_counterexample(
         report["note"] = "needs at least 2 base atoms for a second multiset"
         report["found"] = False
         return report
-    witness = next(
-        (fc for fc in fibers(tau, 2, tuple_cap) if len(fc.index_multisets) > 1), None
-    )
     if witness is not None:
         report["witness"] = {
             "eigenvalue": str(witness.eigenvalue),
             "multiplicity": len(witness.index_multisets),
             "multisets": [[str(witness.atoms[i]) for i in ms] for ms in witness.index_multisets],
         }
-    report["found"] = bool(
-        overlap and not report["simple_level_2"] and witness is not None
-    )
+    report["found"] = bool(overlap) and witness is not None
     return report
 
 

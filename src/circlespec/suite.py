@@ -111,7 +111,7 @@ def criterion_tensor_power(seed, tuple_cap, matrix_cap) -> dict:
 
 def criterion_fock_set(seed, tuple_cap, matrix_cap) -> dict:
     """Symmetric-power multiplicities 1, 3, 15, 105 on disjoint levels."""
-    rep = fock_multiplicity_set(2, 4, 8, tuple_cap, matrix_cap)
+    rep = fock_multiplicity_set(2, 4, 8, tuple_cap)
     want = [1, 3, 15, 105]
     ok = rep["passed"] and rep["set"] == want and rep["levels_pairwise_singular"]
     return {"passed": ok, "expected": want, "report": rep}

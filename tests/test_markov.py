@@ -407,3 +407,63 @@ def test_inclusion_exclusion_check_is_live(monkeypatch):
     monkeypatch.setattr(linalg, "mat_add", add_then_corrupt)
     rep = inclusion_exclusion_identity([2, 3], [[F(1, 1000003), F(1000002, 1000003)], list(BIG[1].probs)])
     assert corrupted and not rep["matrix_identity"] and not rep["passed"]
+
+
+# -- trusted intermediates -----------------------------------------------------
+
+
+def revalidated(obj):
+    """obj rebuilt by its validating constructor, which raises if obj is not valid."""
+    if isinstance(obj, Coupling):
+        return Coupling(obj.left, obj.right, obj.joint)
+    return MarkovOp(obj.source, obj.target, obj.matrix)
+
+
+def assert_canonical(obj):
+    rows = obj.joint if isinstance(obj, Coupling) else obj.matrix
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert all(type(x) is Fraction for row in rows for x in row)
+    assert obj == revalidated(obj)
+
+
+@settings(max_examples=40, deadline=None)
+@given(projection_cases())
+def test_trusted_results_equal_the_validating_constructors(case):
+    components, phi = case
+    lam = coupling_from_markov(phi)
+    assert_canonical(lam)
+    for selected in all_selectors(len(components))[1:]:
+        factor = FactorStructure(components, selected)
+        restricted = marginal_coupling(lam, factor)
+        assert_canonical(restricted)
+        assert_canonical(rel_indep_extension(restricted, factor))
+    assert_canonical(MarkovOp.identity(phi.target).compose(phi))
+    assert_canonical(phi.compose(MarkovOp.mean(phi.source, phi.source)))
+
+
+def test_canonical_constructors_equal_the_validating_ones():
+    left, right = two_point(F(1, 3)), two_point(F(1, 4), "y")
+    joint = ((F(1, 12), F(1, 4)), (F(1, 6), F(1, 2)))
+    assert Coupling._canonical(left, right, joint) == Coupling(left, right, joint)
+    matrix = ((F(1, 3), F(2, 3)), (F(1, 3), F(2, 3)))
+    assert MarkovOp._canonical(left, right, matrix) == MarkovOp(left, right, matrix)
+
+
+def test_public_constructors_still_validate():
+    half, half_y = two_point(F(1, 2)), two_point(F(1, 2), "y")
+    with pytest.raises(ValueError, match="non-negative"):
+        Coupling(half, half_y, [[F(3, 4), F(-1, 4)], [F(-1, 4), F(3, 4)]])  # both marginals exact
+    with pytest.raises(ValueError, match="right marginal"):
+        Coupling(half, two_point(F(1, 3), "y"), [[F(1, 4), F(1, 4)], [F(1, 4), F(1, 4)]])
+    with pytest.raises(ValueError, match="non-negative"):
+        MarkovOp(half, half_y, [[F(3, 2), F(-1, 2)], [F(-1, 2), F(3, 2)]])  # stochastic, measure kept
+    with pytest.raises(ValueError, match="pushes mass"):
+        MarkovOp(two_point(F(1, 3)), half_y, [[F(1), F(0)], [F(0), F(1)]])
+
+
+def test_markov_from_coupling_validates_its_output():
+    """A coupling that bypassed validation is caught when it becomes an operator."""
+    half, half_y = two_point(F(1, 2)), two_point(F(1, 2), "y")
+    bad = Coupling._canonical(half, half_y, ((F(1, 2), F(1, 4)), (F(0), F(1, 4))))
+    with pytest.raises(ValueError, match="pushes mass"):
+        markov_from_coupling(bad)

@@ -29,7 +29,9 @@ from circlespec import (
     paired_relation_measure,
     simple_spectrum,
 )
-from circlespec.spectral import _symmetric_level_counts, _tensor_level_counts
+from circlespec import spectral
+from circlespec.circle import _PackedCodec
+from circlespec.spectral import _level_supports, _symmetric_level_counts, _tensor_level_counts
 
 from tests.helpers import designed_relation_measure, small_measures
 
@@ -437,3 +439,113 @@ def test_paired_relation_measure_shape():
     mu = paired_relation_measure()
     assert len(mu) == 8
     assert mu.mass == 1
+
+
+# -- counting without decoding -------------------------------------------------
+
+
+def reference_simplicity_levels(mu, max_level):
+    """check_simplicity_levels read off fully decoded fibers: a level is
+    simple when no fiber holds two multisets, and its witness is the first
+    such fiber in eigenvalue order."""
+    levels, witnesses = {}, {}
+    for j in range(1, max_level + 1):
+        bad = [fc for fc in fibers(mu, j) if len(fc.index_multisets) > 1]
+        levels[j] = not bad
+        if bad:
+            witnesses[j] = {
+                "eigenvalue": str(bad[0].eigenvalue),
+                "multisets": [[str(bad[0].atoms[i]) for i in ms] for ms in bad[0].index_multisets],
+            }
+    violations = [
+        {"lower": j, "higher": k, "witness": witnesses[j]}
+        for j in range(1, max_level + 1)
+        for k in range(j + 1, max_level + 1)
+        if levels[k] and not levels[j]
+    ]
+    return {
+        "max_level": max_level,
+        "levels": {str(j): levels[j] for j in range(1, max_level + 1)},
+        "monotone": not violations,
+        "violations": violations,
+    }
+
+
+def rotation_twisted(mu):
+    """mu plus its translate by a rational rotation and a fresh generator."""
+    shift = CirclePoint(Fraction(1, 3), {9: 1})
+    return mu + mu.translate(shift)
+
+
+def abc_measure():
+    """a = g0, b = g1, c = g0^2 g1^-1: a*a = b*c, though no +-1 relation exists."""
+    a, b = CirclePoint.generator(0), CirclePoint.generator(1)
+    return AtomicMeasure({a: Fraction(1, 3), b: Fraction(1, 3), a * a * b.inverse(): Fraction(1, 3)})
+
+
+def assert_counts_match_decoded_fibers(mu, max_level):
+    assert check_simplicity_levels(mu, max_level) == reference_simplicity_levels(mu, max_level)
+    for n in range(1, max_level + 1):
+        assert simple_spectrum(mu, n) == all(len(fc.index_multisets) == 1 for fc in fibers(mu, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_measures(), st.booleans())
+def test_simplicity_counts_match_decoded_fibers(mu, twist):
+    mu = rotation_twisted(mu) if twist else mu
+    assert_counts_match_decoded_fibers(mu, 4 if len(mu) <= 4 else 3)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [abc_measure(), rotation_twisted(abc_measure()), designed_relation_measure(), paired_relation_measure()],
+    ids=["abc", "abc-twisted", "designed", "paired"],
+)
+def test_simplicity_counts_match_decoded_fibers_on_relations(mu):
+    assert_counts_match_decoded_fibers(mu, 4 if len(mu) <= 6 else 3)
+
+
+def test_abc_measure_fails_at_level_two():
+    rep = check_simplicity_levels(abc_measure(), 3)
+    assert rep["levels"] == {"1": True, "2": False, "3": False}
+    assert rep["monotone"]
+
+
+def test_simplicity_decodes_only_its_witnesses(monkeypatch):
+    calls = []
+    original = _PackedCodec.point
+    monkeypatch.setattr(_PackedCodec, "point", lambda self, r, pairs: calls.append(1) or original(self, r, pairs))
+    rep = check_simplicity_levels(generic_measure(5), 4)
+    assert all(rep["levels"].values()) and calls == []
+    rep = check_simplicity_levels(rotation_twisted(abc_measure()), 4)
+    assert len(calls) == list(rep["levels"].values()).count(False) == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_measures(max_atoms=5), st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=3))
+def test_level_supports_decode_to_convolution_supports(mu, k, m_max):
+    codec, supports = _level_supports(mu, k, m_max)
+    for m, keys in enumerate(supports, start=1):
+        decoded = sorted(codec.point(*codec.sort_key(key)) for key in keys)
+        assert decoded == list(mu.convolve_power(k * m).support())
+
+
+def test_fock_level_check_fails_when_the_base_holds_the_identity(monkeypatch):
+    """With the identity as an atom, sigma^{*2} already holds the atoms of
+    sigma^{*1} times the identity, so the levels intersect."""
+    _, supports = _level_supports(generic_measure(3) + AtomicMeasure.delta(CirclePoint.identity()), 1, 2)
+    assert supports[0] & supports[1]
+    monkeypatch.setattr(
+        spectral, "generic_measure", lambda d: generic_measure(d - 1) + AtomicMeasure.delta(CirclePoint.identity())
+    )
+    rep = fock_multiplicity_set(2, 2, 6)
+    assert not rep["levels_pairwise_singular"] and not rep["passed"]
+
+
+def test_fock_multiplicity_set_builds_no_convolution_power(monkeypatch):
+    def forbidden(self, k):
+        raise AssertionError("fock_multiplicity_set built a convolution power")
+
+    monkeypatch.setattr(AtomicMeasure, "convolve_power", forbidden)
+    rep = fock_multiplicity_set(2, 3, 6)
+    assert rep["passed"] and rep["set"] == [1, 3, 15] and rep["levels_pairwise_singular"]
