@@ -16,10 +16,10 @@ axis by axis to integer numerators ((A⊗B)·vec X = vec(B·X·Aᵀ)), reading n
 coupling; `inclusion_exclusion_identity` compares integer-scaled matrices.
 
 The public `Coupling` and `MarkovOp` constructors validate every entry and
-both marginals.  Results that exact maps derive from already valid objects
-skip that check through the trusted `_canonical` constructors: the couplings
-of `coupling_from_markov`, `marginal_coupling` and `rel_indep_extension`,
-the one-point restriction inside `project_markov`, and `MarkovOp.compose`.
+both marginals.  Couplings that exact maps derive from already valid objects
+skip that check through the trusted `Coupling._canonical`: the results of
+`coupling_from_markov`, `marginal_coupling` and `rel_indep_extension`, and
+the one-point restriction inside `project_markov`.
 `markov_from_coupling` still validates: it builds the operator that
 `project_markov` returns from its extension route and the operator side of
 every round trip, so each identity validates one output of its own.
@@ -179,10 +179,7 @@ class MarkovOp:
 
     Two stochastic constraints, both induced by the coupling correspondence:
     rows sum to one (constants are preserved) and target-weighted columns
-    reproduce the source probabilities (the measure is preserved).
-
-    The constructor validates both; `_canonical` trusts, and serves only
-    `compose`, whose result is valid whenever its two factors are."""
+    reproduce the source probabilities (the measure is preserved)."""
 
     __slots__ = ("source", "target", "matrix")
 
@@ -209,16 +206,6 @@ class MarkovOp:
         raise AttributeError("MarkovOp is immutable")
 
     @classmethod
-    def _canonical(cls, source: FiniteSpace, target: FiniteSpace, matrix: tuple) -> "MarkovOp":
-        """Trusted constructor: `matrix` rows are tuples of non-negative
-        Fractions that sum to one and push the target onto the source."""
-        op = object.__new__(cls)
-        object.__setattr__(op, "source", source)
-        object.__setattr__(op, "target", target)
-        object.__setattr__(op, "matrix", matrix)
-        return op
-
-    @classmethod
     def identity(cls, space: FiniteSpace) -> "MarkovOp":
         return cls(space, space, linalg.identity(space.size))
 
@@ -236,8 +223,7 @@ class MarkovOp:
         """self after other (other: A -> B, self: B -> C gives A -> C)."""
         if other.target != self.source:
             raise ValueError("spaces do not chain")
-        product = linalg.mat_mul(self.matrix, other.matrix)
-        return MarkovOp._canonical(other.source, self.target, tuple(map(tuple, product)))
+        return MarkovOp(other.source, self.target, linalg.mat_mul(self.matrix, other.matrix))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MarkovOp):

@@ -469,23 +469,6 @@ def check_symmetric_power(
     return {"conv_power": k, "symmetric_power": m, **report}
 
 
-def _level_supports(sigma: AtomicMeasure, k: int, m_max: int) -> tuple[_PackedCodec, list[set[int]]]:
-    """The supports of sigma^{*k}, sigma^{*2k}, ..., sigma^{*k m_max}, as sets
-    of packed keys from one codec for power k*m_max, so keys of different
-    levels compare: level m holds the products of the km-multisets of atoms."""
-    atoms = sigma.support()
-    codec = _PackedCodec(atoms, k * m_max)
-    keys = [codec.key(p) for p in atoms]
-    supports = [
-        {
-            codec.product(keys[i] for i in ms)
-            for ms in itertools.combinations_with_replacement(range(len(atoms)), k * m)
-        }
-        for m in range(1, m_max + 1)
-    ]
-    return codec, supports
-
-
 def fock_multiplicity_set(
     k: int,
     m_max: int,
@@ -496,19 +479,22 @@ def fock_multiplicity_set(
     k-fold convolution of one shared generic d-atom measure, plus the check
     that the convolution levels sigma^{*k}, sigma^{*2k}, ... are pairwise
     mutually singular (so the multiplicities genuinely live on disjoint
-    spectral pieces).  Level supports are compared as the packed-key sets
-    of `_level_supports`, never built as measures or decoded: two levels
-    are singular exactly when their key sets are disjoint.  The cap is
-    checked for level m_max before any level runs."""
+    spectral pieces).  The support of sigma^{*km} is the eigenvalue set of
+    the level-m counts, since every km-multiset of atoms splits into m
+    k-multisets and all weights are positive; so no convolution power is
+    built, and two levels are singular exactly when those sets are
+    disjoint.  The cap is checked for level m_max before any level runs."""
     require_positive(k=k, m_max=m_max, d=d)
     _require_level_multisets(d, k, m_max, tuple_cap)
     sigma = generic_measure(d)
     per_level: dict[str, int | None] = {}
     values = []
     formulas = {}
+    levels = []
     ok = True
     for m in range(1, m_max + 1):
         counts = _symmetric_level_counts(sigma, k, m, tuple_cap)
+        levels.append(counts["entries"].keys())
         value, homogeneous = _generic_summary(counts)
         formula = math.factorial(m * k) // (math.factorial(k) ** m * math.factorial(m))
         per_level[str(m)] = value
@@ -518,7 +504,6 @@ def fock_multiplicity_set(
             values.append(value)
         else:
             ok = False
-    _, levels = _level_supports(sigma, k, m_max)
     disjoint = all(
         levels[i].isdisjoint(levels[j])
         for i in range(len(levels))

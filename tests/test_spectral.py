@@ -31,7 +31,7 @@ from circlespec import (
 )
 from circlespec import spectral
 from circlespec.circle import _PackedCodec
-from circlespec.spectral import _level_supports, _symmetric_level_counts, _tensor_level_counts
+from circlespec.spectral import _symmetric_level_counts, _tensor_level_counts
 
 from tests.helpers import designed_relation_measure, small_measures
 
@@ -521,20 +521,18 @@ def test_simplicity_decodes_only_its_witnesses(monkeypatch):
     assert len(calls) == list(rep["levels"].values()).count(False) == 3
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_measures(max_atoms=5), st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=3))
-def test_level_supports_decode_to_convolution_supports(mu, k, m_max):
-    codec, supports = _level_supports(mu, k, m_max)
-    for m, keys in enumerate(supports, start=1):
-        decoded = sorted(codec.point(*codec.sort_key(key)) for key in keys)
-        assert decoded == list(mu.convolve_power(k * m).support())
+@pytest.mark.parametrize("d", [1, 3, 5])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_level_count_eigenvalues_are_the_convolution_support(d, k, m):
+    """fock_multiplicity_set compares these eigenvalue sets as the supports of sigma^{*km}."""
+    sigma = generic_measure(d)
+    assert list(_symmetric_level_counts(sigma, k, m)["entries"]) == list(sigma.convolve_power(k * m).support())
 
 
 def test_fock_level_check_fails_when_the_base_holds_the_identity(monkeypatch):
     """With the identity as an atom, sigma^{*2} already holds the atoms of
     sigma^{*1} times the identity, so the levels intersect."""
-    _, supports = _level_supports(generic_measure(3) + AtomicMeasure.delta(CirclePoint.identity()), 1, 2)
-    assert supports[0] & supports[1]
     monkeypatch.setattr(
         spectral, "generic_measure", lambda d: generic_measure(d - 1) + AtomicMeasure.delta(CirclePoint.identity())
     )
