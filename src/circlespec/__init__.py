@@ -1,7 +1,7 @@
 """Exact-arithmetic spectral multiplicity calculus on atomic circle models."""
 
 from circlespec.circle import CirclePoint, GeneratorAllocator
-from circlespec.errors import EnumerationCapError, MeasureFormatError
+from circlespec.errors import Caps, EnumerationCapError, MeasureFormatError
 from circlespec.measure import (
     AtomicMeasure,
     Relation,

@@ -15,7 +15,7 @@ import random
 import sys
 
 from circlespec.circle import CirclePoint
-from circlespec.errors import DEFAULT_MATRIX_CAP, DEFAULT_TUPLE_CAP, EnumerationCapError, MeasureFormatError
+from circlespec.errors import Caps, EnumerationCapError, MeasureFormatError
 from circlespec.markov import inclusion_exclusion_identity
 from circlespec.measure import generic_measure, measure_from_json, relation_scan
 from circlespec.permgroup import Perm, PermSubgroup
@@ -118,7 +118,7 @@ def _cmd_multiplicity(args):
 def _cmd_power(args):
     check = check_tensor_power if args.command == "krot" else check_symmetric_power
     d = args.atoms if args.atoms is not None else args.k * args.m + 2
-    rep = check(args.k, args.m, d, args.tuple_cap, args.matrix_cap)
+    rep = check(args.k, args.m, d, Caps(args.tuple_cap, args.matrix_cap))
     return rep["passed"], rep, None
 
 
@@ -213,7 +213,7 @@ def _cmd_markov_incl_excl(args):
 
 
 def _cmd_suite(args):
-    rep = run_suite(args.seed, args.tuple_cap, args.matrix_cap)
+    rep = run_suite(args.seed, Caps(args.tuple_cap, args.matrix_cap))
     lines = [
         f"{name}: {'PASS' if r['passed'] else 'FAIL'}"
         for name, r in rep["criteria"].items()
@@ -294,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tuple-cap", type=int, default=DEFAULT_TUPLE_CAP)
-    common.add_argument("--matrix-cap", type=int, default=DEFAULT_MATRIX_CAP)
+    common.add_argument("--tuple-cap", type=int, default=Caps.tuples)
+    common.add_argument("--matrix-cap", type=int, default=Caps.matrix)
 
     parser = argparse.ArgumentParser(
         prog="circlespec",

@@ -1,8 +1,7 @@
-"""Shared exception types, the default enumeration caps, and the positive-int
-argument check."""
+"""Shared exception types, the enumeration caps and their admission rule, and the positive-int check."""
 
-DEFAULT_TUPLE_CAP = 10**7
-DEFAULT_MATRIX_CAP = 4096
+from dataclasses import dataclass
+
 DEFAULT_DEGREE_CAP = 8
 
 
@@ -12,6 +11,20 @@ class EnumerationCapError(RuntimeError):
 
 class MeasureFormatError(ValueError):
     """A serialized measure, point, or fraction string failed to parse."""
+
+
+@dataclass(frozen=True)
+class Caps:
+    """The two user-set limits: enumerated tuples and the rank route's matrix dimension."""
+
+    tuples: int = 10**7
+    matrix: int = 4096
+
+
+def admit(asked: int, limit: int, what: str) -> None:
+    """Refuse work of size `asked` above `limit`; `what` names it, in the plural."""
+    if asked > limit:
+        raise EnumerationCapError(f"{what} exceed the cap {limit}")
 
 
 def require_positive(**values) -> None:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from circlespec import linalg
-from circlespec.errors import DEFAULT_MATRIX_CAP, EnumerationCapError
+from circlespec.errors import Caps, admit
 
 
 class FiniteSpace:
@@ -331,19 +331,16 @@ def rel_indep_extension(lam: Coupling, factor: FactorStructure) -> Coupling:
             raise ValueError("empty selection takes a coupling with a one-point right space")
     elif lam.right != sub:
         raise ValueError("coupling right space is not the selected sub-product")
-    full = factor.full_space()
-    points = factor.full_points()
-    joint = []
-    for x in range(lam.left.size):
-        row = []
-        for point in points:
-            base = lam.joint[x][factor.sub_index(point)] if sub is not None else lam.joint[x][0]
-            extra = math.prod(
-                (factor.components[i].probs[point[i]] for i in unselected), start=Fraction(1)
-            )
-            row.append(base * extra)
-        joint.append(tuple(row))
-    return Coupling._canonical(lam.left, full, tuple(joint))
+    # Per full point: its column in lam (0 for the empty selection) and its unselected probability.
+    columns = [
+        (
+            factor.sub_index(point),
+            math.prod((factor.components[i].probs[point[i]] for i in unselected), start=Fraction(1)),
+        )
+        for point in factor.full_points()
+    ]
+    joint = tuple(tuple(row[j] * extra for j, extra in columns) for row in lam.joint)
+    return Coupling._canonical(lam.left, factor.full_space(), joint)
 
 
 def conditional_expectation_matrix(factor: FactorStructure) -> list[list[Fraction]]:
@@ -421,14 +418,19 @@ def project_markov(phi: MarkovOp, factor: FactorStructure) -> MarkovOp:
     return via_extension  # equal to the direct side, and already validated
 
 
+def _checked_dims(dims: Sequence[int]) -> list[int]:
+    dims = list(dims)
+    if not dims or any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in dims):
+        raise ValueError("dims must be a non-empty list of ints >= 1")
+    return dims
+
+
 def dimension_identity(dims: Sequence[int]) -> dict:
     """prod d_i - 1 = sum over non-empty S of prod_{i in S} (d_i - 1),
     the count of dimensions removed by subtracting the constants from a
     product, computed exactly on both sides."""
-    dims = list(dims)
+    dims = _checked_dims(dims)
     n = len(dims)
-    if n < 1 or any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in dims):
-        raise ValueError("dims must be a non-empty list of ints >= 1")
     lhs = math.prod(dims) - 1
     rhs = sum(
         math.prod(dims[i] - 1 for i in S)
@@ -446,7 +448,7 @@ def dimension_identity(dims: Sequence[int]) -> dict:
 def inclusion_exclusion_identity(
     dims: Sequence[int],
     probs: Sequence[Sequence[Fraction]] | None = None,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
+    matrix_cap: int = Caps.matrix,
 ) -> dict:
     """Check, entry by entry, that the projection onto functions depending on
     all coordinates complements the sub-product projections with alternating
@@ -464,14 +466,11 @@ def inclusion_exclusion_identity(
     charges the (2^n - 1)·n·total² entries that the Kronecker steps of the
     2^n - 1 terms write against 256·matrix_cap (about 10^6 by default).
     """
-    dims = list(dims)
+    dims = _checked_dims(dims)
     n = len(dims)
-    if n < 1 or any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in dims):
-        raise ValueError("dims must be a non-empty list of ints >= 1")
     total = math.prod(dims)
     entries = (2**n - 1) * n * total**2
-    if entries > 256 * matrix_cap:
-        raise EnumerationCapError(f"{entries} dense entries exceed 256 * the cap {matrix_cap}")
+    admit(entries, 256 * matrix_cap, f"{entries} dense entries")
     if probs is None:
         probs = [[Fraction(1, d)] * d for d in dims]
     probs = [[Fraction(p) for p in row] for row in probs]
@@ -503,9 +502,7 @@ def inclusion_exclusion_identity(
     return {
         "dims": dims,
         "matrix_identity": matrix_identity,
-        "dimension_lhs": dim_report["dimension_lhs"],
-        "dimension_rhs": dim_report["dimension_rhs"],
-        "dimension_identity": dim_report["dimension_identity"],
+        **dim_report,
         "passed": matrix_identity and dim_report["dimension_identity"],
     }
 

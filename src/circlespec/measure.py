@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
 from circlespec.circle import CirclePoint, GeneratorAllocator, _PackedCodec
-from circlespec.errors import DEFAULT_TUPLE_CAP, EnumerationCapError, MeasureFormatError, require_positive
+from circlespec.errors import Caps, MeasureFormatError, admit, require_positive
 
 _FRACTION_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
@@ -196,7 +196,7 @@ class Relation:
         }
 
 
-def relation_scan(mu: AtomicMeasure, degree: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> list[Relation]:
+def relation_scan(mu: AtomicMeasure, degree: int, tuple_cap: int = Caps.tuples) -> list[Relation]:
     """Search for relations prod z_i^{+-1} = rational constant among 1..degree
     distinct atoms, leading sign +1, each reported once.  Other exponents and
     repeated atoms are never tried, so [] does not certify genericity: for
@@ -208,10 +208,7 @@ def relation_scan(mu: AtomicMeasure, degree: int, tuple_cap: int = DEFAULT_TUPLE
     atoms = mu.support()
     d = len(atoms)
     total = sum(math.comb(d, L) * 2 ** (L - 1) for L in range(1, min(degree, d) + 1))
-    if total > tuple_cap:
-        raise EnumerationCapError(
-            f"relation scan needs {total} sign tuples, above the cap {tuple_cap}"
-        )
+    admit(total, tuple_cap, f"relation scan: {total} sign tuples")
     found = []
     for L in range(1, min(degree, d) + 1):
         for subset in itertools.combinations(atoms, L):

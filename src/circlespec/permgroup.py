@@ -1,8 +1,9 @@
 """Small permutation groups, fully enumerated.
 
 Everything downstream counts orbits of a subgroup G <= S(n) acting on
-n-tuples, so groups are kept as explicit element sets (degree is capped at
-`errors.DEFAULT_DEGREE_CAP` = 8; 8! = 40320 elements is still comfortable).
+n-tuples, so groups are kept as explicit element sets.  Through
+`errors.admit`, `closure` admits degrees up to `errors.DEFAULT_DEGREE_CAP`
+= 8 (8! = 40320 elements is still comfortable).
 `orbit_count_free` computes the orbit count on enumerating tuples twice, by
 the index formula n!/#G and by direct enumeration, and refuses to return if
 the two disagree: the action there is free, so every orbit has exactly #G
@@ -15,7 +16,7 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
-from circlespec.errors import DEFAULT_DEGREE_CAP, DEFAULT_TUPLE_CAP, EnumerationCapError
+from circlespec.errors import DEFAULT_DEGREE_CAP, Caps, admit
 
 
 class Perm:
@@ -99,8 +100,7 @@ def closure(n: int, generators: Iterable[Perm]) -> tuple[Perm, ...]:
     """Breadth-first closure of the generators inside S(n), sorted."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    if n > DEFAULT_DEGREE_CAP:
-        raise EnumerationCapError(f"degree {n} exceeds the cap {DEFAULT_DEGREE_CAP}")
+    admit(n, DEFAULT_DEGREE_CAP, f"{n} permuted points")
     gens = list(generators)
     for g in gens:
         if g.degree != n:
@@ -170,7 +170,7 @@ class PermSubgroup:
         return f"PermSubgroup(degree={self.degree}, order={self.order})"
 
 
-def orbit_count_free(G: PermSubgroup, tuple_cap: int = DEFAULT_TUPLE_CAP) -> int:
+def orbit_count_free(G: PermSubgroup, tuple_cap: int = Caps.tuples) -> int:
     """Orbit count of G on tuples enumerating {0..n-1}, computed two ways.
 
     G acts freely there (a permutation fixing an enumerating tuple fixes
@@ -179,10 +179,7 @@ def orbit_count_free(G: PermSubgroup, tuple_cap: int = DEFAULT_TUPLE_CAP) -> int
     """
     n = G.degree
     n_fact = math.factorial(n)
-    if n_fact * G.order > tuple_cap:
-        raise EnumerationCapError(
-            f"orbit enumeration needs {n_fact * G.order} steps, above the cap {tuple_cap}"
-        )
+    admit(n_fact * G.order, tuple_cap, f"orbit enumeration: {n_fact * G.order} steps")
     if n_fact % G.order:
         raise RuntimeError(f"Lagrange violation: {G.order} does not divide {n}!")
     formula = n_fact // G.order

@@ -22,13 +22,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from circlespec import linalg
 from circlespec.circle import CirclePoint, GeneratorAllocator, _PackedCodec
-from circlespec.errors import DEFAULT_MATRIX_CAP, DEFAULT_TUPLE_CAP, EnumerationCapError, require_positive
+from circlespec.errors import Caps, EnumerationCapError, admit, require_positive
 from circlespec.measure import AtomicMeasure, generic_measure, relation_scan
 from circlespec.permgroup import (
     PermSubgroup,
@@ -85,11 +86,6 @@ class FiberClass:
         return len(ms) == 1 and len(set(ms[0])) == len(ms[0])
 
 
-def _require_tuples(d: int, n: int, tuple_cap: int) -> None:
-    if d**n > tuple_cap:
-        raise EnumerationCapError(f"{d}^{n} tuples exceed the cap {tuple_cap}")
-
-
 def _group_by_product(
     sigma: AtomicMeasure, n: int, tuple_cap: int
 ) -> tuple[tuple[CirclePoint, ...], _PackedCodec, dict[int, list[tuple[int, ...]]]]:
@@ -101,7 +97,7 @@ def _group_by_product(
     require_positive(power=n)
     atoms = sigma.support()
     d = len(atoms)
-    _require_tuples(d, n, tuple_cap)
+    admit(d**n, tuple_cap, f"{d}^{n} tuples")
     codec = _PackedCodec(atoms, n)
     keys = [codec.key(p) for p in atoms]
     by_key: dict[int, list[tuple[int, ...]]] = {}
@@ -110,7 +106,7 @@ def _group_by_product(
     return atoms, codec, by_key
 
 
-def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> list[FiberClass]:
+def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> list[FiberClass]:
     """Group the n-multisets of atoms by their product, eigenvalue-sorted.
 
     The grouping is `_group_by_product`'s; the codec then sorts the packed
@@ -205,7 +201,7 @@ def multiplicity(
     sigma: AtomicMeasure,
     n: int,
     G: PermSubgroup,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
+    tuple_cap: int = Caps.tuples,
 ) -> MultiplicityReport:
     """Orbit-count route: multiplicity at z = number of G-orbits on the fiber.
 
@@ -233,7 +229,7 @@ def matrix_oracle(
     sigma: AtomicMeasure,
     n: int,
     G: PermSubgroup,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
+    matrix_cap: int = Caps.matrix,
 ) -> MultiplicityReport:
     """Rank route: multiplicity at z = rank of the averaged coordinate-
     permutation block over the fiber, computed by fraction-free elimination.
@@ -247,8 +243,7 @@ def matrix_oracle(
     if G.degree != n:
         raise ValueError(f"group degree {G.degree} does not match power {n}")
     d = len(sigma.support())
-    if d**n > matrix_cap:
-        raise EnumerationCapError(f"matrix dimension {d**n} exceeds the cap {matrix_cap}")
+    admit(d**n, matrix_cap, f"{d}^{n} matrix rows")
     # Tuples are keyed by the identity's getter: for n = 1 each getter returns a bare item.
     getters = [operator.itemgetter(*p.images) for p in G.elements]
     key = operator.itemgetter(*range(n))
@@ -264,7 +259,7 @@ def matrix_oracle(
     return _build_report(n, G, classified)
 
 
-def simple_spectrum(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> bool:
+def simple_spectrum(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> bool:
     """True when the n-th symmetric power is multiplicity-free: every product
     of n atoms is achieved by exactly one atom multiset.  Counts multisets
     per packed product key and decodes at most one witness eigenvalue."""
@@ -272,7 +267,7 @@ def simple_spectrum(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE
 
 
 def check_simplicity_levels(
-    sigma: AtomicMeasure, max_level: int, tuple_cap: int = DEFAULT_TUPLE_CAP
+    sigma: AtomicMeasure, max_level: int, tuple_cap: int = Caps.tuples
 ) -> dict:
     """Simplicity level by level, with the downward-monotonicity check:
     a simple level k forces simplicity at every level below it.  Each level
@@ -280,7 +275,7 @@ def check_simplicity_levels(
     the eigenvalue-first fiber with more than one multiset.  The cap is
     checked for the top level before any level runs."""
     require_positive(**{"max level": max_level})
-    _require_tuples(len(sigma), max_level, tuple_cap)
+    admit(len(sigma) ** max_level, tuple_cap, f"{len(sigma)}^{max_level} tuples")
     levels: dict[int, bool] = {}
     witnesses: dict[int, dict] = {}
     for j in range(1, max_level + 1):
@@ -340,33 +335,6 @@ def _level_counts(sigma: AtomicMeasure, k: int, m: int, select) -> dict:
     return out
 
 
-def _tensor_level_counts(
-    sigma: AtomicMeasure, k: int, m: int, tuple_cap: int = DEFAULT_TUPLE_CAP
-) -> dict:
-    """Partition-counting route for the m-th tensor power of the k-fold
-    convolution: per eigenvalue, count ordered m-tuples of k-multisets of
-    base atoms with that total product."""
-    T = math.comb(len(sigma) + k - 1, k)
-    if T**m > tuple_cap:
-        raise EnumerationCapError(f"{T}^{m} level tuples exceed the cap {tuple_cap}")
-    return _level_counts(sigma, k, m, lambda vectors, m: itertools.product(vectors, repeat=m))
-
-
-def _require_level_multisets(d: int, k: int, m: int, tuple_cap: int) -> None:
-    n_multisets = math.comb(math.comb(d + k - 1, k) + m - 1, m)
-    if n_multisets > tuple_cap:
-        raise EnumerationCapError(f"{n_multisets} level multisets exceed the cap {tuple_cap}")
-
-
-def _symmetric_level_counts(
-    sigma: AtomicMeasure, k: int, m: int, tuple_cap: int = DEFAULT_TUPLE_CAP
-) -> dict:
-    """Partition-counting route for the m-th symmetric power: per eigenvalue,
-    count unordered m-multisets of k-multisets with that total product."""
-    _require_level_multisets(len(sigma), k, m, tuple_cap)
-    return _level_counts(sigma, k, m, itertools.combinations_with_replacement)
-
-
 def _histogram(values) -> dict[str, int]:
     return {str(v): count for v, count in sorted(Counter(values).items())}
 
@@ -385,30 +353,31 @@ def _power_report(
     counts: dict,
     formula: int,
     G: PermSubgroup,
-    tuple_cap: int,
-    matrix_cap: int,
+    caps: Caps,
 ) -> dict:
     """The report fields that the tensor and the symmetric power checks share,
-    from "atoms" on.  Runs the subgroup-orbit and matrix-rank routes when
-    their caps allow, compares them per eigenvalue against the partition-
-    counting entries, and compares the generic value with the closed form."""
+    from "atoms" on.  Runs the subgroup-orbit and matrix-rank routes unless
+    their own admission refuses them, compares them per eigenvalue against
+    the partition counts, and compares the generic value with the closed form."""
     d = len(sigma.support())
     n = k * m
     agree = True
     # Built per call, so that rebinding either route in this module reaches it.
-    routes = (("orbit_route", multiplicity, tuple_cap), ("matrix_route", matrix_oracle, matrix_cap))
+    routes = (("orbit_route", multiplicity, caps.tuples), ("matrix_route", matrix_oracle, caps.matrix))
     route_reports: dict[str, dict] = {}
     for name, route, cap in routes:
-        route_reports[name] = {"ran": False}
-        if d**n <= cap:
+        try:
             rep = route(sigma, n, G, cap)
-            matches = rep.entries == counts["entries"]
-            route_reports[name] = {
-                "ran": True,
-                "generic_value": rep.generic_value,
-                "matches_partition_count": matches,
-            }
-            agree = agree and matches
+        except EnumerationCapError:
+            route_reports[name] = {"ran": False}
+            continue
+        matches = rep.entries == counts["entries"]
+        route_reports[name] = {
+            "ran": True,
+            "generic_value": rep.generic_value,
+            "matches_partition_count": matches,
+        }
+        agree = agree and matches
 
     generic_value, homogeneous = _generic_summary(counts)
     warning = None if d >= n else f"no generic fiber: d={d} < {n}"
@@ -427,13 +396,7 @@ def _power_report(
     }
 
 
-def check_tensor_power(
-    k: int,
-    m: int,
-    d: int,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
-) -> dict:
+def check_tensor_power(k: int, m: int, d: int, caps: Caps = Caps()) -> dict:
     """Multiplicity of the m-th tensor power of the k-fold convolution of a
     generic d-atom measure, against the closed form (mk)!/(k!)^m.
 
@@ -443,29 +406,27 @@ def check_tensor_power(
     """
     require_positive(k=k, m=m, d=d)
     sigma = generic_measure(d)
-    counts = _tensor_level_counts(sigma, k, m, tuple_cap)
+    T = math.comb(d + k - 1, k)
+    admit(T**m, caps.tuples, f"{T}^{m} level tuples")
+    counts = _level_counts(sigma, k, m, lambda vectors, m: itertools.product(vectors, repeat=m))
     formula = math.factorial(m * k) // math.factorial(k) ** m
     G = contiguous_block_group(k, m)
-    report = _power_report(sigma, k, m, counts, formula, G, tuple_cap, matrix_cap)
+    report = _power_report(sigma, k, m, counts, formula, G, caps)
     return {"conv_power": k, "tensor_power": m, **report}
 
 
-def check_symmetric_power(
-    k: int,
-    m: int,
-    d: int,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
-) -> dict:
+def check_symmetric_power(k: int, m: int, d: int, caps: Caps = Caps()) -> dict:
     """Same as check_tensor_power but for the symmetric power: unordered
     m-multisets of k-multisets, closed form (mk)!/((k!)^m m!), cross-checked
     against the wreath subgroup (within-block permutations plus block swaps)."""
     require_positive(k=k, m=m, d=d)
     sigma = generic_measure(d)
-    counts = _symmetric_level_counts(sigma, k, m, tuple_cap)
+    level_multisets = math.comb(math.comb(d + k - 1, k) + m - 1, m)
+    admit(level_multisets, caps.tuples, f"{level_multisets} level multisets")
+    counts = _level_counts(sigma, k, m, itertools.combinations_with_replacement)
     formula = math.factorial(m * k) // (math.factorial(k) ** m * math.factorial(m))
     G = wreath_block_group(k, m)
-    report = _power_report(sigma, k, m, counts, formula, G, tuple_cap, matrix_cap)
+    report = _power_report(sigma, k, m, counts, formula, G, caps)
     return {"conv_power": k, "symmetric_power": m, **report}
 
 
@@ -473,7 +434,7 @@ def fock_multiplicity_set(
     k: int,
     m_max: int,
     d: int,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
+    tuple_cap: int = Caps.tuples,
 ) -> dict:
     """Generic multiplicities of the symmetric powers m = 1..m_max of the
     k-fold convolution of one shared generic d-atom measure, plus the check
@@ -483,9 +444,10 @@ def fock_multiplicity_set(
     the level-m counts, since every km-multiset of atoms splits into m
     k-multisets and all weights are positive; so no convolution power is
     built, and two levels are singular exactly when those sets are
-    disjoint.  The cap is checked for level m_max before any level runs."""
+    disjoint.  Level m_max is admitted once, before any level runs."""
     require_positive(k=k, m_max=m_max, d=d)
-    _require_level_multisets(d, k, m_max, tuple_cap)
+    level_multisets = math.comb(math.comb(d + k - 1, k) + m_max - 1, m_max)
+    admit(level_multisets, tuple_cap, f"{level_multisets} level multisets")
     sigma = generic_measure(d)
     per_level: dict[str, int | None] = {}
     values = []
@@ -493,7 +455,7 @@ def fock_multiplicity_set(
     levels = []
     ok = True
     for m in range(1, m_max + 1):
-        counts = _symmetric_level_counts(sigma, k, m, tuple_cap)
+        counts = _level_counts(sigma, k, m, itertools.combinations_with_replacement)
         levels.append(counts["entries"].keys())
         value, homogeneous = _generic_summary(counts)
         formula = math.factorial(m * k) // (math.factorial(k) ** m * math.factorial(m))
@@ -531,10 +493,25 @@ def cs_criterion(k: int, m: int, n: int) -> dict:
 
     When it holds, the order of the strand-wise subgroup exceeds the level
     multiplicity (mk)!/(k!)^m, which is the model's finite witness for the
-    k-fold convolution being singular to every product of n levels."""
+    k-fold convolution being singular to every product of n levels.
+
+    Both integers are reported, so each is admitted against the int-to-str
+    digit limit by its exact digit count, and first, before any factorial is
+    computed, by a lower bound: (m!)^n >= 2^(n(m-1)), and (mk)!/(k!)^m >=
+    (m!)^k >= 2^(k(m-1)) as the row and column subgroups of S(mk) meet trivially."""
     require_positive(k=k, m=m, n=n)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    names = ("group order (m!)^n", "tensor multiplicity (mk)!/(k!)^m")
+    for name, bits in zip(names, (n * (m - 1), k * (m - 1))):
+        least = bits * 301029995 // 10**9 + 1  # digits of 2^bits, at least: log10(2) > 0.301029995
+        admit(least, limit, f"at least {least} digits of the {name}")
     group_order = math.factorial(m) ** n
-    tensor_multiplicity = math.factorial(m * k) // math.factorial(k) ** m
+    tensor_multiplicity = math.prod(math.comb(i * k, k) for i in range(1, m + 1))
+    for name, value in zip(names, (group_order, tensor_multiplicity)):
+        digits = (value.bit_length() - 1) * 301029995 // 10**9 + 1
+        while value >= 10**digits:
+            digits += 1
+        admit(digits, limit, f"{digits} digits of the {name}")
     return {
         "conv_power": k,
         "level_power": m,
@@ -571,20 +548,12 @@ def minimal_m_for_cs(k: int, m_cap: int = 64) -> dict:
 # -- translate singularity and the non-simple construction ---------------------
 
 
-def _conv_support_guard(d: int, j: int, tuple_cap: int):
-    if d and math.comb(d + j - 1, j) > tuple_cap:
-        raise EnumerationCapError(
-            f"convolution level {j} of a {d}-atom measure may carry "
-            f"{math.comb(d + j - 1, j)} atoms, above the cap {tuple_cap}"
-        )
-
-
 def check_translate_singularity(
     sigma: AtomicMeasure,
     n: int,
     m: int,
     a: CirclePoint,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
+    tuple_cap: int = Caps.tuples,
 ) -> dict:
     """Is sigma^{*n} singular to the a-translate of sigma^{*m}?
 
@@ -592,8 +561,9 @@ def check_translate_singularity(
     strata are disjoint) or a is not the identity; it fails exactly for
     n = m, a = identity, where the two measures coincide."""
     require_positive(n=n, m=m)
-    d = len(sigma)
-    _conv_support_guard(d, max(n, m), tuple_cap)
+    d, j = len(sigma), max(n, m)
+    atoms = math.comb(d + j - 1, j)
+    admit(atoms, tuple_cap, f"{atoms} atoms of convolution level {j} of a {d}-atom measure")
     left = sigma.convolve_power(n)
     right = sigma.convolve_power(m).translate(a)
     return {
@@ -605,7 +575,7 @@ def check_translate_singularity(
 
 
 def nonsimple_counterexample(
-    sigma: AtomicMeasure, a: CirclePoint, tuple_cap: int = DEFAULT_TUPLE_CAP
+    sigma: AtomicMeasure, a: CirclePoint, tuple_cap: int = Caps.tuples
 ) -> dict:
     """Build tau = sigma + sigma * delta_a and exhibit the failure of
     simplicity of its symmetric square.
@@ -656,13 +626,7 @@ def nonsimple_counterexample(
 # -- multiplicity amplification -------------------------------------------------
 
 
-def _symmetric_counts_by_eigenvalue(
-    sigma: AtomicMeasure, n: int, tuple_cap: int
-) -> dict[CirclePoint, list[tuple[int, ...]]]:
-    return {fc.eigenvalue: fc.index_multisets for fc in fibers(sigma, n, tuple_cap)}
-
-
-def girsanov_step(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> dict:
+def girsanov_step(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> dict:
     """Squares a symmetric multiplicity by doubling the level.
 
     If some level-n eigenvalue is realized by q distinct multisets, gluing
@@ -675,10 +639,10 @@ def girsanov_step(sigma: AtomicMeasure, n: int, tuple_cap: int = DEFAULT_TUPLE_C
     require_positive(power=n)
     if len(sigma) < 1:
         raise ValueError("measure must have at least one atom")
-    _require_tuples(len(sigma), 2 * n, tuple_cap)
-    level_1 = _symmetric_counts_by_eigenvalue(sigma, 1, tuple_cap)
-    level_n = _symmetric_counts_by_eigenvalue(sigma, n, tuple_cap)
-    level_2n = _symmetric_counts_by_eigenvalue(sigma, 2 * n, tuple_cap)
+    admit(len(sigma) ** (2 * n), tuple_cap, f"{len(sigma)}^{2 * n} tuples")
+    level_1, level_n, level_2n = (
+        {fc.eigenvalue: fc.index_multisets for fc in fibers(sigma, j, tuple_cap)} for j in (1, n, 2 * n)
+    )
 
     def top(counts, skip=None):
         best = None

@@ -16,7 +16,7 @@ from functools import reduce
 from operator import mul
 
 from circlespec.circle import CirclePoint, GeneratorAllocator
-from circlespec.errors import DEFAULT_MATRIX_CAP, DEFAULT_TUPLE_CAP
+from circlespec.errors import Caps
 from circlespec.markov import (
     Coupling,
     FactorStructure,
@@ -65,13 +65,13 @@ SUBGROUP_CATALOGUE = [
 ]
 
 
-def criterion_orbit_formula(seed, tuple_cap, matrix_cap) -> dict:
+def criterion_orbit_formula(seed, caps) -> dict:
     """Index formula vs direct orbit enumeration across the subgroup zoo."""
     rows = []
     ok = True
     for n, gen_cycles in SUBGROUP_CATALOGUE:
         G = PermSubgroup(n, [reduce(mul, (Perm.from_cycle(n, c) for c in cs)) for cs in gen_cycles])
-        enumerated = orbit_count_free(G, tuple_cap)
+        enumerated = orbit_count_free(G, caps.tuples)
         formula = math.factorial(n) // G.order
         rows.append(
             {
@@ -86,13 +86,13 @@ def criterion_orbit_formula(seed, tuple_cap, matrix_cap) -> dict:
     return {"passed": ok, "subgroups": rows}
 
 
-def criterion_tensor_power(seed, tuple_cap, matrix_cap) -> dict:
+def criterion_tensor_power(seed, caps) -> dict:
     """Multiplicity of tensor powers of convolution powers, three routes."""
     expected = {(1, 2): 2, (1, 3): 6, (2, 2): 6, (2, 3): 90, (3, 2): 20}
     rows = []
     ok = True
     for (k, m), want in expected.items():
-        rep = check_tensor_power(k, m, m * k + 2, tuple_cap, matrix_cap)
+        rep = check_tensor_power(k, m, m * k + 2, caps)
         rows.append(
             {
                 "conv_power": k,
@@ -109,15 +109,15 @@ def criterion_tensor_power(seed, tuple_cap, matrix_cap) -> dict:
     return {"passed": ok, "cases": rows}
 
 
-def criterion_fock_set(seed, tuple_cap, matrix_cap) -> dict:
+def criterion_fock_set(seed, caps) -> dict:
     """Symmetric-power multiplicities 1, 3, 15, 105 on disjoint levels."""
-    rep = fock_multiplicity_set(2, 4, 8, tuple_cap)
+    rep = fock_multiplicity_set(2, 4, 8, caps.tuples)
     want = [1, 3, 15, 105]
     ok = rep["passed"] and rep["set"] == want and rep["levels_pairwise_singular"]
     return {"passed": ok, "expected": want, "report": rep}
 
 
-def criterion_cs_arithmetic(seed, tuple_cap, matrix_cap) -> dict:
+def criterion_cs_arithmetic(seed, caps) -> dict:
     """The big-integer criterion and the minimal level sequence, with an
     independent pure-integer evaluation of each minimal m."""
     base = cs_criterion(1, 2, 2)
@@ -152,7 +152,7 @@ def criterion_cs_arithmetic(seed, tuple_cap, matrix_cap) -> dict:
     return {"passed": ok, "base_criterion": base, "minimal_levels": rows}
 
 
-def criterion_translate_singularity(seed, tuple_cap, matrix_cap) -> dict:
+def criterion_translate_singularity(seed, caps) -> dict:
     """sigma^{*n} vs translated sigma^{*m} over all small (n, m, shift)."""
     alloc = GeneratorAllocator()
     sigma = generic_measure(4, alloc)
@@ -163,7 +163,7 @@ def criterion_translate_singularity(seed, tuple_cap, matrix_cap) -> dict:
     for n in range(1, 4):
         for m in range(1, 4):
             for shift, label in ((fresh, "fresh"), (identity, "identity")):
-                rep = check_translate_singularity(sigma, n, m, shift, tuple_cap)
+                rep = check_translate_singularity(sigma, n, m, shift, caps.tuples)
                 want = not (n == m and label == "identity")
                 rows.append(
                     {
@@ -178,9 +178,9 @@ def criterion_translate_singularity(seed, tuple_cap, matrix_cap) -> dict:
     return {"passed": ok, "cases": rows}
 
 
-def criterion_amplification(seed, tuple_cap, matrix_cap) -> dict:
+def criterion_amplification(seed, caps) -> dict:
     """Doubling the level squares the designed multiplicity: 2 -> at least 4."""
-    rep = girsanov_step(paired_relation_measure(), 2, tuple_cap)
+    rep = girsanov_step(paired_relation_measure(), 2, caps.tuples)
     ok = (
         rep["q"] == 2
         and rep["satisfied"]
@@ -191,11 +191,11 @@ def criterion_amplification(seed, tuple_cap, matrix_cap) -> dict:
     return {"passed": ok, "report": rep}
 
 
-def criterion_nonsimple(seed, tuple_cap, matrix_cap) -> dict:
+def criterion_nonsimple(seed, caps) -> dict:
     """The translate construction breaks symmetric-square simplicity."""
     alloc = GeneratorAllocator()
     sigma = generic_measure(2, alloc)
-    rep = nonsimple_counterexample(sigma, alloc.fresh_point(), tuple_cap)
+    rep = nonsimple_counterexample(sigma, alloc.fresh_point(), caps.tuples)
     ok = (
         rep["found"]
         and rep["translate_not_singular"]
@@ -229,7 +229,7 @@ def random_relation_measure(rng: random.Random, allocator: GeneratorAllocator) -
     return AtomicMeasure({p: Fraction(rng.randint(1, 4)) for p in atoms})
 
 
-def criterion_simplicity_monotone(seed, tuple_cap, matrix_cap) -> dict:
+def criterion_simplicity_monotone(seed, caps) -> dict:
     """200 randomized measures: simplicity never reappears above a failure."""
     rng = random.Random(seed)
     allocator = GeneratorAllocator()
@@ -238,7 +238,7 @@ def criterion_simplicity_monotone(seed, tuple_cap, matrix_cap) -> dict:
     violations = []
     for index in range(200):
         mu = random_relation_measure(rng, allocator)
-        rep = check_simplicity_levels(mu, 4, tuple_cap)
+        rep = check_simplicity_levels(mu, 4, caps.tuples)
         checked += 1
         if not all(rep["levels"].values()):
             nonsimple_somewhere += 1
@@ -326,7 +326,7 @@ def check_projections(rng: random.Random, n: int, count: int) -> tuple[int, list
     return cases, failures
 
 
-def criterion_markov_identities(seed, tuple_cap, matrix_cap) -> dict:
+def criterion_markov_identities(seed, caps) -> dict:
     """Coupling round trips, the projection-extension identity over every
     selector, inclusion-exclusion matrices, and the dimension identity."""
     rng = random.Random(seed + 1)
@@ -343,7 +343,7 @@ def criterion_markov_identities(seed, tuple_cap, matrix_cap) -> dict:
         for d in dims:
             weights = [rng.randint(1, 5) for _ in range(d)]
             probs.append([Fraction(w, sum(weights)) for w in weights])
-        rep = inclusion_exclusion_identity(dims, probs, matrix_cap)
+        rep = inclusion_exclusion_identity(dims, probs, caps.matrix)
         incl_excl.append({"dims": dims, "passed": rep["passed"]})
         if not rep["passed"]:
             failures.append({"stage": "inclusion-exclusion", "dims": dims})
@@ -377,14 +377,10 @@ CRITERIA = (
 )
 
 
-def run_battery(
-    seed: int = 0,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
-) -> dict:
+def run_battery(seed: int = 0, caps: Caps = Caps()) -> dict:
     criteria = {}
     for name, fn in CRITERIA:
-        criteria[name] = fn(seed, tuple_cap, matrix_cap)
+        criteria[name] = fn(seed, caps)
     return {
         "seed": seed,
         "criteria": criteria,
@@ -392,17 +388,13 @@ def run_battery(
     }
 
 
-def run_suite(
-    seed: int = 0,
-    tuple_cap: int = DEFAULT_TUPLE_CAP,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
-) -> dict:
+def run_suite(seed: int = 0, caps: Caps = Caps()) -> dict:
     """Battery plus an in-process determinism check: the seeded (randomized)
     criteria are re-run and must reproduce identical reports."""
-    battery = run_battery(seed, tuple_cap, matrix_cap)
+    battery = run_battery(seed, caps)
     seeded = ("simplicity-monotone", "markov-identities")
     reproduced = all(
-        dict(CRITERIA)[name](seed, tuple_cap, matrix_cap) == battery["criteria"][name]
+        dict(CRITERIA)[name](seed, caps) == battery["criteria"][name]
         for name in seeded
     )
     battery["criteria"]["determinism"] = {

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import circlespec
 from circlespec.cli import main
-from circlespec.errors import DEFAULT_MATRIX_CAP, DEFAULT_TUPLE_CAP
+from circlespec.errors import Caps
 from circlespec import suite as battery
 
 SEED = 0
@@ -26,7 +26,7 @@ SUITE_SHA256 = "cb01aef9f67a3c35b251154a9f61e1e9a9f3b57cc1d252d12e48c7286ad2a083
 
 def run_criterion(fn, budget_seconds, label, capsys):
     t0 = time.perf_counter()
-    report = fn(SEED, DEFAULT_TUPLE_CAP, DEFAULT_MATRIX_CAP)
+    report = fn(SEED, Caps())
     elapsed = time.perf_counter() - t0
     verdict = "PASS" if report["passed"] and elapsed < budget_seconds else "FAIL"
     with capsys.disabled():

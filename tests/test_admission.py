@@ -1,0 +1,113 @@
+"""Every enumeration is admitted through `errors.admit`, before it starts.
+
+Each site charges an exact amount against one limit: at limit = amount it
+runs, one below it refuses with "<what> exceed the cap <limit>".
+"""
+
+import ast
+import dataclasses
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+import circlespec
+from circlespec import permgroup
+from circlespec.circle import CirclePoint
+from circlespec.errors import Caps, EnumerationCapError
+from circlespec.markov import inclusion_exclusion_identity
+from circlespec.measure import generic_measure, relation_scan
+from circlespec.permgroup import PermSubgroup, closure, orbit_count_free
+from circlespec.spectral import (
+    check_simplicity_levels,
+    check_symmetric_power,
+    check_tensor_power,
+    check_translate_singularity,
+    fibers,
+    fock_multiplicity_set,
+    girsanov_step,
+    matrix_oracle,
+)
+
+
+def _closure_up_to(degree_cap):
+    with mock.patch.object(permgroup, "DEFAULT_DEGREE_CAP", degree_cap):
+        return closure(3, ())
+
+
+# site -> (amount it charges, call with the limit)
+SITES = {
+    "fibers": (3**2, lambda cap: fibers(generic_measure(3), 2, tuple_cap=cap)),
+    "simplicity top level": (3**3, lambda cap: check_simplicity_levels(generic_measure(3), 3, cap)),
+    "girsanov level 2n": (2**4, lambda cap: girsanov_step(generic_measure(2), 2, cap)),
+    "matrix oracle": (
+        3**2,
+        lambda cap: matrix_oracle(generic_measure(3), 2, PermSubgroup.symmetric(2), matrix_cap=cap),
+    ),
+    "tensor level tuples": (4**2, lambda cap: check_tensor_power(1, 2, 4, Caps(tuples=cap))),
+    "symmetric level multisets": (10, lambda cap: check_symmetric_power(1, 2, 4, Caps(tuples=cap))),
+    "fock top level multisets": (10, lambda cap: fock_multiplicity_set(1, 2, 4, cap)),
+    "convolution atoms": (
+        6,
+        lambda cap: check_translate_singularity(generic_measure(3), 2, 1, CirclePoint.identity(), cap),
+    ),
+    "relation scan": (3 + 3 * 2, lambda cap: relation_scan(generic_measure(3), 2, cap)),
+    "group degree": (3, _closure_up_to),
+    "orbit enumeration": (6 * 6, lambda cap: orbit_count_free(PermSubgroup.symmetric(3), cap)),
+}
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_site_runs_at_its_amount_and_refuses_one_below(site):
+    asked, run = SITES[site]
+    run(asked)
+    with pytest.raises(EnumerationCapError, match=rf"^.* exceed the cap {asked - 1}$"):
+        run(asked - 1)
+
+
+def test_incl_excl_charges_256_times_the_matrix_cap():
+    # dims [16]: (2^1 - 1) * 1 * 16^2 = 256 dense entries
+    assert inclusion_exclusion_identity([16], None, 1)["passed"]
+    with pytest.raises(EnumerationCapError, match=r"^256 dense entries exceed the cap 0$"):
+        inclusion_exclusion_identity([16], None, 0)
+
+
+def test_power_routes_are_marked_by_their_own_admission():
+    assert check_tensor_power(1, 2, 4, Caps(matrix=15))["matrix_route"] == {"ran": False}
+    assert check_tensor_power(1, 2, 4, Caps(matrix=16))["matrix_route"]["ran"] is True
+    # k = 2, m = 2, d = 4: 10^2 level tuples, 4^4 tuples for the orbit route
+    assert check_tensor_power(2, 2, 4, Caps(tuples=255))["orbit_route"] == {"ran": False}
+    assert check_tensor_power(2, 2, 4, Caps(tuples=256))["orbit_route"]["ran"] is True
+
+
+def test_caps_are_the_two_user_set_limits():
+    assert [(f.name, f.default) for f in dataclasses.fields(Caps)] == [("tuples", 10**7), ("matrix", 4096)]
+
+
+def _cap_error_owners(tree):
+    """Names of the functions that construct or raise EnumerationCapError."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            target = child.func if isinstance(child, ast.Call) else child.exc if isinstance(child, ast.Raise) else None
+            if getattr(target, "id", getattr(target, "attr", None)) == "EnumerationCapError":
+                owners.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return owners
+
+
+def test_cap_errors_are_made_only_by_admit():
+    """cs-min-m's "no m <= m_cap found" is the end of a search, not an admission."""
+    src = Path(circlespec.__file__).parent
+    owners = [
+        f"{path.stem}.{owner}"
+        for path in sorted(src.glob("*.py"))
+        for owner in _cap_error_owners(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(owners) == ["cli._cmd_cs_min_m", "errors.admit"]

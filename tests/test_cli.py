@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import time
 from contextlib import redirect_stdout
 
@@ -209,6 +210,39 @@ def test_level_caps_reject_before_any_level_runs(argv, err, capsys):
     assert run_cli(argv.split()) == (2, "")
     assert time.perf_counter() - start < 0.5
     assert capsys.readouterr().err == f"cap exceeded: {err}\n"
+
+
+# The reported integers must fit the int-to-str digit limit (4300 by default).
+# The first three are refused by a lower bound before any factorial is computed.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--k 1000 --m 1000 --n 2",
+        "--k 1 --m 2 --n 100000000",
+        "--k 1 --m 2 --n 14285",
+        "--k 30 --m 100 --n 2",
+        "--k 1 --m 3 --n 5526",
+    ],
+)
+def test_cs_criterion_refuses_unprintable_integers_fast(argv, capsys):
+    start = time.perf_counter()
+    assert run_cli(["cs-criterion", *argv.split()]) == (2, "")
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("cap exceeded: ") and "digits of the" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, digits",
+    [("--k 1 --m 3 --n 5525", 4300), ("--k 1 --m 2 --n 14284", 4300), ("--k 20 --m 70 --n 2", 2512)],
+)
+def test_cs_criterion_prints_up_to_the_digit_limit(argv, digits):
+    code, env = run_json(["cs-criterion", *argv.split()])
+    k, m, n = (env["params"][key] for key in "kmn")
+    report = env["report"]
+    assert code in (0, 1) and report["group_order"] == math.factorial(m) ** n
+    assert report["tensor_multiplicity"] == math.factorial(m * k) // math.factorial(k) ** m
+    assert max(len(str(report[key])) for key in ("group_order", "tensor_multiplicity")) == digits
 
 
 def test_json_output_is_deterministic():

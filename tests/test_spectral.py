@@ -31,7 +31,7 @@ from circlespec import (
 )
 from circlespec import spectral
 from circlespec.circle import _PackedCodec
-from circlespec.spectral import _symmetric_level_counts, _tensor_level_counts
+from circlespec.spectral import _level_counts
 
 from tests.helpers import designed_relation_measure, small_measures
 
@@ -313,6 +313,15 @@ def brute_level_counts(mu, k, m, select):
     return sorted(counts.items(), key=lambda kv: kv[0].sort_key()), totals
 
 
+def _tensor_level_counts(mu, k, m):
+    return _level_counts(mu, k, m, lambda xs, m: itertools.product(xs, repeat=m))
+
+
+def _symmetric_level_counts(mu, k, m):
+    return _level_counts(mu, k, m, itertools.combinations_with_replacement)
+
+
+# The level counts that check_tensor_power and check_symmetric_power run.
 LEVEL_ROUTES = [
     (_tensor_level_counts, lambda xs, m: itertools.product(xs, repeat=m)),
     (_symmetric_level_counts, itertools.combinations_with_replacement),
