@@ -231,13 +231,23 @@ def _int(flag, default=None, help_text=None):
 
 
 _MEASURE = ("--measure", {"help": "measure JSON file"})
-_POWER_ARGS = (_required("--k"), _required("--m"), _int("--atoms", help_text="base atoms (default m*k + 2)"))
+_TUPLE_CAP = _int("--tuple-cap", Caps.tuples)
+_MATRIX_CAP = _int("--matrix-cap", Caps.matrix)
+_POWER_ARGS = (
+    _TUPLE_CAP,
+    _MATRIX_CAP,
+    _required("--k"),
+    _required("--m"),
+    _int("--atoms", help_text="base atoms (default m*k + 2)"),
+)
 
 # (command path, help, arguments as (flag, add_argument keywords), handler).
 # A row without a handler is a group whose subcommands follow it; every
-# other row is a leaf that also takes the common options.
+# other row is a leaf that also takes the common options.  A leaf takes a
+# cap flag only if its handler reads that cap.
 COMMANDS = (
     (("multiplicity",), "multiplicity report for a power of a measure under a subgroup", (
+        _TUPLE_CAP,
         _MEASURE,
         _int("--atoms", help_text="use a generic measure with this many atoms"),
         _required("--power"),
@@ -249,12 +259,13 @@ COMMANDS = (
     (("sym-krot",), "symmetric-power multiplicity of a convolution power vs the closed form",
      _POWER_ARGS, _cmd_power),
     (("fock-set",), "the set of symmetric-power multiplicities across levels",
-     (_int("--k", 2), _int("--max-m", 4), _int("--atoms", 8)), _cmd_fock_set),
+     (_TUPLE_CAP, _int("--k", 2), _int("--max-m", 4), _int("--atoms", 8)), _cmd_fock_set),
     (("cs-criterion",), "group order vs tensor multiplicity inequality",
      (_required("--k"), _required("--m"), _required("--n")), _cmd_cs_criterion),
     (("cs-min-m",), "least level m with (m!)^(k+1) (k!)^m > (mk)!",
      (_required("--k"), _int("--m-cap", 64)), _cmd_cs_min_m),
     (("translate-singular",), "singularity of a convolution power against a translated one", (
+        _TUPLE_CAP,
         _MEASURE,
         _int("--atoms", help_text="generic measure size (default 4)"),
         _required("--n"),
@@ -262,18 +273,21 @@ COMMANDS = (
         ("--shift", {"default": "fresh", "help": '"fresh", "identity", or a point like "1/3*g5^2"'}),
     ), _cmd_translate_singular),
     (("nonsimple",), "break symmetric-square simplicity with a translate sum", (
+        _TUPLE_CAP,
         _MEASURE,
         _int("--atoms", help_text="generic measure size (default 2)"),
         ("--shift", {"default": "fresh", "help": '"fresh" or a point expression'}),
     ), _cmd_nonsimple),
     (("girsanov",), "square a designed multiplicity by doubling the level",
-     (_MEASURE, _int("--atoms", help_text="generic measure size"), _int("--n", 2)), _cmd_girsanov),
+     (_TUPLE_CAP, _MEASURE, _int("--atoms", help_text="generic measure size"), _int("--n", 2)), _cmd_girsanov),
     (("vproste",), "level-by-level simplicity with the downward-monotonicity check", (
+        _TUPLE_CAP,
         _MEASURE,
         _int("--atoms", help_text="generic measure size (default 3)"),
         _int("--max-level", 4),
     ), _cmd_vproste),
     (("relations",), "scan the support for multiplicative relations", (
+        _TUPLE_CAP,
         _MEASURE,
         _int("--atoms", help_text="generic measure size (default 4)"),
         _int("--degree", 4),
@@ -285,8 +299,9 @@ COMMANDS = (
      "conditional expectation onto a sub-product vs the relatively independent extension",
      (_int("--n", 2, "product components (1..3)"), _int("--count", 3, "random trials")), _cmd_markov_lm_kk),
     (("markov", "incl-excl"), "inclusion-exclusion of mean projections on a finite product",
-     (("--dims", {"default": "2,2", "help": 'comma-separated sizes, e.g. "2,3,2"'}),), _cmd_markov_incl_excl),
-    (("suite",), "run the full acceptance battery", (), _cmd_suite),
+     (_MATRIX_CAP, ("--dims", {"default": "2,2", "help": 'comma-separated sizes, e.g. "2,3,2"'})),
+     _cmd_markov_incl_excl),
+    (("suite",), "run the full acceptance battery", (_TUPLE_CAP, _MATRIX_CAP), _cmd_suite),
 )
 
 
@@ -294,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tuple-cap", type=int, default=Caps.tuples)
-    common.add_argument("--matrix-cap", type=int, default=Caps.matrix)
 
     parser = argparse.ArgumentParser(
         prog="circlespec",

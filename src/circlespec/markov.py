@@ -14,12 +14,13 @@ and refuses to return if they differ.  The conditional expectation is a
 Kronecker product of per-component factors, so the direct side applies it
 axis by axis to integer numerators ((A⊗B)·vec X = vec(B·X·Aᵀ)), reading no
 coupling; `inclusion_exclusion_identity` compares integer-scaled matrices.
+The empty selection takes no case of its own: its sub-product is the product
+of no spaces, the one-point space.
 
 The public `Coupling` and `MarkovOp` constructors validate every entry and
 both marginals.  Couplings that exact maps derive from already valid objects
 skip that check through the trusted `Coupling._canonical`: the results of
-`coupling_from_markov`, `marginal_coupling` and `rel_indep_extension`, and
-the one-point restriction inside `project_markov`.
+`coupling_from_markov`, `marginal_coupling` and `rel_indep_extension`.
 `markov_from_coupling` still validates: it builds the operator that
 `project_markov` returns from its extension route and the operator side of
 every round trip, so each identity validates one output of its own.
@@ -61,12 +62,6 @@ class FiniteSpace:
     def __setattr__(self, name, value):
         raise AttributeError("FiniteSpace is immutable")
 
-    @classmethod
-    def uniform(cls, n: int, prefix: str = "x") -> "FiniteSpace":
-        if n < 1:
-            raise ValueError("space needs at least one point")
-        return cls((f"{prefix}{i}" for i in range(n)), (Fraction(1, n),) * n)
-
     @property
     def size(self) -> int:
         return len(self.labels)
@@ -82,15 +77,11 @@ class FiniteSpace:
     def __repr__(self) -> str:
         return f"FiniteSpace({list(self.labels)})"
 
-    def to_json_obj(self) -> dict:
-        return {"labels": list(self.labels), "probs": [str(p) for p in self.probs]}
-
 
 def product_space(components: Sequence[FiniteSpace]) -> FiniteSpace:
     """Product probability space; points are label tuples joined with commas,
-    ordered with the last component varying fastest."""
-    if not components:
-        raise ValueError("product of no spaces")
+    ordered with the last component varying fastest.  The product of no
+    spaces is the one-point space with label "" and probability 1."""
     labels = []
     probs = []
     for combo in itertools.product(*(range(c.size) for c in components)):
@@ -142,21 +133,6 @@ class Coupling:
         object.__setattr__(c, "joint", joint)
         return c
 
-    @classmethod
-    def product(cls, left: FiniteSpace, right: FiniteSpace) -> "Coupling":
-        """The independent coupling mu x nu."""
-        joint = [[p * q for q in right.probs] for p in left.probs]
-        return cls(left, right, joint)
-
-    @classmethod
-    def diagonal(cls, space: FiniteSpace) -> "Coupling":
-        """The identity coupling of a space with itself."""
-        joint = [
-            [space.probs[i] if i == j else Fraction(0) for j in range(space.size)]
-            for i in range(space.size)
-        ]
-        return cls(space, space, joint)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coupling):
             return NotImplemented
@@ -164,13 +140,6 @@ class Coupling:
 
     def __repr__(self) -> str:
         return f"Coupling({self.left.size}x{self.right.size})"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "left": self.left.to_json_obj(),
-            "right": self.right.to_json_obj(),
-            "joint": [[str(x) for x in row] for row in self.joint],
-        }
 
 
 class MarkovOp:
@@ -206,24 +175,9 @@ class MarkovOp:
         raise AttributeError("MarkovOp is immutable")
 
     @classmethod
-    def identity(cls, space: FiniteSpace) -> "MarkovOp":
-        return cls(space, space, linalg.identity(space.size))
-
-    @classmethod
     def mean(cls, source: FiniteSpace, target: FiniteSpace) -> "MarkovOp":
         """The rank-one operator sending every function to its mean."""
         return cls(source, target, [list(source.probs)] * target.size)
-
-    def apply(self, f: Sequence[Fraction]) -> list[Fraction]:
-        if len(f) != self.source.size:
-            raise ValueError("function length does not match the source space")
-        return [sum(x * y for x, y in zip(row, f)) for row in self.matrix]
-
-    def compose(self, other: "MarkovOp") -> "MarkovOp":
-        """self after other (other: A -> B, self: B -> C gives A -> C)."""
-        if other.target != self.source:
-            raise ValueError("spaces do not chain")
-        return MarkovOp(other.source, self.target, linalg.mat_mul(self.matrix, other.matrix))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MarkovOp):
@@ -236,13 +190,6 @@ class MarkovOp:
 
     def __repr__(self) -> str:
         return f"MarkovOp({self.target.size}x{self.source.size})"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "source": self.source.to_json_obj(),
-            "target": self.target.to_json_obj(),
-            "matrix": [[str(x) for x in row] for row in self.matrix],
-        }
 
 
 def markov_from_coupling(c: Coupling) -> MarkovOp:
@@ -266,8 +213,8 @@ def coupling_from_markov(phi: MarkovOp) -> Coupling:
 @dataclass(frozen=True)
 class FactorStructure:
     """A product of component spaces with a chosen sub-product: the selected
-    component indices, strictly increasing.  The empty selection means the
-    trivial (one-point-algebra) factor."""
+    component indices, strictly increasing.  The empty selection is the
+    trivial factor: its sub-product is the product of no spaces, one point."""
 
     components: tuple[FiniteSpace, ...]
     selected: tuple[int, ...]
@@ -283,14 +230,14 @@ class FactorStructure:
     def full_space(self) -> FiniteSpace:
         return self._spaces[0]
 
-    def sub_space(self) -> FiniteSpace | None:
+    def sub_space(self) -> FiniteSpace:
         return self._spaces[1]
 
     @cached_property
-    def _spaces(self) -> tuple[FiniteSpace, FiniteSpace | None]:
+    def _spaces(self) -> tuple[FiniteSpace, FiniteSpace]:
         """Full product and selected sub-product, built and validated once."""
         sub = [self.components[i] for i in self.selected]
-        return product_space(self.components), product_space(sub) if sub else None
+        return product_space(self.components), product_space(sub)
 
     def full_points(self) -> list[tuple[int, ...]]:
         return list(itertools.product(*(range(c.size) for c in self.components)))
@@ -309,8 +256,6 @@ def marginal_coupling(lam: Coupling, factor: FactorStructure) -> Coupling:
     if lam.right != factor.full_space():
         raise ValueError("coupling right space is not the factor's full product")
     sub = factor.sub_space()
-    if sub is None:
-        raise ValueError("cannot restrict onto the empty selection")
     points = factor.full_points()
     joint = [[Fraction(0)] * sub.size for _ in range(lam.left.size)]
     for x in range(lam.left.size):
@@ -324,14 +269,10 @@ def rel_indep_extension(lam: Coupling, factor: FactorStructure) -> Coupling:
     product, making the unselected components independent given the rest:
     the extension's mass at (x, y) is the restricted mass at (x, y_selected)
     times the product of the unselected coordinate probabilities."""
-    sub = factor.sub_space()
     unselected = [i for i in range(len(factor.components)) if i not in factor.selected]
-    if sub is None:
-        if lam.right.size != 1:
-            raise ValueError("empty selection takes a coupling with a one-point right space")
-    elif lam.right != sub:
+    if lam.right != factor.sub_space():
         raise ValueError("coupling right space is not the selected sub-product")
-    # Per full point: its column in lam (0 for the empty selection) and its unselected probability.
+    # Per full point: its column in lam and its unselected probability.
     columns = [
         (
             factor.sub_index(point),
@@ -403,12 +344,7 @@ def project_markov(phi: MarkovOp, factor: FactorStructure) -> MarkovOp:
         raise ValueError("operator target is not the factor's full product")
     direct = _factored_expectation(phi, factor)
 
-    lam = coupling_from_markov(phi)
-    if factor.selected:
-        restricted = marginal_coupling(lam, factor)
-    else:
-        one_point = FiniteSpace(("*",), (Fraction(1),))
-        restricted = Coupling._canonical(lam.left, one_point, tuple((p,) for p in lam.left.probs))
+    restricted = marginal_coupling(coupling_from_markov(phi), factor)
     via_extension = markov_from_coupling(rel_indep_extension(restricted, factor))
     if direct != list(map(list, via_extension.matrix)):
         raise RuntimeError(

@@ -2,11 +2,11 @@
 
 A measure is a finite map from circle points to strictly positive weights.
 Convolution multiplies atoms pairwise and adds weights; singularity is
-support disjointness and absolute continuity is support inclusion, which is
-the whole story for purely atomic measures.  `generic_measure` builds the
-model of "d points drawn from a continuous measure": d fresh generators,
-equal weight, no multiplicative relations.  `relation_scan` only searches
-exponents +-1 on distinct atoms, so it does not certify that absence.
+support disjointness, which is the whole story for purely atomic measures.
+`generic_measure` builds the model of "d points drawn from a continuous
+measure": d fresh generators, equal weight, no multiplicative relations.
+`relation_scan` only searches exponents +-1 on distinct atoms, so it does
+not certify that absence.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ def parse_fraction(text) -> Fraction:
 class AtomicMeasure:
     """Finite positive measure: CirclePoint -> positive rational weight.
 
-    Atoms are kept in canonical point order.  Measures are not normalized
-    automatically; `normalize()` is explicit.  The empty measure is allowed
-    (mass zero) so that `add` has a unit.
+    Atoms are kept in canonical point order.  Measures are not normalized.
+    The empty measure is allowed (mass zero) so that `add` has a unit.
     """
 
     __slots__ = ("_atoms",)
@@ -73,10 +72,6 @@ class AtomicMeasure:
     @classmethod
     def delta(cls, point: CirclePoint, weight=1) -> "AtomicMeasure":
         return cls(((point, Fraction(weight)),))
-
-    @classmethod
-    def zero(cls) -> "AtomicMeasure":
-        return cls()
 
     def items(self):
         """(point, weight) pairs in canonical point order."""
@@ -124,26 +119,10 @@ class AtomicMeasure:
             acc[p] = acc.get(p, Fraction(0)) + w
         return AtomicMeasure(acc)
 
-    def scale(self, c) -> "AtomicMeasure":
-        c = Fraction(c)
-        if c <= 0:
-            raise ValueError(f"scale factor must be positive, got {c}")
-        return AtomicMeasure(((p, c * w) for p, w in self.items()))
-
-    def normalize(self) -> "AtomicMeasure":
-        m = self.mass
-        if m == 0:
-            raise ValueError("cannot normalize the zero measure")
-        return self.scale(Fraction(1) / m)
-
     def is_singular_to(self, other: "AtomicMeasure") -> bool:
         """Mutual singularity: the supports are disjoint."""
         small, large = (self, other) if len(self) <= len(other) else (other, self)
         return not any(p in large._atoms for p in small._atoms)
-
-    def is_absolutely_continuous_wrt(self, other: "AtomicMeasure") -> bool:
-        """Absolute continuity: every atom here already carries other-mass."""
-        return all(p in other._atoms for p in self._atoms)
 
 
 def _packed_fold(factors: tuple[AtomicMeasure, ...]) -> AtomicMeasure:

@@ -57,9 +57,6 @@ class Perm:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
     def __mul__(self, other: "Perm") -> "Perm":
         if not isinstance(other, Perm):
             return NotImplemented
@@ -67,16 +64,6 @@ class Perm:
             raise ValueError("degree mismatch")
         # (self * other)(i) = self(other(i))
         return Perm(self.images[j] for j in other.images)
-
-    def inverse(self) -> "Perm":
-        images = [0] * self.degree
-        for i, j in enumerate(self.images):
-            images[j] = i
-        return Perm(images)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Perm):
@@ -156,9 +143,6 @@ class PermSubgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, p: Perm) -> bool:
-        return isinstance(p, Perm) and p.degree == self.degree and p in set(self.elements)
-
     def describe(self) -> dict:
         return {
             "degree": self.degree,
@@ -201,28 +185,6 @@ def orbit_count_free(G: PermSubgroup, tuple_cap: int = Caps.tuples) -> int:
     return enumerated
 
 
-def blockwise_group(degree: int, blocks: Sequence[Sequence[int]]) -> PermSubgroup:
-    """Direct product of full symmetric groups, one per block of positions."""
-    seen_positions: set[int] = set()
-    for block in blocks:
-        for pos in block:
-            if not 0 <= pos < degree or pos in seen_positions:
-                raise ValueError(f"blocks must partition a subset of 0..{degree - 1}")
-            seen_positions.add(pos)
-    gens = []
-    for block in blocks:
-        block = list(block)
-        if len(block) >= 2:
-            gens.append(Perm.transposition(degree, block[0], block[1]))
-        if len(block) >= 3:
-            gens.append(Perm.from_cycle(degree, block))
-    G = PermSubgroup(degree, gens)
-    expected = math.prod(math.factorial(len(b)) for b in blocks)
-    if G.order != expected:
-        raise RuntimeError(f"blockwise closure gave order {G.order}, expected {expected}")
-    return G
-
-
 def contiguous_block_group(block_size: int, blocks: int) -> PermSubgroup:
     """Permutations acting within each of `blocks` contiguous runs of
     `block_size` positions: order (block_size!)^blocks.
@@ -234,8 +196,18 @@ def contiguous_block_group(block_size: int, blocks: int) -> PermSubgroup:
     if block_size < 1 or blocks < 1:
         raise ValueError("block_size and blocks must be >= 1")
     degree = block_size * blocks
-    parts = [list(range(block_size * j, block_size * (j + 1))) for j in range(blocks)]
-    return blockwise_group(degree, parts)
+    gens = []
+    for j in range(blocks):
+        block = list(range(block_size * j, block_size * (j + 1)))
+        if block_size >= 2:
+            gens.append(Perm.transposition(degree, block[0], block[1]))
+        if block_size >= 3:
+            gens.append(Perm.from_cycle(degree, block))
+    G = PermSubgroup(degree, gens)
+    expected = math.factorial(block_size) ** blocks
+    if G.order != expected:
+        raise RuntimeError(f"blockwise closure gave order {G.order}, expected {expected}")
+    return G
 
 
 def wreath_block_group(block_size: int, blocks: int) -> PermSubgroup:

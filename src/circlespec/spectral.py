@@ -524,16 +524,15 @@ def cs_criterion(k: int, m: int, n: int) -> dict:
 
 def minimal_m_for_cs(k: int, m_cap: int = 64) -> dict:
     """Smallest m with a_m = (m!)^(k+1) (k!)^m / (mk)! > 1, with the full
-    exact sequence of a_m values computed along the way."""
+    exact sequence of a_m values computed along the way.  a_m is the ratio
+    of the two integers of `cs_criterion(k, m, k + 1)`, which admits them."""
     require_positive(k=k, m_cap=m_cap)
     sequence: list[Fraction] = []
     found = None
     for m in range(1, m_cap + 1):
-        a_m = Fraction(
-            math.factorial(m) ** (k + 1) * math.factorial(k) ** m, math.factorial(m * k)
-        )
-        sequence.append(a_m)
-        if a_m > 1:
+        rep = cs_criterion(k, m, k + 1)
+        sequence.append(Fraction(rep["group_order"], rep["tensor_multiplicity"]))
+        if rep["holds"]:
             found = m
             break
     return {
@@ -645,13 +644,8 @@ def girsanov_step(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) ->
     )
 
     def top(counts, skip=None):
-        best = None
-        for eig in counts:
-            if eig == skip:
-                continue
-            if best is None or len(counts[eig]) > len(counts[best]):
-                best = eig
-        return best
+        """The first eigenvalue of largest multiplicity, other than `skip`."""
+        return max((eig for eig in counts if eig != skip), key=lambda eig: len(counts[eig]), default=None)
 
     s = top(level_n)
     s2 = top(level_n, skip=s) or s

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -270,34 +271,91 @@ def test_malformed_gens_is_exit_2(gens, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-CAP_DEFAULTS = {"matrix_cap": 4096, "tuple_cap": 10000000}
+TUPLE_CAP = {"tuple_cap": 10000000}
+MATRIX_CAP = {"matrix_cap": 4096}
 
 
 @pytest.mark.parametrize(
     "command, required, params",
     [
-        (["multiplicity"], ["--power", "2"], {"group": "symmetric", "power": 2}),
-        (["krot"], ["--k", "1", "--m", "2"], {"k": 1, "m": 2}),
-        (["sym-krot"], ["--k", "1", "--m", "2"], {"k": 1, "m": 2}),
-        (["fock-set"], [], {"atoms": 8, "k": 2, "max_m": 4}),
+        (["multiplicity"], ["--power", "2"], {**TUPLE_CAP, "group": "symmetric", "power": 2}),
+        (["krot"], ["--k", "1", "--m", "2"], {**TUPLE_CAP, **MATRIX_CAP, "k": 1, "m": 2}),
+        (["sym-krot"], ["--k", "1", "--m", "2"], {**TUPLE_CAP, **MATRIX_CAP, "k": 1, "m": 2}),
+        (["fock-set"], [], {**TUPLE_CAP, "atoms": 8, "k": 2, "max_m": 4}),
         (["cs-criterion"], ["--k", "1", "--m", "2", "--n", "2"], {"k": 1, "m": 2, "n": 2}),
         (["cs-min-m"], ["--k", "1"], {"k": 1, "m_cap": 64}),
-        (["translate-singular"], ["--n", "1", "--m", "2"], {"m": 2, "n": 1, "shift": "fresh"}),
-        (["nonsimple"], [], {"shift": "fresh"}),
-        (["girsanov"], [], {"n": 2}),
-        (["vproste"], [], {"max_level": 4}),
-        (["relations"], [], {"degree": 4}),
+        (["translate-singular"], ["--n", "1", "--m", "2"], {**TUPLE_CAP, "m": 2, "n": 1, "shift": "fresh"}),
+        (["nonsimple"], [], {**TUPLE_CAP, "shift": "fresh"}),
+        (["girsanov"], [], {**TUPLE_CAP, "n": 2}),
+        (["vproste"], [], {**TUPLE_CAP, "max_level": 4}),
+        (["relations"], [], {**TUPLE_CAP, "degree": 4}),
         (["markov", "round-trip"], [], {"count": 50}),
         (["markov", "lm-kk"], [], {"count": 3, "n": 2}),
-        (["markov", "incl-excl"], [], {"dims": "2,2"}),
-        (["suite"], [], {}),
+        (["markov", "incl-excl"], [], {**MATRIX_CAP, "dims": "2,2"}),
+        (["suite"], [], {**TUPLE_CAP, **MATRIX_CAP}),
     ],
 )
 def test_leaf_parser_defaults_and_help(command, required, params, capsys):
     args = build_parser().parse_args(command + required)
-    assert _params(args) == {**CAP_DEFAULTS, **params}
+    assert _params(args) == params
     assert (args.command, args.format, args.seed) == (command[0], "json", 0)
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(command + ["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: circlespec {' '.join(command)} ")
+
+
+# One small runnable argv per leaf; the handler must read every option the
+# leaf takes, apart from those the envelope reads.
+LEAF_ARGV = [
+    "multiplicity --atoms 2 --power 2",
+    "krot --k 1 --m 2",
+    "sym-krot --k 1 --m 2",
+    "fock-set --k 1 --max-m 2 --atoms 3",
+    "cs-criterion --k 1 --m 2 --n 2",
+    "cs-min-m --k 1",
+    "translate-singular --n 1 --m 2",
+    "nonsimple",
+    "girsanov",
+    "vproste --atoms 2 --max-level 2",
+    "relations --atoms 3 --degree 2",
+    "markov round-trip --count 1",
+    "markov lm-kk --n 1 --count 1",
+    "markov incl-excl --dims 2",
+    "suite",
+]
+
+
+@pytest.mark.parametrize("argv", LEAF_ARGV)
+def test_every_leaf_option_is_read_by_its_handler(argv):
+    reads = set()
+
+    class RecordingNamespace(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = build_parser().parse_args(argv.split(), namespace=RecordingNamespace())
+    reads.clear()
+    args.func(args)
+    unread = set(vars(args)) - reads - {"func", "command", "markov_command", "format", "seed"}
+    assert not unread, f"{argv}: options never read: {sorted(unread)}"
+
+
+@pytest.mark.parametrize("argv", ["fock-set --matrix-cap 5", "cs-min-m --k 1 --tuple-cap 5"])
+def test_cap_flag_on_a_leaf_that_ignores_it_is_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Each term of the cs-min-m sequence is admitted like cs-criterion's
+# integers, so a large k exits 2 at the first term past the digit limit.
+@pytest.mark.parametrize("k", [100, 300, 2000])
+def test_cs_min_m_refuses_unprintable_terms_fast(k, capsys):
+    start = time.perf_counter()
+    assert run_cli(["cs-min-m", "--k", str(k)]) == (2, "")
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("cap exceeded: ") and "digits of the" in err and "Traceback" not in err

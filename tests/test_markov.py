@@ -38,8 +38,6 @@ def test_finite_space_validation():
         FiniteSpace(("a", "b"), (F(1, 2), F(1, 3)))
     with pytest.raises(ValueError):
         FiniteSpace(("a", "b"), (F(1), F(0)))
-    u = FiniteSpace.uniform(4)
-    assert u.size == 4 and all(p == F(1, 4) for p in u.probs)
 
 
 def test_product_space_order_and_probs():
@@ -55,11 +53,6 @@ def test_coupling_validation_and_classmethods():
     right = two_point(F(1, 2), "y")
     with pytest.raises(ValueError):
         Coupling(left, right, [[F(1, 2), F(0)], [F(0), F(1, 4)]])
-    prod = Coupling.product(left, right)
-    assert prod.joint[0][1] == F(1, 4)
-    diag = Coupling.diagonal(left)
-    assert diag.joint[0][0] == F(1, 2) and diag.joint[0][1] == 0
-    assert diag.left == diag.right == left
 
 
 def test_markov_from_coupling_reference_example():
@@ -107,29 +100,8 @@ def test_markov_op_validation():
 
 def test_identity_mean_and_expectation_preservation():
     space = FiniteSpace(("a", "b", "c"), (F(1, 2), F(1, 3), F(1, 6)))
-    ident = MarkovOp.identity(space)
-    f = [F(3), F(-1), F(2)]
-    assert ident.apply(f) == f
     mean = MarkovOp.mean(space, space)
-    mf = mean.apply(f)
-    expectation = sum(p * v for p, v in zip(space.probs, f))
-    assert all(v == expectation for v in mf)
-    # any Markov operator preserves the integral
-    phi = markov_from_coupling(Coupling.product(space, space))
-    out = phi.apply(f)
-    assert sum(p * v for p, v in zip(space.probs, out)) == expectation
-
-
-def test_compose_matches_matrix_product():
-    a = two_point(F(1, 2))
-    b = two_point(F(1, 2), "y")
-    swap = MarkovOp(a, b, [[F(0), F(1)], [F(1), F(0)]])
-    blend = MarkovOp(b, a, [[F(2, 3), F(1, 3)], [F(1, 3), F(2, 3)]])
-    comp = blend.compose(swap)
-    assert comp.source == a and comp.target == a
-    assert comp.matrix == ((F(1, 3), F(2, 3)), (F(2, 3), F(1, 3)))
-    ident = MarkovOp.identity(a)
-    assert swap.compose(ident) == swap
+    assert all(row == space.probs for row in mean.matrix)
 
 
 def test_marginal_coupling_sums_out_unselected():
@@ -241,17 +213,6 @@ def test_dimension_identity_values():
     for _ in range(20):
         dims = [rng.randint(1, 7) for _ in range(rng.randint(1, 7))]
         assert dimension_identity(dims)["dimension_identity"]
-
-
-def test_json_objects_are_plain():
-    left = two_point(F(1, 2))
-    right = two_point(F(1, 2), "y")
-    c = Coupling.product(left, right)
-    obj = c.to_json_obj()
-    assert obj["left"]["labels"] == ["x0", "x1"]
-    assert obj["joint"][0][0] == "1/4"
-    phi = markov_from_coupling(c)
-    assert phi.to_json_obj()["matrix"][0][0] == "1/2"
 
 
 def operator_onto(components, entries):
@@ -425,7 +386,8 @@ def test_trusted_results_equal_the_validating_constructors(case):
     components, phi = case
     lam = coupling_from_markov(phi)
     assert_canonical(lam)
-    for selected in all_selectors(len(components))[1:]:
+    assert product_space([]) == FiniteSpace(("",), (F(1),))
+    for selected in all_selectors(len(components)):
         factor = FactorStructure(components, selected)
         restricted = marginal_coupling(lam, factor)
         assert_canonical(restricted)
