@@ -15,7 +15,7 @@ import random
 import sys
 
 from circlespec.circle import CirclePoint
-from circlespec.errors import Caps, EnumerationCapError, MeasureFormatError
+from circlespec.errors import Caps, EnumerationCapError, MeasureFormatError, require_positive
 from circlespec.markov import inclusion_exclusion_identity
 from circlespec.measure import generic_measure, measure_from_json, relation_scan
 from circlespec.permgroup import Perm, PermSubgroup
@@ -98,8 +98,9 @@ def _render_lines(obj, indent=0) -> list[str]:
 
 
 def _cmd_multiplicity(args):
-    sigma = _load_measure(args)
     n = args.power
+    require_positive(power=n)
+    sigma = _load_measure(args)
     if args.gens is not None:
         images = json.loads(args.gens)
         if not (isinstance(images, list) and images and all(isinstance(im, list) for im in images)):

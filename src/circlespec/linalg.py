@@ -1,7 +1,8 @@
-"""Dense exact matrices over the rationals, as lists of rows.
+"""Exact matrices over the rationals.
 
-Nothing here ever touches floating point.  `rank` is one of the independent
-verification routes: it takes `int` or `Fraction` rows and eliminates on
+Nothing here ever touches floating point.  The products and sums take dense
+matrices as lists of rows.  `rank`, one of the independent verification
+routes, takes sparse rows {column: int | Fraction} and eliminates on
 integers only.
 """
 
@@ -47,21 +48,25 @@ def kron(a, b):
 
 
 def rank(a):
-    """Rank over Q of rows of `int` or `Fraction` entries, by fraction-free
-    elimination on sparse integer rows {column: int}.
+    """Rank over Q of sparse rows {column: int | Fraction}, by fraction-free
+    elimination on integer rows.
 
-    Each row v is scaled into integers by the lcm of its denominators and
-    made primitive (content divided out); neither changes the rank.  If its
-    leading column c has an echelon row p, v becomes (p[c]/g)*v - (v[c]/g)*p
-    with g = gcd(p[c], v[c]), which clears c; otherwise v is the echelon row
-    for c.  The rank is the number of echelon rows.  No residue arithmetic:
-    a rank taken mod a prime can undercount.
+    Zero entries are dropped on entry, so a row's leading column is its
+    least column with a nonzero entry; the keys need not be sorted.  A row
+    holding a `Fraction` is scaled into integers by the lcm of its
+    denominators; an all-`int` row is taken as it is.  Each row v is made
+    primitive (content divided out), which leaves the rank unchanged.  If
+    its leading column c has an echelon row p, v becomes
+    (p[c]/g)*v - (v[c]/g)*p with g = gcd(p[c], v[c]), which clears c;
+    otherwise v is the echelon row for c.  The rank is the number of echelon
+    rows.  No residue arithmetic: a rank taken mod a prime can undercount.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in a:
-        nonzero = [(c, x) for c, x in enumerate(row) if x]
-        den = math.lcm(*(x.denominator for _, x in nonzero))
-        v = {c: x.numerator * (den // x.denominator) for c, x in nonzero}
+        v = {c: x for c, x in row.items() if x}
+        if Fraction in map(type, v.values()):
+            den = math.lcm(*(x.denominator for x in v.values()))
+            v = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
         while v:
             g = math.gcd(*v.values())
             v = {c: x // g for c, x in v.items()} if g != 1 else v

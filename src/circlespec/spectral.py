@@ -12,8 +12,9 @@ A "fiber" groups the atom multisets over one eigenvalue, found by summing
 packed integer keys; its ordered tuples are their arrangements.  A fiber is
 generic when it holds one multiset of n distinct atoms, the only kind a
 fully generic measure produces.  Each count is reached by at least two
-independent routes: orbits enumerated per multiplicity pattern, multiset-
-partition counting, and exact rank over the ordered tuples; the checks run
+independent routes: orbits of `G.elements` enumerated per multiplicity
+pattern, multiset-partition counting, and the exact rank of the differences
+U_s - I over the ordered tuples for s in `G.generators`.  The checks run
 every route their caps allow and insist on exact agreement.
 """
 
@@ -60,8 +61,8 @@ class FiberClass:
     `index_multisets` holds the distinct multisets whose product is the
     eigenvalue, as sorted tuples of indices into `atoms` (the measure support
     in canonical order), lexicographically sorted.  The fiber's ordered
-    tuples are their arrangements: `size` counts them by multinomial
-    coefficients and `tuples` lists them on demand.
+    tuples are their arrangements; `size` counts them by multinomial
+    coefficients.
     """
 
     eigenvalue: CirclePoint
@@ -74,11 +75,6 @@ class FiberClass:
             math.factorial(len(ms)) // math.prod(map(math.factorial, _pattern(ms)))
             for ms in self.index_multisets
         )
-
-    @property
-    def tuples(self) -> tuple[tuple[int, ...], ...]:
-        """The fiber's ordered tuples, lexicographically sorted."""
-        return tuple(sorted(t for ms in self.index_multisets for t in _arrangements(ms)))
 
     @property
     def is_generic(self) -> bool:
@@ -231,31 +227,34 @@ def matrix_oracle(
     G: PermSubgroup,
     matrix_cap: int = Caps.matrix,
 ) -> MultiplicityReport:
-    """Rank route: multiplicity at z = rank of the averaged coordinate-
-    permutation block over the fiber, computed by fraction-free elimination.
+    """Rank route: multiplicity at z = N - rank of the stacked U_s - I over
+    the fiber's N ordered tuples, s running over `G.generators`.
 
-    The block of (1/#G) sum_pi U_pi over a fiber is a projection whose rank
-    is the orbit count.  Its entries are hit counts (how many pi send tuple j
-    to tuple i) over #G; ranking the integer hit counts is exact, as scaling
-    by #G leaves the rank unchanged.  The route expands each fiber into its
-    ordered tuples and reads ranks of full blocks, never orbits or multisets.
+    A vector on the fiber is G-invariant exactly when every generator fixes
+    it, so the invariant subspace is the common kernel of the U_s - I.  Row
+    e_{s(t)} - e_t is taken for each tuple t and generator s with s(t) != t;
+    `linalg.rank` ranks the rows exactly, once per fiber.  The route reads
+    the generators and the fiber's ordered tuples, never `G.elements`, orbits
+    or multiplicity patterns.
     """
     if G.degree != n:
         raise ValueError(f"group degree {G.degree} does not match power {n}")
     d = len(sigma.support())
     admit(d**n, matrix_cap, f"{d}^{n} matrix rows")
     # Tuples are keyed by the identity's getter: for n = 1 each getter returns a bare item.
-    getters = [operator.itemgetter(*p.images) for p in G.elements]
+    getters = [operator.itemgetter(*s.images) for s in G.generators]
     key = operator.itemgetter(*range(n))
     classified = []
     for fc in fibers(sigma, n, tuple_cap=matrix_cap):
-        tuples = fc.tuples
-        index_of = {key(t): k for k, t in enumerate(tuples)}
-        hits = [[0] * len(tuples) for _ in tuples]
-        for j, t in enumerate(tuples):
-            for get in getters:
-                hits[index_of[get(t)]][j] += 1
-        classified.append((fc, linalg.rank(hits)))
+        tuples = [t for ms in fc.index_multisets for t in set(itertools.permutations(ms))]
+        index_of = {key(t): j for j, t in enumerate(tuples)}
+        rows = [
+            {i: 1, j: -1}
+            for j, t in enumerate(tuples)
+            for get in getters
+            if (i := index_of[get(t)]) != j
+        ]
+        classified.append((fc, len(tuples) - linalg.rank(rows)))
     return _build_report(n, G, classified)
 
 

@@ -265,6 +265,13 @@ def test_table_format_renders():
     assert "eigenvalue" in out and "generic value" in out
 
 
+@pytest.mark.parametrize("power", ["0", "-1"])
+@pytest.mark.parametrize("group", [["--group", "symmetric"], ["--gens", "[[0]]"]])
+def test_non_positive_power_is_exit_2_before_any_group_is_built(power, group, capsys):
+    assert main(["multiplicity", "--atoms", "3", "--power", power, *group]) == 2
+    assert f"power must be an int >= 1, got {power}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("gens", ["[1]", '[["a",0]]', "[[1.0,0.0]]", "[[true,false]]"])
 def test_malformed_gens_is_exit_2(gens, capsys):
     assert main(["multiplicity", "--atoms", "3", "--power", "2", "--gens", gens]) == 2

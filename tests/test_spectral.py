@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from circlespec import (
     AtomicMeasure,
     CirclePoint,
     EnumerationCapError,
     GeneratorAllocator,
+    Perm,
     PermSubgroup,
     check_simplicity_levels,
     check_symmetric_power,
@@ -28,6 +31,7 @@ from circlespec import (
     nonsimple_counterexample,
     paired_relation_measure,
     simple_spectrum,
+    wreath_block_group,
 )
 from circlespec import spectral
 from circlespec.circle import _PackedCodec
@@ -43,6 +47,11 @@ def brute_fibers(mu, n):
     for t in itertools.product(range(len(atoms)), repeat=n):
         groups.setdefault(math.prod((atoms[i] for i in t), start=CirclePoint()), []).append(t)
     return sorted(groups.items(), key=lambda kv: kv[0].sort_key())
+
+
+def ordered_tuples(fc):
+    """The fiber's ordered tuples, the arrangements of its multisets, sorted."""
+    return sorted(t for ms in fc.index_multisets for t in set(itertools.permutations(ms)))
 
 
 def brute_orbit_counts(mu, n, G):
@@ -101,7 +110,7 @@ def test_fibers_match_tuple_grouping(mu, n):
     assert [fc.eigenvalue for fc in fcs] == [eig for eig, _ in brute]
     for fc, (_, ts) in zip(fcs, brute):
         assert fc.size == len(ts)
-        assert list(fc.tuples) == ts
+        assert ordered_tuples(fc) == ts
         assert list(fc.index_multisets) == sorted({tuple(sorted(t)) for t in ts})
 
 
@@ -117,7 +126,7 @@ def test_fibers_meet_mod_one_and_wide_exponents():
     for mu in (rational, wide):
         for n in (2, 3):
             fcs = fibers(mu, n)
-            assert [(fc.eigenvalue, list(fc.tuples)) for fc in fcs] == brute_fibers(mu, n)
+            assert [(fc.eigenvalue, ordered_tuples(fc)) for fc in fcs] == brute_fibers(mu, n)
 
 
 def test_fibers_with_large_coprime_denominators():
@@ -128,18 +137,64 @@ def test_fibers_with_large_coprime_denominators():
     for mu in (AtomicMeasure({a: 1, b: 2, a * b: 1}), lone):
         for n in (1, 2, 3):
             fcs = fibers(mu, n)
-            assert [(fc.eigenvalue, list(fc.tuples)) for fc in fcs] == brute_fibers(mu, n)
+            assert [(fc.eigenvalue, ordered_tuples(fc)) for fc in fcs] == brute_fibers(mu, n)
             G = PermSubgroup.symmetric(n)
             assert multiplicity(mu, n, G).entries == brute_orbit_counts(mu, n, G)
+
+
+def projector_ranks(mu, n, G):
+    """Per eigenvalue, the sympy rank of the dense block sum_g U_g over the
+    fiber's ordered tuples: |G| times the paper's invariant projector."""
+    ranks = {}
+    for eig, ts in brute_fibers(mu, n):
+        index_of = {t: k for k, t in enumerate(ts)}
+        block = [[0] * len(ts) for _ in ts]
+        for j, t in enumerate(ts):
+            for g in G.elements:
+                block[index_of[tuple(t[i] for i in g.images)]][j] += 1
+        ranks[eig] = DomainMatrix([[ZZ(x) for x in row] for row in block], (len(ts), len(ts)), ZZ).rank()
+    return ranks
+
+
+def redundant_generator_lists(G):
+    """Generator lists of the same group as G: as given, with the identity,
+    with a generator repeated, and with each generator's inverse."""
+    gens = list(G.generators)
+    inverses = [Perm(sorted(range(G.degree), key=g.images.__getitem__)) for g in gens]
+    return [gens, [Perm.identity(G.degree), *gens], gens + gens[:1], gens + inverses]
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_measures(), st.integers(min_value=1, max_value=4))
 def test_orbit_route_matches_rank_route_and_tuple_orbits(mu, n):
-    for G in (PermSubgroup.trivial(n), PermSubgroup.cyclic(n), PermSubgroup.symmetric(n)):
+    # The rank route runs on every generator list of each group, redundant
+    # ones included; the paper's averaged projector is the oracle for both.
+    groups = [PermSubgroup.trivial(n), PermSubgroup.cyclic(n), PermSubgroup.symmetric(n)]
+    if n == 4:
+        groups += [contiguous_block_group(2, 2), wreath_block_group(2, 2)]
+    for G in groups:
         entries = list(multiplicity(mu, n, G).entries.items())
-        assert entries == list(matrix_oracle(mu, n, G).entries.items())
         assert entries == list(brute_orbit_counts(mu, n, G).items())
+        assert entries == list(projector_ranks(mu, n, G).items())
+        for gens in redundant_generator_lists(G):
+            H = PermSubgroup(n, gens)
+            assert H.elements == G.elements
+            assert entries == list(matrix_oracle(mu, n, H).entries.items())
+
+
+def test_each_route_reads_its_own_description_of_the_group():
+    # The rank route reads only G.generators and the orbit route only
+    # G.elements; an element set that is not the closure of the generators
+    # makes them disagree.
+    mu, n = designed_relation_measure(), 3
+    true = PermSubgroup.symmetric(n)
+    broken = PermSubgroup.symmetric(n)
+    object.__setattr__(broken, "elements", (Perm.identity(n),))
+    expected = brute_orbit_counts(mu, n, true)
+    assert matrix_oracle(mu, n, broken).entries == expected
+    orbit = multiplicity(mu, n, broken).entries
+    assert orbit != expected
+    assert orbit == brute_orbit_counts(mu, n, PermSubgroup.trivial(n))
 
 
 def test_rank_route_matches_orbit_route_on_large_relation_fibers():
