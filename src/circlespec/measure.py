@@ -5,8 +5,8 @@ Convolution multiplies atoms pairwise and adds weights; singularity is
 support disjointness, which is the whole story for purely atomic measures.
 `generic_measure` builds the model of "d points drawn from a continuous
 measure": d fresh generators, equal weight, no multiplicative relations.
-`relation_scan` only searches exponents +-1 on distinct atoms, so it does
-not certify that absence.
+`relation_scan` only searches exponents +-1 on distinct atoms, summing
+packed point keys, so it does not certify that absence.
 """
 
 from __future__ import annotations
@@ -181,6 +181,13 @@ def relation_scan(mu: AtomicMeasure, degree: int, tuple_cap: int = Caps.tuples) 
     repeated atoms are never tried, so [] does not certify genericity: for
     a = g0, b = g1, c = g0^2 g1^-1 the scan is [] at degrees 2 and 3, yet
     a*a = b*c and the symmetric square is not simple.
+
+    Each signed product is one sum of packed keys, from one codec of power
+    `degree` over the atoms and their inverses.  An inverse has its own key,
+    `codec.key(a.inverse())`: a negated key would borrow from the generic
+    digits whenever the rational digit goes below zero.  A product is
+    rational exactly when its key lies in [0, L), and only those products
+    are multiplied out as points, for the relation's constant.
     """
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
         raise ValueError(f"scan degree must be an int >= 2, got {degree!r}")
@@ -188,16 +195,19 @@ def relation_scan(mu: AtomicMeasure, degree: int, tuple_cap: int = Caps.tuples) 
     d = len(atoms)
     total = sum(math.comb(d, L) * 2 ** (L - 1) for L in range(1, min(degree, d) + 1))
     admit(total, tuple_cap, f"relation scan: {total} sign tuples")
+    inverses = tuple(a.inverse() for a in atoms)
+    codec = _PackedCodec(atoms + inverses, degree)
+    keys = [(codec.key(a), codec.key(b)) for a, b in zip(atoms, inverses)]  # exponent +1, -1
     found = []
     for L in range(1, min(degree, d) + 1):
-        for subset in itertools.combinations(atoms, L):
-            for tail in itertools.product((1, -1), repeat=L - 1):
-                signs = (1,) + tail
-                prod = subset[0]
-                for a, e in zip(subset[1:], tail):
-                    prod = prod * (a if e == 1 else a.inverse())
-                if prod.is_rational:
-                    found.append(Relation(subset, signs, prod))
+        tails = list(itertools.product((1, -1), repeat=L - 1))
+        for subset in itertools.combinations(range(d), L):
+            head = keys[subset[0]][0]
+            for tail, tail_keys in zip(tails, itertools.product(*(keys[i] for i in subset[1:]))):
+                if 0 <= codec.product((head, *tail_keys)) < codec.L:
+                    factors = (atoms[i] if e == 1 else inverses[i] for i, e in zip(subset[1:], tail))
+                    constant = math.prod(factors, start=atoms[subset[0]])
+                    found.append(Relation(tuple(atoms[i] for i in subset), (1,) + tail, constant))
     return found
 
 

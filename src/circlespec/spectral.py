@@ -12,10 +12,12 @@ A "fiber" groups the atom multisets over one eigenvalue, found by summing
 packed integer keys; its ordered tuples are their arrangements.  A fiber is
 generic when it holds one multiset of n distinct atoms, the only kind a
 fully generic measure produces.  Each count is reached by at least two
-independent routes: orbits of `G.elements` enumerated per multiplicity
-pattern, multiset-partition counting, and the exact rank of the differences
-U_s - I over the ordered tuples for s in `G.generators`.  The checks run
-every route their caps allow and insist on exact agreement.
+independent routes: orbits of `G.elements` counted per multiplicity pattern
+by Burnside's lemma over the elements' cycle types, multiset-partition
+counting, and the exact rank of the differences U_s - I over the ordered
+tuples for s in `G.generators`, one row per pair of tuples a generator
+maps onto each other.  The checks run every route their caps allow and
+insist on exact agreement.
 """
 
 from __future__ import annotations
@@ -37,16 +39,6 @@ from circlespec.permgroup import (
     contiguous_block_group,
     wreath_block_group,
 )
-
-
-def _arrangements(ms: tuple[int, ...]):
-    """Distinct orderings of a sorted multiset, in lexicographic order."""
-    if not ms:
-        yield ()
-    for i, v in enumerate(ms):
-        if i == 0 or v != ms[i - 1]:
-            for tail in _arrangements(ms[:i] + ms[i + 1 :]):
-                yield (v,) + tail
 
 
 def _pattern(ms: tuple[int, ...]) -> tuple[int, ...]:
@@ -193,6 +185,57 @@ def _build_report(power: int, group: PermSubgroup, classified) -> MultiplicityRe
     )
 
 
+def _cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths of the permutation with these images, largest first."""
+    lengths = []
+    unseen = set(images)
+    while unseen:
+        start = i = unseen.pop()
+        length = 1
+        while (i := images[i]) != start:
+            unseen.remove(i)
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _orbit_counts(elements, patterns) -> dict[tuple[int, ...], int]:
+    """Per multiplicity pattern, the number of orbits of the group `elements`
+    on the arrangements of a multiset with that pattern, by Burnside's lemma:
+    (1/|G|) * sum over cycle types mu of c(mu) * fix(mu, pattern).
+
+    The census c counts the elements per cycle type.  An element fixes an
+    arrangement exactly when the arrangement is constant on each of its
+    cycles, so fix(mu, pattern) counts the ways to give each cycle one value,
+    value v covering pattern[v] positions; it depends on the pattern only as
+    a multiset, which the memo key uses.  A sum that |G| does not divide
+    means `elements` is not a group, and raises RuntimeError."""
+    census = Counter(_cycle_type(p.images) for p in elements)
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+
+    def fix(cycles, room):
+        if not cycles:
+            return 1
+        if (cycles, room) not in memo:
+            head, rest = cycles[0], cycles[1:]
+            memo[cycles, room] = sum(
+                fix(rest, tuple(sorted(room[:v] + (r - head,) + room[v + 1 :], reverse=True)))
+                for v, r in enumerate(room)
+                if r >= head
+            )
+        return memo[cycles, room]
+
+    counts = {}
+    for pattern in patterns:
+        total = sum(c * fix(mu, pattern) for mu, c in census.items())
+        counts[pattern], rest = divmod(total, len(elements))
+        if rest:
+            raise RuntimeError(
+                f"Burnside sum {total} for pattern {pattern} is not a multiple of |G| = {len(elements)}"
+            )
+    return counts
+
+
 def multiplicity(
     sigma: AtomicMeasure,
     n: int,
@@ -203,20 +246,15 @@ def multiplicity(
 
     G permutes positions, so it maps the arrangements of each multiset onto
     themselves, and its orbit count there depends only on the multiset's
-    multiplicity pattern.  Each pattern met is enumerated and split into
-    orbits once per call; a fiber's multiplicity sums them over its multisets.
+    multiplicity pattern.  Each pattern met is counted once per call by
+    Burnside's lemma over the cycle-type census of `G.elements`
+    (`_orbit_counts`); no arrangement is enumerated.  A fiber's multiplicity
+    sums the counts over its multisets.
     """
     if G.degree != n:
         raise ValueError(f"group degree {G.degree} does not match power {n}")
-    images = [p.images for p in G.elements]
     fcs = fibers(sigma, n, tuple_cap)
-    orbits: dict[tuple[int, ...], int] = {}
-    for pattern in {_pattern(ms) for fc in fcs for ms in fc.index_multisets}:
-        seen: set[tuple[int, ...]] = set()
-        for t in _arrangements(tuple(v for v, c in enumerate(pattern) for _ in range(c))):
-            if t not in seen:
-                orbits[pattern] = orbits.get(pattern, 0) + 1
-                seen.update(tuple(t[i] for i in imgs) for imgs in images)
+    orbits = _orbit_counts(G.elements, {_pattern(ms) for fc in fcs for ms in fc.index_multisets})
     classified = [(fc, sum(orbits[_pattern(ms)] for ms in fc.index_multisets)) for fc in fcs]
     return _build_report(n, G, classified)
 
@@ -231,11 +269,13 @@ def matrix_oracle(
     the fiber's N ordered tuples, s running over `G.generators`.
 
     A vector on the fiber is G-invariant exactly when every generator fixes
-    it, so the invariant subspace is the common kernel of the U_s - I.  Row
-    e_{s(t)} - e_t is taken for each tuple t and generator s with s(t) != t;
-    `linalg.rank` ranks the rows exactly, once per fiber.  The route reads
-    the generators and the fiber's ordered tuples, never `G.elements`, orbits
-    or multiplicity patterns.
+    it, so the invariant subspace is the common kernel of the U_s - I.  Each
+    tuple t and generator s with s(t) != t gives the row e_{s(t)} - e_t;
+    rows that differ only in sign span the same line, so each unordered
+    pair of columns becomes one row e_min - e_max.  `linalg.rank` ranks the
+    rows exactly, once per fiber.  The route reads the generators and the
+    fiber's ordered tuples, never `G.elements`, orbits or multiplicity
+    patterns.
     """
     if G.degree != n:
         raise ValueError(f"group degree {G.degree} does not match power {n}")
@@ -248,13 +288,13 @@ def matrix_oracle(
     for fc in fibers(sigma, n, tuple_cap=matrix_cap):
         tuples = [t for ms in fc.index_multisets for t in set(itertools.permutations(ms))]
         index_of = {key(t): j for j, t in enumerate(tuples)}
-        rows = [
-            {i: 1, j: -1}
+        pairs = {
+            (i, j) if i < j else (j, i)
             for j, t in enumerate(tuples)
             for get in getters
             if (i := index_of[get(t)]) != j
-        ]
-        classified.append((fc, len(tuples) - linalg.rank(rows)))
+        }
+        classified.append((fc, len(tuples) - linalg.rank([{i: 1, j: -1} for i, j in pairs])))
     return _build_report(n, G, classified)
 
 

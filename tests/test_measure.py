@@ -18,7 +18,7 @@ from circlespec import (
     parse_fraction,
     relation_scan,
 )
-from circlespec.measure import _packed_fold
+from circlespec.measure import Relation, _packed_fold
 
 from tests.helpers import designed_relation_measure, small_measures
 
@@ -159,6 +159,42 @@ def test_relation_scan_reports_rational_twist():
 
 def test_relation_scan_on_generic_measure_is_empty():
     assert relation_scan(generic_measure(4), 4) == []
+
+
+def reference_relation_scan(mu, degree):
+    """The scan in plain point arithmetic: every product of 1..degree distinct
+    atoms with exponents +-1, leading +1, multiplied out point by point."""
+    atoms = mu.support()
+    found = []
+    for L in range(1, min(degree, len(atoms)) + 1):
+        for subset in itertools.combinations(atoms, L):
+            for tail in itertools.product((1, -1), repeat=L - 1):
+                prod = subset[0]
+                for a, e in zip(subset[1:], tail):
+                    prod = prod * (a if e == 1 else a.inverse())
+                if prod.is_rational:
+                    found.append(Relation(subset, (1,) + tail, prod))
+    return found
+
+
+def rational_measures(max_atoms=5):
+    """Measures of rational rotations only, so every signed product is a hit."""
+    rotations = st.fractions(min_value=0, max_value=1, max_denominator=12).map(CirclePoint)
+    return st.dictionaries(rotations, st.just(1), min_size=1, max_size=max_atoms).map(AtomicMeasure)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_measures(max_atoms=6), rational_measures()), st.integers(min_value=2, max_value=4))
+def test_packed_relation_scan_equals_point_arithmetic(mu, degree):
+    assert relation_scan(mu, degree) == reference_relation_scan(mu, degree)
+
+
+def test_relation_scan_keys_inverses_without_borrowing():
+    # a * b^-1 = 1/3 - 2/3 = 2/3 mod 1.  A negated key for b would take the
+    # rational digit below zero and borrow from g0's digit, missing the relation.
+    a, b = CirclePoint(Fraction(1, 3), {0: 1}), CirclePoint(Fraction(2, 3), {0: 1})
+    rels = relation_scan(AtomicMeasure({a: 1, b: 1}), 2)
+    assert rels == [Relation((a, b), (1, -1), CirclePoint(Fraction(2, 3)))]
 
 
 def test_json_round_trip_is_byte_identical():

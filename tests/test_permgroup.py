@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -46,6 +47,23 @@ def test_closure_and_standard_groups():
     assert PermSubgroup.trivial(5).order == 1
     assert PermSubgroup.symmetric(4).order == 24
     assert PermSubgroup.cyclic(4).order == 4
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_closure_lists_every_permutation_in_order(n):
+    # An identity generator adds nothing; for n < 2 it is the only one.
+    gens = [Perm.identity(n), *PermSubgroup.symmetric(n).generators]
+    expected = tuple(Perm(p) for p in itertools.permutations(range(n)))
+    found = closure(n, gens)
+    assert found == expected
+    assert set(found) == set(expected)
+
+
+def test_closure_rejects_bad_degrees():
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        closure(-1, ())
+    with pytest.raises(ValueError, match="generator degree 2 does not match 3"):
+        closure(3, [Perm.from_cycle(3, (0, 1, 2)), Perm.identity(2)])
 
 
 def test_lagrange_divisibility():

@@ -33,7 +33,7 @@ from circlespec import (
     simple_spectrum,
     wreath_block_group,
 )
-from circlespec import spectral
+from circlespec import linalg, spectral
 from circlespec.circle import _PackedCodec
 from circlespec.spectral import _level_counts
 
@@ -180,6 +180,103 @@ def test_orbit_route_matches_rank_route_and_tuple_orbits(mu, n):
             H = PermSubgroup(n, gens)
             assert H.elements == G.elements
             assert entries == list(matrix_oracle(mu, n, H).entries.items())
+
+
+@pytest.mark.parametrize(
+    "G", [PermSubgroup.symmetric(4), contiguous_block_group(2, 2)], ids=["symmetric", "block"]
+)
+def test_rank_route_passes_one_row_per_column_pair(monkeypatch, G):
+    # Transpositions map tuples both ways; each unordered pair of columns
+    # must reach linalg.rank once, as one two-entry row.
+    mu, n = designed_relation_measure(), 4
+    calls = []
+    rank = linalg.rank
+
+    def recording_rank(rows):
+        calls.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(linalg, "rank", recording_rank)
+    entries = list(matrix_oracle(mu, n, G).entries.items())
+    assert len(calls) == len(fibers(mu, n))
+    for rows in calls:
+        assert all(sorted(row.values()) == [-1, 1] for row in rows)
+        pairs = [frozenset(row) for row in rows]
+        assert len(pairs) == len(set(pairs))
+    assert any(calls)
+    assert entries == list(projector_ranks(mu, n, G).items())
+
+
+def partitions(n, largest=None):
+    """The partitions of n, each with its parts largest first."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def multinomial(pattern):
+    return math.factorial(sum(pattern)) // math.prod(map(math.factorial, pattern))
+
+
+def necklaces(pattern):
+    """Arrangements with this pattern up to rotation:
+    (1/n) * sum over d | gcd(pattern) of phi(d) * multinomial(pattern / d)."""
+    n, g = sum(pattern), math.gcd(*pattern)
+    phi = {d: sum(math.gcd(k, d) == 1 for k in range(1, d + 1)) for d in range(1, g + 1) if g % d == 0}
+    total = sum(f * multinomial([c // d for c in pattern]) for d, f in phi.items())
+    assert total % n == 0
+    return total // n
+
+
+def enumerated_orbit_count(G, pattern):
+    """Orbits of G.elements on the arrangements of a multiset with this
+    pattern, enumerated: each unseen arrangement opens an orbit."""
+    ms = tuple(v for v, c in enumerate(pattern) for _ in range(c))
+    seen, orbits = set(), 0
+    for t in sorted(set(itertools.permutations(ms))):
+        if t not in seen:
+            orbits += 1
+            seen.update(tuple(t[i] for i in g.images) for g in G.elements)
+    return orbits
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_burnside_orbit_counts_match_closed_forms(n):
+    patterns = list(partitions(n))
+    orbits = {
+        name: spectral._orbit_counts(G.elements, patterns)
+        for name, G in (
+            ("symmetric", PermSubgroup.symmetric(n)),
+            ("trivial", PermSubgroup.trivial(n)),
+            ("cyclic", PermSubgroup.cyclic(n)),
+        )
+    }
+    assert orbits["symmetric"] == dict.fromkeys(patterns, 1)
+    assert orbits["trivial"] == {p: multinomial(p) for p in patterns}
+    assert orbits["cyclic"] == {p: necklaces(p) for p in patterns}
+
+
+@pytest.mark.parametrize(
+    "G",
+    [contiguous_block_group(2, 3), contiguous_block_group(3, 2), wreath_block_group(2, 3)],
+    ids=["block-2x3", "block-3x2", "wreath-2x3"],
+)
+def test_burnside_orbit_counts_match_enumeration(G):
+    patterns = list(partitions(G.degree))
+    assert spectral._orbit_counts(G.elements, patterns) == {p: enumerated_orbit_count(G, p) for p in patterns}
+
+
+def test_burnside_refuses_an_element_list_that_is_not_a_group():
+    # {identity, 3-cycle} fixes 3 + 0 arrangements of pattern (2, 1): 3 is not a multiple of 2.
+    n = 3
+    G = PermSubgroup.symmetric(n)
+    object.__setattr__(G, "elements", (Perm.identity(n), Perm.from_cycle(n, [0, 1, 2])))
+    with pytest.raises(RuntimeError, match="not a multiple of"):
+        spectral._orbit_counts(G.elements, [(2, 1)])
+    with pytest.raises(RuntimeError, match="not a multiple of"):
+        multiplicity(generic_measure(2), n, G)
 
 
 def test_each_route_reads_its_own_description_of_the_group():
