@@ -1,6 +1,6 @@
 """Exact-arithmetic spectral multiplicity calculus on atomic circle models."""
 
-from circlespec.circle import CirclePoint, GeneratorAllocator
+from circlespec.circle import CirclePoint, GeneratorAllocator, parse_fraction
 from circlespec.errors import Caps, EnumerationCapError, MeasureFormatError
 from circlespec.measure import (
     AtomicMeasure,
@@ -8,7 +8,6 @@ from circlespec.measure import (
     generic_measure,
     measure_from_json,
     measure_to_json,
-    parse_fraction,
     relation_scan,
 )
 from circlespec.permgroup import (

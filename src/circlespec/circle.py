@@ -20,10 +20,24 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
+from circlespec.errors import MeasureFormatError
+
 ExponentPairs = Union[Mapping[int, int], Iterable[Tuple[int, int]]]
 
-_GENERATOR_TOKEN = re.compile(r"^g(\d+)\^(-?\d+)$")
-_FRACTION_TOKEN = re.compile(r"^\d+(?:/\d+)?$")
+_GENERATOR_TOKEN = re.compile(r"^g(\d+)\^(-?\d+)$", re.ASCII)
+_FRACTION_TOKEN = re.compile(r"^\d+(?:/\d+)?$", re.ASCII)
+_FRACTION_RE = re.compile(r"^-?\d+(?:/\d+)?$", re.ASCII)
+
+
+def parse_fraction(text) -> Fraction:
+    """Parse a decimal-free fraction string like "1/4" or "-2" in ASCII digits
+    (re.ASCII: a bare \\d matches digits of any script); a zero denominator is an error."""
+    if not isinstance(text, str) or not _FRACTION_RE.match(text.strip()):
+        raise MeasureFormatError(f"bad fraction {text!r} (expected p or p/q)")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise MeasureFormatError(f"zero denominator in fraction {text!r}") from None
 
 
 class GeneratorAllocator:
@@ -105,20 +119,8 @@ class CirclePoint:
     def __mul__(self, other: "CirclePoint") -> "CirclePoint":
         if not isinstance(other, CirclePoint):
             return NotImplemented
-        if not other.generic:
-            gen: ExponentPairs = self.generic
-        elif not self.generic:
-            gen = other.generic
-        else:
-            acc = dict(self.generic)
-            for i, e in other.generic:
-                v = acc.get(i, 0) + e
-                if v:
-                    acc[i] = v
-                else:
-                    del acc[i]
-            gen = acc
-        return CirclePoint(self.rational + other.rational, gen)
+        # The constructor sums repeated indices, drops zero exponents and sorts.
+        return CirclePoint(self.rational + other.rational, self.generic + other.generic)
 
     def inverse(self) -> "CirclePoint":
         return CirclePoint(-self.rational, tuple((i, -e) for i, e in self.generic))
@@ -164,35 +166,27 @@ class CirclePoint:
 
     @classmethod
     def parse(cls, text: str) -> "CirclePoint":
-        """Inverse of str(): accepts "1", "1/3", "g0^2", "1/3 * g0^2 * g5^-1"."""
-        from circlespec.errors import MeasureFormatError
-
-        s = text.strip()
-        if s == "1":
-            return cls()
-        rational = Fraction(0)
-        seen_rational = False
-        pairs: list[tuple[int, int]] = []
-        seen_indices: set[int] = set()
-        for token in s.split("*"):
+        """Inverse of str(): accepts "1", "1/3", "g0^2", "1/3 * g0^2 * g5^-1".
+        The rational factor is unsigned and read by `parse_fraction`."""
+        rational = None
+        generic: dict[int, int] = {}
+        for token in text.split("*"):
             token = token.strip()
             m = _GENERATOR_TOKEN.match(token)
             if m:
                 i, e = int(m.group(1)), int(m.group(2))
                 if e == 0:
                     raise MeasureFormatError(f"zero exponent in point {text!r}")
-                if i in seen_indices:
+                if i in generic:
                     raise MeasureFormatError(f"repeated generator g{i} in point {text!r}")
-                seen_indices.add(i)
-                pairs.append((i, e))
+                generic[i] = e
             elif _FRACTION_TOKEN.match(token):
-                if seen_rational:
+                if rational is not None:
                     raise MeasureFormatError(f"two rational factors in point {text!r}")
-                seen_rational = True
-                rational = Fraction(token)
+                rational = parse_fraction(token)  # "1" is the identity: 1 reduces to 0 mod 1
             else:
                 raise MeasureFormatError(f"bad factor {token!r} in point {text!r}")
-        return cls(rational, pairs)
+        return cls(rational or 0, generic)
 
 
 class _PackedCodec:

@@ -36,12 +36,10 @@ from circlespec.suite import check_projections, check_round_trips, run_suite
 
 
 def _load_measure(args, default_atoms=None):
-    if getattr(args, "measure", None):
+    if args.measure:
         with open(args.measure, "r", encoding="utf-8") as fh:
             return measure_from_json(fh.read())
-    d = getattr(args, "atoms", None)
-    if d is None:
-        d = default_atoms
+    d = args.atoms if args.atoms is not None else default_atoms
     if d is None:
         raise ValueError("provide --measure FILE or --atoms D")
     return generic_measure(d)
@@ -62,12 +60,9 @@ def _parse_shift(text: str, sigma) -> CirclePoint:
 
 def _parse_dims(text: str) -> list[int]:
     try:
-        dims = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"bad dimension list {text!r}: {exc}") from None
-    if not dims:
-        raise ValueError("dimension list must not be empty")
-    return dims
 
 
 def _render_lines(obj, indent=0) -> list[str]:
@@ -102,7 +97,10 @@ def _cmd_multiplicity(args):
     require_positive(power=n)
     sigma = _load_measure(args)
     if args.gens is not None:
-        images = json.loads(args.gens)
+        try:
+            images = json.loads(args.gens)
+        except RecursionError:
+            raise ValueError("--gens is nested too deeply") from None
         if not (isinstance(images, list) and images and all(isinstance(im, list) for im in images)):
             raise ValueError("--gens must be a JSON list of image lists")
         G = PermSubgroup(n, [Perm(im) for im in images])

@@ -14,27 +14,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
-from circlespec.circle import CirclePoint, GeneratorAllocator, _PackedCodec
+from circlespec.circle import CirclePoint, GeneratorAllocator, _PackedCodec, parse_fraction
 from circlespec.errors import Caps, MeasureFormatError, admit, require_positive
 
-_FRACTION_RE = re.compile(r"^-?\d+(?:/\d+)?$")
-
 WeightPairs = Union[Mapping[CirclePoint, Fraction], Iterable[Tuple[CirclePoint, Fraction]]]
-
-
-def parse_fraction(text) -> Fraction:
-    """Parse a decimal-free fraction string like "1/4" or "2"."""
-    if not isinstance(text, str) or not _FRACTION_RE.match(text.strip()):
-        raise MeasureFormatError(f"bad fraction {text!r} (expected p or p/q)")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise MeasureFormatError(f"zero denominator in fraction {text!r}") from None
 
 
 class AtomicMeasure:
@@ -114,10 +101,8 @@ class AtomicMeasure:
     def __add__(self, other: "AtomicMeasure") -> "AtomicMeasure":
         if not isinstance(other, AtomicMeasure):
             return NotImplemented
-        acc = dict(self._atoms)
-        for p, w in other.items():
-            acc[p] = acc.get(p, Fraction(0)) + w
-        return AtomicMeasure(acc)
+        # The constructor adds the weights of shared atoms.
+        return AtomicMeasure((*self.items(), *other.items()))
 
     def is_singular_to(self, other: "AtomicMeasure") -> bool:
         """Mutual singularity: the supports are disjoint."""
@@ -216,7 +201,7 @@ def relation_scan(mu: AtomicMeasure, degree: int, tuple_cap: int = Caps.tuples) 
 # {"atoms":[{"weight":"1/4","rational":"1/3","generic":{"0":1,"3":-2}},...]}
 #
 # Weights and rational parts are decimal-free fraction strings; generic maps
-# generator index (as a string) to a non-zero integer exponent.  Serialization
+# generator index (ASCII digits) to a non-zero integer exponent.  Serialization
 # is canonical: atoms in point order, generator keys in index order, compact
 # separators.  parse -> serialize is byte-identical on canonical input.
 
@@ -256,7 +241,7 @@ def measure_from_json_obj(obj) -> AtomicMeasure:
             raise MeasureFormatError(f"atom {k} generic part must be an object")
         exponents = []
         for key, e in generic.items():
-            if not isinstance(key, str) or not key.isdigit():
+            if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
                 raise MeasureFormatError(f"atom {k} generator index {key!r} must be a digit string")
             if not isinstance(e, int) or isinstance(e, bool):
                 raise MeasureFormatError(f"atom {k} exponent {e!r} must be an integer")
@@ -271,6 +256,6 @@ def measure_from_json_obj(obj) -> AtomicMeasure:
 def measure_from_json(text: str) -> AtomicMeasure:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MeasureFormatError(f"measure is not valid JSON: {exc}") from None
     return measure_from_json_obj(obj)

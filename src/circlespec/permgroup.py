@@ -230,12 +230,10 @@ def contiguous_block_group(block_size: int, blocks: int) -> PermSubgroup:
 
 
 def wreath_block_group(block_size: int, blocks: int) -> PermSubgroup:
-    """Within-block permutations plus whole-block swaps:
-    order (block_size!)^blocks * blocks!."""
-    if block_size < 1 or blocks < 1:
-        raise ValueError("block_size and blocks must be >= 1")
-    degree = block_size * blocks
+    """Within-block permutations plus whole-block swaps: order
+    (block_size!)^blocks * blocks!.  `contiguous_block_group` checks the arguments."""
     gens = list(contiguous_block_group(block_size, blocks).generators)
+    degree = block_size * blocks
     for j in range(blocks - 1):
         images = list(range(degree))
         for i in range(block_size):

@@ -22,6 +22,7 @@ insist on exact agreement.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -54,14 +55,14 @@ class FiberClass:
     eigenvalue, as sorted tuples of indices into `atoms` (the measure support
     in canonical order), lexicographically sorted.  The fiber's ordered
     tuples are their arrangements; `size` counts them by multinomial
-    coefficients.
+    coefficients, once per fiber.
     """
 
     eigenvalue: CirclePoint
     atoms: tuple[CirclePoint, ...]
     index_multisets: tuple[tuple[int, ...], ...]
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         return sum(
             math.factorial(len(ms)) // math.prod(map(math.factorial, _pattern(ms)))
@@ -159,6 +160,14 @@ class MultiplicityReport:
         return "\n".join(lines)
 
 
+def _generic_summary(values) -> tuple[int | None, bool]:
+    """(v, True) when the generic multiplicities all equal v, else (None, False)."""
+    values = set(values)
+    if len(values) == 1:
+        return values.pop(), True
+    return None, False
+
+
 def _build_report(power: int, group: PermSubgroup, classified) -> MultiplicityReport:
     """classified: list of (fiber, multiplicity)."""
     entries: dict[CirclePoint, int] = {}
@@ -172,12 +181,12 @@ def _build_report(power: int, group: PermSubgroup, classified) -> MultiplicityRe
             generic_values.append(mult)
         else:
             degenerate.append((fc.eigenvalue, mult))
-    homogeneous = bool(generic_values) and len(set(generic_values)) == 1
+    generic_value, homogeneous = _generic_summary(generic_values)
     return MultiplicityReport(
         power=power,
         group=group.describe(),
         entries=entries,
-        generic_value=generic_values[0] if homogeneous else None,
+        generic_value=generic_value,
         degenerate=degenerate,
         homogeneous_on_generic=homogeneous,
         generic_fiber_count=len(generic_values),
@@ -249,13 +258,14 @@ def multiplicity(
     multiplicity pattern.  Each pattern met is counted once per call by
     Burnside's lemma over the cycle-type census of `G.elements`
     (`_orbit_counts`); no arrangement is enumerated.  A fiber's multiplicity
-    sums the counts over its multisets.
+    sums the counts over its multisets; each multiset's pattern is taken once.
     """
     if G.degree != n:
         raise ValueError(f"group degree {G.degree} does not match power {n}")
     fcs = fibers(sigma, n, tuple_cap)
-    orbits = _orbit_counts(G.elements, {_pattern(ms) for fc in fcs for ms in fc.index_multisets})
-    classified = [(fc, sum(orbits[_pattern(ms)] for ms in fc.index_multisets)) for fc in fcs]
+    patterns = [[_pattern(ms) for ms in fc.index_multisets] for fc in fcs]
+    orbits = _orbit_counts(G.elements, {p for ps in patterns for p in ps})
+    classified = [(fc, sum(map(orbits.__getitem__, ps))) for fc, ps in zip(fcs, patterns)]
     return _build_report(n, G, classified)
 
 
@@ -272,22 +282,22 @@ def matrix_oracle(
     it, so the invariant subspace is the common kernel of the U_s - I.  Each
     tuple t and generator s with s(t) != t gives the row e_{s(t)} - e_t;
     rows that differ only in sign span the same line, so each unordered
-    pair of columns becomes one row e_min - e_max.  `linalg.rank` ranks the
-    rows exactly, once per fiber.  The route reads the generators and the
-    fiber's ordered tuples, never `G.elements`, orbits or multiplicity
-    patterns.
+    pair of columns becomes one row e_min - e_max.  Identity generators give
+    no row and are skipped, so every getter moves two or more positions and
+    returns a tuple.  `linalg.rank` ranks the rows exactly, once per fiber.
+    The route reads the generators and the fiber's ordered tuples, never
+    `G.elements`, orbits or multiplicity patterns.
     """
     if G.degree != n:
         raise ValueError(f"group degree {G.degree} does not match power {n}")
     d = len(sigma.support())
     admit(d**n, matrix_cap, f"{d}^{n} matrix rows")
-    # Tuples are keyed by the identity's getter: for n = 1 each getter returns a bare item.
-    getters = [operator.itemgetter(*s.images) for s in G.generators]
-    key = operator.itemgetter(*range(n))
+    identity = tuple(range(n))
+    getters = [operator.itemgetter(*s.images) for s in G.generators if s.images != identity]
     classified = []
     for fc in fibers(sigma, n, tuple_cap=matrix_cap):
         tuples = [t for ms in fc.index_multisets for t in set(itertools.permutations(ms))]
-        index_of = {key(t): j for j, t in enumerate(tuples)}
+        index_of = {t: j for j, t in enumerate(tuples)}
         pairs = {
             (i, j) if i < j else (j, i)
             for j, t in enumerate(tuples)
@@ -378,13 +388,6 @@ def _histogram(values) -> dict[str, int]:
     return {str(v): count for v, count in sorted(Counter(values).items())}
 
 
-def _generic_summary(counts: dict) -> tuple[int | None, bool]:
-    values = set(counts["generic"].values())
-    if len(values) == 1:
-        return values.pop(), True
-    return None, False
-
-
 def _power_report(
     sigma: AtomicMeasure,
     k: int,
@@ -418,7 +421,7 @@ def _power_report(
         }
         agree = agree and matches
 
-    generic_value, homogeneous = _generic_summary(counts)
+    generic_value, homogeneous = _generic_summary(counts["generic"].values())
     warning = None if d >= n else f"no generic fiber: d={d} < {n}"
     formula_ok = warning is not None or (homogeneous and generic_value == formula)
     return {
@@ -496,7 +499,7 @@ def fock_multiplicity_set(
     for m in range(1, m_max + 1):
         counts = _level_counts(sigma, k, m, itertools.combinations_with_replacement)
         levels.append(counts["entries"].keys())
-        value, homogeneous = _generic_summary(counts)
+        value, homogeneous = _generic_summary(counts["generic"].values())
         formula = math.factorial(m * k) // (math.factorial(k) ** m * math.factorial(m))
         per_level[str(m)] = value
         formulas[str(m)] = formula

@@ -87,7 +87,8 @@ def test_str_and_parse_round_trip_examples():
 
 
 def test_parse_rejects_malformed_text():
-    for text in ("g1^0", "g1^1 * g1^2", "1/2 * 1/3", "h1^1", "", "g-1^1"):
+    for text in ("g1^0", "g1^1 * g1^2", "1/2 * 1/3", "h1^1", "", "g-1^1",
+                 "1/0", "g0^1 * 1/0", "g\u0661^1", "\u0661/\u0663", "-1/3"):
         with pytest.raises(MeasureFormatError):
             CirclePoint.parse(text)
 

@@ -366,3 +366,34 @@ def test_cs_min_m_refuses_unprintable_terms_fast(k, capsys):
     assert time.perf_counter() - start < 0.5
     err = capsys.readouterr().err
     assert err.startswith("cap exceeded: ") and "digits of the" in err and "Traceback" not in err
+
+
+DEEP_JSON = "[" * 100_000
+
+
+# One row per parser the CLI reaches, each given input it must refuse: the
+# point grammar and its fractions, the measure file, the --gens JSON and
+# the dimension list.
+@pytest.mark.parametrize(
+    "argv, measure_text",
+    [
+        (["translate-singular", "--n", "1", "--m", "1", "--shift", "1/0"], None),
+        (["nonsimple", "--shift", "g0^1 * 1/0"], None),
+        (["translate-singular", "--n", "1", "--m", "1", "--shift", "g١^1"], None),
+        (["nonsimple", "--shift=-1/3"], None),
+        (["vproste", "--measure"], '{"atoms": [{"weight": "1", "rational": "0", "generic": {"١": 1}}]}'),
+        (["multiplicity", "--power", "2", "--measure"], DEEP_JSON),
+        (["multiplicity", "--atoms", "2", "--power", "2", "--gens", DEEP_JSON], None),
+        (["markov", "incl-excl", "--dims", ","], None),
+    ],
+    ids=["zero-denominator", "zero-denominator-factor", "non-ascii-index", "signed-rational",
+         "non-ascii-measure-key", "deep-measure-json", "deep-gens-json", "empty-dims"],
+)
+def test_malformed_input_is_exit_2_without_traceback(argv, measure_text, tmp_path, capsys):
+    if measure_text is not None:
+        path = tmp_path / "measure.json"
+        path.write_text(measure_text, encoding="utf-8")
+        argv = [*argv, str(path)]
+    assert run_cli(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.strip() and "Traceback" not in err

@@ -33,7 +33,7 @@ def brute_convolve(mu, nu):
 def test_parse_fraction():
     assert parse_fraction("3/4") == Fraction(3, 4)
     assert parse_fraction("-2") == Fraction(-2)
-    for bad in ("1.5", "a/b", "1/2/3", ""):
+    for bad in ("1.5", "a/b", "1/2/3", "", "1/0", "\u0661/\u0663", "\u0661", "\u00b2"):
         with pytest.raises(MeasureFormatError):
             parse_fraction(bad)
 
@@ -214,6 +214,9 @@ def test_json_rejects_malformed_documents():
         '{"atoms": [{"weight": "1/2", "rational": "1/3", "generic": {"x": 1}}]}',
         '{"atoms": [{"weight": "0", "rational": "1/3", "generic": {}}]}',
         '{"atoms": [{"weight": "1/2", "rational": "0.5", "generic": {}}]}',
+        '{"atoms": [{"weight": "1/2", "rational": "0", "generic": {"1": 1, "\u0661": 1}}]}',
+        '{"atoms": [{"weight": "1/2", "rational": "0", "generic": {"\u00b2": 1}}]}',
+        "[" * 100_000,
     ]
     for doc in bad_docs:
         with pytest.raises(MeasureFormatError):

@@ -117,3 +117,10 @@ def test_describe_is_json_ready():
     d = PermSubgroup.symmetric(3).describe()
     assert d["degree"] == 3 and d["order"] == 6
     assert all(isinstance(s, str) for s in d["generators"])
+
+
+@pytest.mark.parametrize("block_group", [contiguous_block_group, wreath_block_group])
+@pytest.mark.parametrize("block_size, blocks", [(0, 2), (2, 0), (-1, 1)])
+def test_block_groups_reject_empty_blocks(block_group, block_size, blocks):
+    with pytest.raises(ValueError, match="block_size and blocks must be >= 1"):
+        block_group(block_size, blocks)

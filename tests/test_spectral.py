@@ -708,3 +708,25 @@ def test_fock_multiplicity_set_builds_no_convolution_power(monkeypatch):
     monkeypatch.setattr(AtomicMeasure, "convolve_power", forbidden)
     rep = fock_multiplicity_set(2, 3, 6)
     assert rep["passed"] and rep["set"] == [1, 3, 15] and rep["levels_pairwise_singular"]
+
+
+def test_multiplicity_takes_each_multiset_pattern_at_most_twice(monkeypatch):
+    # Once to pick the patterns to count and sum, once for FiberClass.size,
+    # which is cached: reading it again computes nothing.
+    mu, n = designed_relation_measure(), 4
+    multisets = [ms for fc in fibers(mu, n) for ms in fc.index_multisets]
+    calls = Counter()
+    pattern = spectral._pattern
+
+    def counting_pattern(ms):
+        calls[ms] += 1
+        return pattern(ms)
+
+    monkeypatch.setattr(spectral, "_pattern", counting_pattern)
+    rep = multiplicity(mu, n, PermSubgroup.symmetric(n))
+    assert set(calls) == set(multisets) and max(calls.values()) <= 2
+    assert rep.total_tuples == len(mu) ** n
+    fc = fibers(mu, n)[0]
+    calls.clear()
+    assert fc.size == fc.size
+    assert sum(calls.values()) == len(fc.index_multisets)
