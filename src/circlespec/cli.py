@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from circlespec.circle import CirclePoint
@@ -58,9 +59,16 @@ def _parse_shift(text: str, sigma) -> CirclePoint:
     return CirclePoint.parse(text)
 
 
+def integer(text: str) -> int:
+    """An ASCII decimal, named for argparse's "invalid integer value"; `int` also reads "1_0", "٣"."""
+    if not re.fullmatch(r"-?[0-9]+", text, re.ASCII):
+        raise ValueError(f"not an integer in ASCII digits: {text!r}")
+    return int(text)
+
+
 def _parse_dims(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [integer(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"bad dimension list {text!r}: {exc}") from None
 
@@ -222,11 +230,11 @@ def _cmd_suite(args):
 
 
 def _required(flag):
-    return flag, {"type": int, "required": True}
+    return flag, {"type": integer, "required": True}
 
 
 def _int(flag, default=None, help_text=None):
-    return flag, {"type": int, "default": default, "help": help_text}
+    return flag, {"type": integer, "default": default, "help": help_text}
 
 
 _MEASURE = ("--measure", {"help": "measure JSON file"})
@@ -307,7 +315,7 @@ COMMANDS = (
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=integer, default=0)
 
     parser = argparse.ArgumentParser(
         prog="circlespec",

@@ -214,7 +214,9 @@ def coupling_from_markov(phi: MarkovOp) -> Coupling:
 class FactorStructure:
     """A product of component spaces with a chosen sub-product: the selected
     component indices, strictly increasing.  The empty selection is the
-    trivial factor: its sub-product is the product of no spaces, one point."""
+    trivial factor: its sub-product is the product of no spaces, one point.
+    `columns` gives each full point, in product order, its sub-product index
+    and the product of its unselected coordinate probabilities."""
 
     components: tuple[FiniteSpace, ...]
     selected: tuple[int, ...]
@@ -227,40 +229,39 @@ class FactorStructure:
         if any(not 0 <= i < len(self.components) for i in self.selected):
             raise ValueError("selected index out of range")
 
+    @cached_property
     def full_space(self) -> FiniteSpace:
-        return self._spaces[0]
-
-    def sub_space(self) -> FiniteSpace:
-        return self._spaces[1]
+        return product_space(self.components)
 
     @cached_property
-    def _spaces(self) -> tuple[FiniteSpace, FiniteSpace]:
-        """Full product and selected sub-product, built and validated once."""
-        sub = [self.components[i] for i in self.selected]
-        return product_space(self.components), product_space(sub)
+    def sub_space(self) -> FiniteSpace:
+        return product_space([self.components[i] for i in self.selected])
 
-    def full_points(self) -> list[tuple[int, ...]]:
-        return list(itertools.product(*(range(c.size) for c in self.components)))
-
-    def sub_index(self, point: tuple[int, ...]) -> int:
-        """Flat index of the selected coordinates inside the sub-product."""
-        idx = 0
-        for i in self.selected:
-            idx = idx * self.components[i].size + point[i]
-        return idx
+    @cached_property
+    def columns(self) -> tuple[tuple[int, Fraction], ...]:
+        """Built per component, the last varying fastest: a selected one adds
+        a mixed-radix digit to the index, an unselected one a weight factor."""
+        sub, weight = [0], [Fraction(1)]
+        for i, c in enumerate(self.components):
+            if i in self.selected:
+                sub = [s * c.size + k for s in sub for k in range(c.size)]
+                weight = [w for w in weight for _ in range(c.size)]
+            else:
+                sub = [s for s in sub for _ in range(c.size)]
+                weight = [w * p for w in weight for p in c.probs]
+        return tuple(zip(sub, weight))
 
 
 def marginal_coupling(lam: Coupling, factor: FactorStructure) -> Coupling:
     """Restrict a coupling of X with the full product to the sub-product of
     the selected components, summing out the rest."""
-    if lam.right != factor.full_space():
+    if lam.right != factor.full_space:
         raise ValueError("coupling right space is not the factor's full product")
-    sub = factor.sub_space()
-    points = factor.full_points()
+    sub = factor.sub_space
     joint = [[Fraction(0)] * sub.size for _ in range(lam.left.size)]
-    for x in range(lam.left.size):
-        for j, point in enumerate(points):
-            joint[x][factor.sub_index(point)] += lam.joint[x][j]
+    for x, row in enumerate(lam.joint):
+        for mass, (s, _) in zip(row, factor.columns):
+            joint[x][s] += mass
     return Coupling._canonical(lam.left, sub, tuple(map(tuple, joint)))
 
 
@@ -269,36 +270,18 @@ def rel_indep_extension(lam: Coupling, factor: FactorStructure) -> Coupling:
     product, making the unselected components independent given the rest:
     the extension's mass at (x, y) is the restricted mass at (x, y_selected)
     times the product of the unselected coordinate probabilities."""
-    unselected = [i for i in range(len(factor.components)) if i not in factor.selected]
-    if lam.right != factor.sub_space():
+    if lam.right != factor.sub_space:
         raise ValueError("coupling right space is not the selected sub-product")
-    # Per full point: its column in lam and its unselected probability.
-    columns = [
-        (
-            factor.sub_index(point),
-            math.prod((factor.components[i].probs[point[i]] for i in unselected), start=Fraction(1)),
-        )
-        for point in factor.full_points()
-    ]
-    joint = tuple(tuple(row[j] * extra for j, extra in columns) for row in lam.joint)
-    return Coupling._canonical(lam.left, factor.full_space(), joint)
+    joint = tuple(tuple(row[s] * extra for s, extra in factor.columns) for row in lam.joint)
+    return Coupling._canonical(lam.left, factor.full_space, joint)
 
 
 def conditional_expectation_matrix(factor: FactorStructure) -> list[list[Fraction]]:
     """Matrix on functions over the full product averaging out the unselected
     coordinates: (Ef)(y) depends only on the selected part of y.  The dense
     definition; `project_markov` applies E factored instead."""
-    points = factor.full_points()
-    unselected = [i for i in range(len(factor.components)) if i not in factor.selected]
-    n = len(points)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    for r, y in enumerate(points):
-        for c, y2 in enumerate(points):
-            if all(y[i] == y2[i] for i in factor.selected):
-                matrix[r][c] = math.prod(
-                    (factor.components[i].probs[y2[i]] for i in unselected), start=Fraction(1)
-                )
-    return matrix
+    columns = factor.columns
+    return [[extra if s == r else Fraction(0) for s, extra in columns] for r, _ in columns]
 
 
 def _integer_row(probs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -339,8 +322,7 @@ def project_markov(phi: MarkovOp, factor: FactorStructure) -> MarkovOp:
     The direct side (`_factored_expectation`, equal to the dense product
     `conditional_expectation_matrix(factor) · phi`) reads only phi and the
     component probabilities; only the extension side goes through couplings."""
-    full = factor.full_space()
-    if phi.target != full:
+    if phi.target != factor.full_space:
         raise ValueError("operator target is not the factor's full product")
     direct = _factored_expectation(phi, factor)
 

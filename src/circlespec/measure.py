@@ -236,13 +236,15 @@ def measure_from_json_obj(obj) -> AtomicMeasure:
         if weight <= 0:
             raise MeasureFormatError(f"atom {k} weight must be positive, got {weight}")
         rational = parse_fraction(entry["rational"])
+        if not 0 <= rational < 1:
+            raise MeasureFormatError(f"atom {k} rational part must lie in [0, 1), got {rational}")
         generic = entry["generic"]
         if not isinstance(generic, dict):
             raise MeasureFormatError(f"atom {k} generic part must be an object")
         exponents = []
         for key, e in generic.items():
-            if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
-                raise MeasureFormatError(f"atom {k} generator index {key!r} must be a digit string")
+            if not (isinstance(key, str) and key.isascii() and key.isdigit() and str(int(key)) == key):
+                raise MeasureFormatError(f"atom {k} generator index {key!r} is not a canonical decimal")
             if not isinstance(e, int) or isinstance(e, bool):
                 raise MeasureFormatError(f"atom {k} exponent {e!r} must be an integer")
             exponents.append((int(key), e))

@@ -1,11 +1,11 @@
 """Small permutation groups, fully enumerated.
 
 Everything downstream counts orbits of a subgroup G <= S(n) acting on
-n-tuples, so groups are kept as explicit element sets: the orbit route
-reads their cycle types, the rank route only the generators.  Through
-`errors.admit`, `closure` admits degrees up to `errors.DEFAULT_DEGREE_CAP`
-= 8; its breadth-first search runs on bare image tuples, so S(8), 40320
-elements, closes in a fraction of a second.
+n-tuples, so groups are kept as explicit element sets of image tuples: the
+orbit route reads their cycle types, the rank route only the generators,
+which stay validated `Perm`s.  Through `errors.admit`, `closure` admits
+degrees up to `errors.DEFAULT_DEGREE_CAP` = 8, so S(8), 40320 elements,
+closes in a fraction of a second.
 `orbit_count_free` computes the orbit count on enumerating tuples twice, by
 the index formula n!/#G and by direct enumeration, and refuses to return if
 the two disagree: the action there is free, so every orbit has exactly #G
@@ -25,7 +25,7 @@ from circlespec.errors import DEFAULT_DEGREE_CAP, Caps, admit
 class Perm:
     """A permutation of {0..n-1} stored as its image tuple."""
 
-    __slots__ = ("images", "_hash")
+    __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
@@ -34,18 +34,9 @@ class Perm:
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_hash", hash(images))
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
-
-    @classmethod
-    def _canonical(cls, images: tuple[int, ...]) -> "Perm":
-        """Trusted constructor: `images` is a tuple permuting 0..len(images)-1."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
-        object.__setattr__(p, "_hash", hash(images))
-        return p
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
@@ -82,10 +73,7 @@ class Perm:
         return self.images == other.images
 
     def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "Perm") -> bool:
-        return self.images < other.images
+        return hash(self.images)
 
     def serialize(self) -> str:
         return "[" + ",".join(map(str, self.images)) + "]"
@@ -94,14 +82,13 @@ class Perm:
         return f"Perm({list(self.images)})"
 
 
-def closure(n: int, generators: Iterable[Perm]) -> tuple[Perm, ...]:
-    """Breadth-first closure of the generators inside S(n), sorted.
+def closure(n: int, generators: Iterable[Perm]) -> tuple[tuple[int, ...], ...]:
+    """Breadth-first closure of the generators inside S(n): its sorted image tuples.
 
-    The search runs on bare image tuples: p * g is `itemgetter(*g.images)(p)`,
-    which is a tuple for every generator other than the identity, and the
-    identity adds nothing to the closure, so it is skipped (for n < 2 it is
-    the only permutation).  Each element found is wrapped once, by the
-    trusted `Perm._canonical`, after the sort."""
+    The search runs on the image tuples themselves: p * g is
+    `itemgetter(*g.images)(p)`, which is a tuple for every generator other
+    than the identity, and the identity adds nothing to the closure, so it is
+    skipped (for n < 2 it is the only permutation)."""
     if n < 0:
         raise ValueError("degree must be non-negative")
     admit(n, DEFAULT_DEGREE_CAP, f"{n} permuted points")
@@ -122,11 +109,12 @@ def closure(n: int, generators: Iterable[Perm]) -> tuple[Perm, ...]:
                     els.add(q)
                     new.append(q)
         frontier = new
-    return tuple(map(Perm._canonical, sorted(els)))
+    return tuple(sorted(els))
 
 
 class PermSubgroup:
-    """A subgroup of S(degree) held as generators plus the full element set."""
+    """A subgroup of S(degree) held as its generators, `Perm`s, plus its full
+    element set, the image tuples of `closure`."""
 
     __slots__ = ("degree", "generators", "elements")
 
@@ -186,13 +174,12 @@ def orbit_count_free(G: PermSubgroup, tuple_cap: int = Caps.tuples) -> int:
     if n_fact % G.order:
         raise RuntimeError(f"Lagrange violation: {G.order} does not divide {n}!")
     formula = n_fact // G.order
-    images = [p.images for p in G.elements]
     seen: set[tuple[int, ...]] = set()
     enumerated = 0
     for t in itertools.permutations(range(n)):
         if t in seen:
             continue
-        orbit = {tuple(imgs[v] for v in t) for imgs in images}
+        orbit = {tuple(imgs[v] for v in t) for imgs in G.elements}
         if len(orbit) != G.order:
             raise RuntimeError(f"action not free on {t}: orbit size {len(orbit)} != {G.order}")
         seen |= orbit

@@ -219,7 +219,7 @@ def _orbit_counts(elements, patterns) -> dict[tuple[int, ...], int]:
     value v covering pattern[v] positions; it depends on the pattern only as
     a multiset, which the memo key uses.  A sum that |G| does not divide
     means `elements` is not a group, and raises RuntimeError."""
-    census = Counter(_cycle_type(p.images) for p in elements)
+    census = Counter(map(_cycle_type, elements))
     memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
     def fix(cycles, room):

@@ -17,7 +17,7 @@ from pathlib import Path
 import circlespec
 from circlespec.cli import main
 from circlespec.errors import Caps
-from circlespec import suite as battery
+from circlespec import spectral, suite as battery
 
 SEED = 0
 # sha256 of the stdout of `circlespec suite --seed 0`, fixed by the ROADMAP.
@@ -89,6 +89,15 @@ def test_criterion_08_simplicity_monotone(capsys):
     )
     assert report["measures"] == 200
     assert report["violations"] == []
+
+
+def test_simplicity_monotone_fails_on_an_engine_that_calls_every_level_simple(monkeypatch):
+    # Monotonicity is a theorem, so such an engine has no violations; the
+    # criterion must still notice that no level of any measure failed.
+    monkeypatch.setattr(spectral, "_first_nonsimple_fiber", lambda *args: None)
+    report = battery.criterion_simplicity_monotone(SEED, Caps())
+    assert report["nonsimple_measures"] == 0 and report["violations"] == []
+    assert report["passed"] is False
 
 
 def test_criterion_09_markov_identities(capsys):

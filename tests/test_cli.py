@@ -397,3 +397,31 @@ def test_malformed_input_is_exit_2_without_traceback(argv, measure_text, tmp_pat
     assert run_cli(argv) == (2, "")
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
+
+
+# int() reads "1_0" as 10 and the digits of other scripts ("٣", "２") as
+# their values; integer flags and the dimension list take ASCII digits only.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "vproste --atoms ٣",
+        "krot --k 1_0 --m 2",
+        "cs-criterion --k 1_0 --m 2 --n 2",
+        "markov incl-excl --dims ٢,3",
+        "markov incl-excl --dims 2,٣",
+        "multiplicity --atoms 2 --power ２",
+        "cs-min-m --k +2",
+        "cs-criterion --k 1 --m 2 --n 2 --seed ٠",
+    ],
+)
+def test_integers_take_ascii_digits_only(argv, capsys):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:  # argparse rejects a flag's value this way
+            code = exc.code
+    assert (code, buf.getvalue()) == (2, "")
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "invalid integer value" in err or "not an integer in ASCII digits" in err

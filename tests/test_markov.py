@@ -267,6 +267,21 @@ BIG = (
 )
 
 
+def test_columns_follow_the_coordinate_definition():
+    # The dense conditional expectation reads columns, so columns are held to
+    # the coordinates: the sub index is the mixed radix of the selected
+    # coordinates, the weight the product of the unselected probabilities.
+    for selected in all_selectors(3):
+        expected = []
+        for point in itertools.product(*(range(c.size) for c in BIG)):
+            index = 0
+            for i in selected:
+                index = index * BIG[i].size + point[i]
+            weight = math.prod((BIG[i].probs[point[i]] for i in range(3) if i not in selected), start=F(1))
+            expected.append((index, weight))
+        assert FactorStructure(BIG, selected).columns == tuple(expected)
+
+
 def test_projection_with_coprime_large_denominators():
     phi = operator_onto(BIG, [[1, 9, 2, 8, 3, 7, 4, 6, 5, 5, 6, 4], [9] * 12])
     for selected in all_selectors(3):
@@ -279,10 +294,11 @@ def test_factored_route_uses_no_coupling_function(monkeypatch):
     expected = {s: dense_projection(phi, FactorStructure(BIG, s)) for s in all_selectors(3)}
 
     def forbidden(*args):
-        raise AssertionError("the direct route called a coupling function")
+        raise AssertionError("the direct route read the extension route")
 
     for name in ("coupling_from_markov", "marginal_coupling", "rel_indep_extension", "markov_from_coupling"):
         monkeypatch.setattr(markov, name, forbidden)
+    monkeypatch.setattr(FactorStructure, "columns", property(forbidden))
     for selected, dense in expected.items():
         assert markov._factored_expectation(phi, FactorStructure(BIG, selected)) == dense
 

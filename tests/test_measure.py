@@ -216,6 +216,10 @@ def test_json_rejects_malformed_documents():
         '{"atoms": [{"weight": "1/2", "rational": "0.5", "generic": {}}]}',
         '{"atoms": [{"weight": "1/2", "rational": "0", "generic": {"1": 1, "\u0661": 1}}]}',
         '{"atoms": [{"weight": "1/2", "rational": "0", "generic": {"\u00b2": 1}}]}',
+        '{"atoms": [{"weight": "1/2", "rational": "0", "generic": {"1": 1, "01": 1}}]}',
+        '{"atoms": [{"weight": "1/2", "rational": "1", "generic": {"1": 1}}]}',
+        '{"atoms": [{"weight": "1/2", "rational": "-1/3", "generic": {}}]}',
+        '{"atoms": [{"weight": "1/2", "rational": "3/2", "generic": {}}]}',
         "[" * 100_000,
     ]
     for doc in bad_docs:

@@ -57,7 +57,7 @@ def ordered_tuples(fc):
 def brute_orbit_counts(mu, n, G):
     """Per eigenvalue, the G-orbits on ordered tuples, named by their least member."""
     return {
-        eig: len({min(tuple(t[i] for i in g.images) for g in G.elements) for t in ts})
+        eig: len({min(tuple(t[i] for i in g) for g in G.elements) for t in ts})
         for eig, ts in brute_fibers(mu, n)
     }
 
@@ -151,7 +151,7 @@ def projector_ranks(mu, n, G):
         block = [[0] * len(ts) for _ in ts]
         for j, t in enumerate(ts):
             for g in G.elements:
-                block[index_of[tuple(t[i] for i in g.images)]][j] += 1
+                block[index_of[tuple(t[i] for i in g)]][j] += 1
         ranks[eig] = DomainMatrix([[ZZ(x) for x in row] for row in block], (len(ts), len(ts)), ZZ).rank()
     return ranks
 
@@ -238,7 +238,7 @@ def enumerated_orbit_count(G, pattern):
     for t in sorted(set(itertools.permutations(ms))):
         if t not in seen:
             orbits += 1
-            seen.update(tuple(t[i] for i in g.images) for g in G.elements)
+            seen.update(tuple(t[i] for i in g) for g in G.elements)
     return orbits
 
 
@@ -272,7 +272,7 @@ def test_burnside_refuses_an_element_list_that_is_not_a_group():
     # {identity, 3-cycle} fixes 3 + 0 arrangements of pattern (2, 1): 3 is not a multiple of 2.
     n = 3
     G = PermSubgroup.symmetric(n)
-    object.__setattr__(G, "elements", (Perm.identity(n), Perm.from_cycle(n, [0, 1, 2])))
+    object.__setattr__(G, "elements", ((0, 1, 2), (1, 2, 0)))
     with pytest.raises(RuntimeError, match="not a multiple of"):
         spectral._orbit_counts(G.elements, [(2, 1)])
     with pytest.raises(RuntimeError, match="not a multiple of"):
@@ -286,7 +286,7 @@ def test_each_route_reads_its_own_description_of_the_group():
     mu, n = designed_relation_measure(), 3
     true = PermSubgroup.symmetric(n)
     broken = PermSubgroup.symmetric(n)
-    object.__setattr__(broken, "elements", (Perm.identity(n),))
+    object.__setattr__(broken, "elements", (tuple(range(n)),))
     expected = brute_orbit_counts(mu, n, true)
     assert matrix_oracle(mu, n, broken).entries == expected
     orbit = multiplicity(mu, n, broken).entries
