@@ -15,12 +15,13 @@ give the same point only when they are equal and the rational parts agree.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
-from circlespec.errors import MeasureFormatError
+from circlespec.errors import Immutable, MeasureFormatError
 
 ExponentPairs = Union[Mapping[int, int], Iterable[Tuple[int, int]]]
 
@@ -59,15 +60,16 @@ class GeneratorAllocator:
         return CirclePoint.generator(self.fresh())
 
 
-class CirclePoint:
+@functools.total_ordering
+class CirclePoint(Immutable):
     """An element of the circle group: e^{2 pi i r} * prod_i g_i^{e_i}.
 
     `rational` is a Fraction reduced into [0, 1); `generic` is a sorted tuple
     of (generator index, non-zero exponent) pairs.  Instances are immutable
     and hashable.  The group operation is `*`; `**` raises to an integer
-    power; `inverse()` inverts.  Ordering is lexicographic on
-    (rational, generic) and is a total order used for every canonical sort
-    in the library.
+    power; `inverse()` inverts.  `sort_key()`, lexicographic on (rational,
+    generic), defines the total order every canonical sort keys on;
+    `__lt__` compares it and `total_ordering` derives the rest.
     """
 
     __slots__ = ("rational", "generic", "_hash")
@@ -86,9 +88,6 @@ class CirclePoint:
         object.__setattr__(self, "rational", r)
         object.__setattr__(self, "generic", gen)
         object.__setattr__(self, "_hash", hash((r, gen)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CirclePoint is immutable")
 
     @classmethod
     def _canonical(cls, rational: Fraction, generic: tuple) -> "CirclePoint":
@@ -144,15 +143,6 @@ class CirclePoint:
 
     def __lt__(self, other: "CirclePoint") -> bool:
         return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "CirclePoint") -> bool:
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other: "CirclePoint") -> bool:
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other: "CirclePoint") -> bool:
-        return self.sort_key() >= other.sort_key()
 
     def __str__(self) -> str:
         factors = []

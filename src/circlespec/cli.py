@@ -240,6 +240,7 @@ def _int(flag, default=None, help_text=None):
 _MEASURE = ("--measure", {"help": "measure JSON file"})
 _TUPLE_CAP = _int("--tuple-cap", Caps.tuples)
 _MATRIX_CAP = _int("--matrix-cap", Caps.matrix)
+_SEED = _int("--seed", 0)
 _POWER_ARGS = (
     _TUPLE_CAP,
     _MATRIX_CAP,
@@ -251,7 +252,7 @@ _POWER_ARGS = (
 # (command path, help, arguments as (flag, add_argument keywords), handler).
 # A row without a handler is a group whose subcommands follow it; every
 # other row is a leaf that also takes the common options.  A leaf takes a
-# cap flag only if its handler reads that cap.
+# cap flag or --seed only if its handler reads it (the envelope's seed is 0).
 COMMANDS = (
     (("multiplicity",), "multiplicity report for a power of a measure under a subgroup", (
         _TUPLE_CAP,
@@ -301,21 +302,20 @@ COMMANDS = (
     ), _cmd_relations),
     (("markov",), "finite Markov-operator identities", (), None),
     (("markov", "round-trip"), "coupling <-> operator round trips on random rational couplings",
-     (_int("--count", 50),), _cmd_markov_round_trip),
+     (_SEED, _int("--count", 50)), _cmd_markov_round_trip),
     (("markov", "lm-kk"),
      "conditional expectation onto a sub-product vs the relatively independent extension",
-     (_int("--n", 2, "product components (1..3)"), _int("--count", 3, "random trials")), _cmd_markov_lm_kk),
+     (_SEED, _int("--n", 2, "product components (1..3)"), _int("--count", 3, "random trials")), _cmd_markov_lm_kk),
     (("markov", "incl-excl"), "inclusion-exclusion of mean projections on a finite product",
      (_MATRIX_CAP, ("--dims", {"default": "2,2", "help": 'comma-separated sizes, e.g. "2,3,2"'})),
      _cmd_markov_incl_excl),
-    (("suite",), "run the full acceptance battery", (_TUPLE_CAP, _MATRIX_CAP), _cmd_suite),
+    (("suite",), "run the full acceptance battery", (_SEED, _TUPLE_CAP, _MATRIX_CAP), _cmd_suite),
 )
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--seed", type=integer, default=0)
 
     parser = argparse.ArgumentParser(
         prog="circlespec",
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = parent.add_parser(path[-1], parents=[common], help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler, seed=0)
     return parser
 
 

@@ -1,4 +1,5 @@
-"""Shared exception types, the enumeration caps and their admission rule, and the positive-int check."""
+"""Shared exception types, the immutable value base, the enumeration caps
+and their admission rule, and the positive-int check."""
 
 from dataclasses import dataclass
 
@@ -11,6 +12,16 @@ class EnumerationCapError(RuntimeError):
 
 class MeasureFormatError(ValueError):
     """A serialized measure, point, or fraction string failed to parse."""
+
+
+class Immutable:
+    """Base of the slotted value types: assigning any attribute raises.
+    Constructors set their slots through `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from circlespec import linalg
-from circlespec.errors import Caps, admit
+from circlespec.errors import Caps, Immutable, admit
 
 
-class FiniteSpace:
+class FiniteSpace(Immutable):
     """A finite probability space: point labels plus strictly positive
     rational probabilities summing to one."""
 
@@ -58,9 +58,6 @@ class FiniteSpace:
             raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteSpace is immutable")
 
     @property
     def size(self) -> int:
@@ -90,7 +87,7 @@ def product_space(components: Sequence[FiniteSpace]) -> FiniteSpace:
     return FiniteSpace(labels, probs)
 
 
-class Coupling:
+class Coupling(Immutable):
     """A joint distribution on left x right with the two spaces as exact
     marginals.  joint[i][j] is the mass on (left point i, right point j).
 
@@ -120,9 +117,6 @@ class Coupling:
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "joint", joint)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Coupling is immutable")
-
     @classmethod
     def _canonical(cls, left: FiniteSpace, right: FiniteSpace, joint: tuple) -> "Coupling":
         """Trusted constructor: `joint` rows are tuples of non-negative
@@ -142,7 +136,7 @@ class Coupling:
         return f"Coupling({self.left.size}x{self.right.size})"
 
 
-class MarkovOp:
+class MarkovOp(Immutable):
     """A measure-preserving Markov operator from functions on `source` to
     functions on `target`; matrix[t][s] is indexed target x source.
 
@@ -170,9 +164,6 @@ class MarkovOp:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MarkovOp is immutable")
 
     @classmethod
     def mean(cls, source: FiniteSpace, target: FiniteSpace) -> "MarkovOp":

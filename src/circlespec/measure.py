@@ -19,12 +19,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
 from circlespec.circle import CirclePoint, GeneratorAllocator, _PackedCodec, parse_fraction
-from circlespec.errors import Caps, MeasureFormatError, admit, require_positive
+from circlespec.errors import Caps, Immutable, MeasureFormatError, admit, require_positive
 
 WeightPairs = Union[Mapping[CirclePoint, Fraction], Iterable[Tuple[CirclePoint, Fraction]]]
 
 
-class AtomicMeasure:
+class AtomicMeasure(Immutable):
     """Finite positive measure: CirclePoint -> positive rational weight.
 
     Atoms are kept in canonical point order.  Measures are not normalized.
@@ -45,9 +45,6 @@ class AtomicMeasure:
             if w <= 0:
                 raise ValueError(f"weight of atom {p} must be positive, got {w}")
         object.__setattr__(self, "_atoms", dict(sorted(acc.items(), key=lambda kv: kv[0].sort_key())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AtomicMeasure is immutable")
 
     @classmethod
     def _canonical(cls, atoms: dict[CirclePoint, Fraction]) -> "AtomicMeasure":
@@ -245,8 +242,8 @@ def measure_from_json_obj(obj) -> AtomicMeasure:
         for key, e in generic.items():
             if not (isinstance(key, str) and key.isascii() and key.isdigit() and str(int(key)) == key):
                 raise MeasureFormatError(f"atom {k} generator index {key!r} is not a canonical decimal")
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise MeasureFormatError(f"atom {k} exponent {e!r} must be an integer")
+            if not isinstance(e, int) or isinstance(e, bool) or e == 0:
+                raise MeasureFormatError(f"atom {k} exponent {e!r} must be a non-zero integer")
             exponents.append((int(key), e))
         pairs.append((CirclePoint(rational, exponents), weight))
     try:

@@ -3,9 +3,10 @@
 Everything downstream counts orbits of a subgroup G <= S(n) acting on
 n-tuples, so groups are kept as explicit element sets of image tuples: the
 orbit route reads their cycle types, the rank route only the generators,
-which stay validated `Perm`s.  Through `errors.admit`, `closure` admits
-degrees up to `errors.DEFAULT_DEGREE_CAP` = 8, so S(8), 40320 elements,
-closes in a fraction of a second.
+which stay validated `Perm`s built from cycles (a transposition is a
+2-cycle).  Through `errors.admit`, `closure` admits degrees up to
+`errors.DEFAULT_DEGREE_CAP` = 8, so S(8), 40320 elements, closes in a
+fraction of a second.
 `orbit_count_free` computes the orbit count on enumerating tuples twice, by
 the index formula n!/#G and by direct enumeration, and refuses to return if
 the two disagree: the action there is free, so every orbit has exactly #G
@@ -19,10 +20,10 @@ import math
 import operator
 from typing import Iterable, Sequence
 
-from circlespec.errors import DEFAULT_DEGREE_CAP, Caps, admit
+from circlespec.errors import DEFAULT_DEGREE_CAP, Caps, Immutable, admit
 
 
-class Perm:
+class Perm(Immutable):
     """A permutation of {0..n-1} stored as its image tuple."""
 
     __slots__ = ("images",)
@@ -35,18 +36,9 @@ class Perm:
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
         object.__setattr__(self, "images", images)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Perm is immutable")
-
     @classmethod
     def identity(cls, n: int) -> "Perm":
         return cls(range(n))
-
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Perm":
-        images = list(range(n))
-        images[i], images[j] = images[j], images[i]
-        return cls(images)
 
     @classmethod
     def from_cycle(cls, n: int, cycle: Sequence[int]) -> "Perm":
@@ -112,7 +104,7 @@ def closure(n: int, generators: Iterable[Perm]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(els))
 
 
-class PermSubgroup:
+class PermSubgroup(Immutable):
     """A subgroup of S(degree) held as its generators, `Perm`s, plus its full
     element set, the image tuples of `closure`."""
 
@@ -124,21 +116,16 @@ class PermSubgroup:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "elements", closure(degree, generators))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PermSubgroup is immutable")
-
     @classmethod
     def trivial(cls, n: int) -> "PermSubgroup":
         return cls(n, ())
 
     @classmethod
     def symmetric(cls, n: int) -> "PermSubgroup":
-        if n < 2:
+        """S(n), the block group of one block: (0 1), and the n-cycle for n >= 3."""
+        if n < 1:
             return cls.trivial(n)
-        gens = [Perm.transposition(n, 0, 1)]
-        if n > 2:
-            gens.append(Perm.from_cycle(n, list(range(n))))
-        return cls(n, gens)
+        return contiguous_block_group(n, 1)
 
     @classmethod
     def cyclic(cls, n: int) -> "PermSubgroup":
@@ -206,7 +193,7 @@ def contiguous_block_group(block_size: int, blocks: int) -> PermSubgroup:
     for j in range(blocks):
         block = list(range(block_size * j, block_size * (j + 1)))
         if block_size >= 2:
-            gens.append(Perm.transposition(degree, block[0], block[1]))
+            gens.append(Perm.from_cycle(degree, block[:2]))
         if block_size >= 3:
             gens.append(Perm.from_cycle(degree, block))
     G = PermSubgroup(degree, gens)
@@ -218,14 +205,14 @@ def contiguous_block_group(block_size: int, blocks: int) -> PermSubgroup:
 
 def wreath_block_group(block_size: int, blocks: int) -> PermSubgroup:
     """Within-block permutations plus whole-block swaps: order
-    (block_size!)^blocks * blocks!.  `contiguous_block_group` checks the arguments."""
+    (block_size!)^blocks * blocks!.  `contiguous_block_group` checks the
+    arguments.  Blocks j and j + 1 swap by one slice assignment."""
     gens = list(contiguous_block_group(block_size, blocks).generators)
     degree = block_size * blocks
     for j in range(blocks - 1):
         images = list(range(degree))
-        for i in range(block_size):
-            a, b = block_size * j + i, block_size * (j + 1) + i
-            images[a], images[b] = images[b], images[a]
+        lo, mid, hi = block_size * j, block_size * (j + 1), block_size * (j + 2)
+        images[lo:hi] = images[mid:hi] + images[lo:mid]
         gens.append(Perm(images))
     G = PermSubgroup(degree, gens)
     expected = math.factorial(block_size) ** blocks * math.factorial(blocks)

@@ -100,7 +100,7 @@ def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> list[F
 
     The grouping is `_group_by_product`'s; the codec then sorts the packed
     keys and decodes each once.  The fibers stand for all d^n ordered
-    tuples, and the cap counts those."""
+    tuples, and the cap counts those.  Only the two multiplicity routes read them."""
     atoms, codec, by_key = _group_by_product(sigma, n, tuple_cap)
     return [FiberClass(eig, atoms, tuple(mss)) for eig, mss in codec.ordered(by_key.items())]
 
@@ -676,53 +676,59 @@ def girsanov_step(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) ->
     search tries the product of the two highest-multiplicity level-n
     eigenvalues first (the construction's own witness) before scanning all
     level-2n fibers.  q = 1 makes the claim trivially true.  The cap is
-    checked for level 2n before any level runs."""
+    checked for level 2n before any level runs.  Each level counts its
+    multisets per packed key, as the simplicity checks do; keys rank by
+    (-count, eigenvalue order), and only printed eigenvalues are decoded."""
     require_positive(power=n)
     if len(sigma) < 1:
         raise ValueError("measure must have at least one atom")
     admit(len(sigma) ** (2 * n), tuple_cap, f"{len(sigma)}^{2 * n} tuples")
-    level_1, level_n, level_2n = (
-        {fc.eigenvalue: fc.index_multisets for fc in fibers(sigma, j, tuple_cap)} for j in (1, n, 2 * n)
+    (_, _, level_1), (atoms, codec_n, level_n), (_, codec_2n, level_2n) = (
+        _group_by_product(sigma, j, tuple_cap) for j in (1, n, 2 * n)
     )
 
-    def top(counts, skip=None):
-        """The first eigenvalue of largest multiplicity, other than `skip`."""
-        return max((eig for eig in counts if eig != skip), key=lambda eig: len(counts[eig]), default=None)
+    def top(codec, by_key, skip=None):
+        """The first key other than `skip` by (-count, eigenvalue order), or
+        `skip` when no other is left; only the largest count's keys decode."""
+        counts = {key: len(mss) for key, mss in by_key.items() if key != skip}
+        most = max(counts.values(), default=None)
+        return min((key for key, c in counts.items() if c == most), key=codec.sort_key, default=skip)
 
-    s = top(level_n)
-    s2 = top(level_n, skip=s) or s
-    q = len(level_n[s])
-    atoms = sigma.support()
+    top_key = top(codec_n, level_n)
+    second_key = top(codec_n, level_n, skip=top_key)
+    s, s2 = (codec_n.point(*codec_n.sort_key(key)) for key in (top_key, second_key))
+    q = len(level_n[top_key])
 
     def names(multisets):
         return [[str(atoms[i]) for i in ms] for ms in multisets]
 
     candidate = s * s2
+    candidate_key = codec_2n.key(candidate)
     required = q * q
-    if len(level_2n.get(candidate, ())) >= required:
-        chosen = candidate
+    if len(level_2n.get(candidate_key, ())) >= required:
+        chosen, chosen_key = candidate, candidate_key
     else:
-        chosen = top(level_2n)
-    chosen_count = len(level_2n[chosen])
-    max_2n = max(len(ms) for ms in level_2n.values())
+        chosen_key = top(codec_2n, level_2n)
+        chosen = codec_2n.point(*codec_2n.sort_key(chosen_key))
+    chosen_count = len(level_2n[chosen_key])
     return {
         "level": n,
         "q": q,
         "trivial": q == 1,
         "top_eigenvalue": str(s),
-        "top_multisets": names(level_n[s]),
+        "top_multisets": names(level_n[top_key]),
         "second_eigenvalue": str(s2),
-        "second_multisets": names(level_n[s2]),
+        "second_multisets": names(level_n[second_key]),
         "candidate_eigenvalue": str(candidate),
-        "candidate_count": len(level_2n.get(candidate, ())),
+        "candidate_count": len(level_2n.get(candidate_key, ())),
         "chosen_eigenvalue": str(chosen),
         "chosen_count": chosen_count,
         "required": required,
-        "witness_multisets": names(level_2n[chosen]),
+        "witness_multisets": names(level_2n[chosen_key]),
         "level_max": {
-            "1": max(len(ms) for ms in level_1.values()),
+            "1": max(len(mss) for mss in level_1.values()),
             str(n): q,
-            str(2 * n): max_2n,
+            str(2 * n): max(len(mss) for mss in level_2n.values()),
         },
         "satisfied": chosen_count >= required,
     }

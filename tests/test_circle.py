@@ -5,7 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from circlespec import CirclePoint, GeneratorAllocator, MeasureFormatError
+from circlespec import (
+    AtomicMeasure,
+    CirclePoint,
+    Coupling,
+    FiniteSpace,
+    GeneratorAllocator,
+    MarkovOp,
+    MeasureFormatError,
+    Perm,
+    PermSubgroup,
+)
 from circlespec.circle import _PackedCodec
 
 from tests.helpers import point_strategy as helper_points
@@ -30,6 +40,30 @@ def test_identity_and_generator_basics():
     g = CirclePoint.generator(3)
     assert g.generic == ((3, 1),) and g.rational == 0
     assert not g.is_identity and not g.is_rational
+
+
+HALVES = FiniteSpace(["a", "b"], [Fraction(1, 2), Fraction(1, 2)])
+VALUES = [
+    CirclePoint.generator(0),
+    AtomicMeasure.delta(CirclePoint.identity()),
+    Perm([1, 0]),
+    PermSubgroup.symmetric(2),
+    HALVES,
+    Coupling(HALVES, HALVES, [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]),
+    MarkovOp.mean(HALVES, HALVES),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("name", ["existing", "new"])
+def test_value_types_refuse_every_assignment(value, name):
+    """The value types share one guard, `errors.Immutable`: assigning a slot
+    or any other attribute raises and names the type."""
+    attr = type(value).__slots__[0] if name == "existing" else "extra"
+    before = getattr(value, attr, None)
+    with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+        setattr(value, attr, 0)
+    assert getattr(value, attr, None) is before
 
 
 def test_rational_part_reduced_modulo_one():
@@ -112,6 +146,9 @@ def test_total_order_is_consistent(a, b):
     assert (a <= b) or (b <= a)
     if a <= b and b <= a:
         assert a == b
+    # Every comparison operator agrees with the one order, `sort_key`.
+    ka, kb = a.sort_key(), b.sort_key()
+    assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
 
 
 @given(st.lists(points, min_size=1, max_size=6))
@@ -119,6 +156,8 @@ def test_sort_is_stable_total_order(ps):
     s = sorted(ps)
     for x, y in zip(s, s[1:]):
         assert x <= y
+        assert y >= x and not x > y and not y < x
+    assert s == sorted(ps, key=CirclePoint.sort_key)
 
 
 def test_unique_factorization_over_fresh_generators():

@@ -349,7 +349,10 @@ def test_every_leaf_option_is_read_by_its_handler(argv):
     assert not unread, f"{argv}: options never read: {sorted(unread)}"
 
 
-@pytest.mark.parametrize("argv", ["fock-set --matrix-cap 5", "cs-min-m --k 1 --tuple-cap 5"])
+# A leaf refuses a cap flag or --seed that its handler does not read.
+@pytest.mark.parametrize(
+    "argv", ["fock-set --matrix-cap 5", "cs-min-m --k 1 --tuple-cap 5", "krot --k 1 --m 2 --seed 3"]
+)
 def test_cap_flag_on_a_leaf_that_ignores_it_is_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
@@ -382,12 +385,13 @@ DEEP_JSON = "[" * 100_000
         (["translate-singular", "--n", "1", "--m", "1", "--shift", "g١^1"], None),
         (["nonsimple", "--shift=-1/3"], None),
         (["vproste", "--measure"], '{"atoms": [{"weight": "1", "rational": "0", "generic": {"١": 1}}]}'),
+        (["relations", "--measure"], '{"atoms": [{"weight": "1", "rational": "0", "generic": {"0": 0}}]}'),
         (["multiplicity", "--power", "2", "--measure"], DEEP_JSON),
         (["multiplicity", "--atoms", "2", "--power", "2", "--gens", DEEP_JSON], None),
         (["markov", "incl-excl", "--dims", ","], None),
     ],
     ids=["zero-denominator", "zero-denominator-factor", "non-ascii-index", "signed-rational",
-         "non-ascii-measure-key", "deep-measure-json", "deep-gens-json", "empty-dims"],
+         "non-ascii-measure-key", "zero-exponent", "deep-measure-json", "deep-gens-json", "empty-dims"],
 )
 def test_malformed_input_is_exit_2_without_traceback(argv, measure_text, tmp_path, capsys):
     if measure_text is not None:
@@ -411,7 +415,7 @@ def test_malformed_input_is_exit_2_without_traceback(argv, measure_text, tmp_pat
         "markov incl-excl --dims 2,٣",
         "multiplicity --atoms 2 --power ２",
         "cs-min-m --k +2",
-        "cs-criterion --k 1 --m 2 --n 2 --seed ٠",
+        "markov round-trip --count 1 --seed ٠",
     ],
 )
 def test_integers_take_ascii_digits_only(argv, capsys):

@@ -220,6 +220,7 @@ def test_json_rejects_malformed_documents():
         '{"atoms": [{"weight": "1/2", "rational": "1", "generic": {"1": 1}}]}',
         '{"atoms": [{"weight": "1/2", "rational": "-1/3", "generic": {}}]}',
         '{"atoms": [{"weight": "1/2", "rational": "3/2", "generic": {}}]}',
+        '{"atoms": [{"weight": "1/2", "rational": "0", "generic": {"0": 0}}]}',
         "[" * 100_000,
     ]
     for doc in bad_docs:

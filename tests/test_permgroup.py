@@ -39,10 +39,10 @@ def test_composition_acts_right_to_left():
 
 
 def test_closure_and_standard_groups():
-    s3 = closure(3, [Perm.transposition(3, 0, 1), Perm.from_cycle(3, (0, 1, 2))])
+    s3 = closure(3, [Perm.from_cycle(3, (0, 1)), Perm.from_cycle(3, (0, 1, 2))])
     assert len(s3) == 6
     assert len(closure(3, [Perm.from_cycle(3, (0, 1, 2))])) == 3
-    s4 = PermSubgroup(4, [Perm.transposition(4, 0, 1), Perm.from_cycle(4, (0, 1, 2, 3))])
+    s4 = PermSubgroup(4, [Perm.from_cycle(4, (0, 1)), Perm.from_cycle(4, (0, 1, 2, 3))])
     assert s4.order == 24
     assert PermSubgroup.trivial(5).order == 1
     assert PermSubgroup.symmetric(4).order == 24
@@ -71,7 +71,7 @@ def test_lagrange_divisibility():
     for g in (
         PermSubgroup.trivial(4),
         PermSubgroup.cyclic(4),
-        PermSubgroup(4, [Perm.transposition(4, 0, 1)]),
+        PermSubgroup(4, [Perm.from_cycle(4, (0, 1))]),
         PermSubgroup(4, [Perm.from_cycle(4, (0, 1, 2))]),
     ):
         assert s4.order % g.order == 0
@@ -80,7 +80,7 @@ def test_lagrange_divisibility():
 def test_orbit_count_free_reference_values():
     assert orbit_count_free(PermSubgroup.trivial(3)) == 6
     assert orbit_count_free(PermSubgroup.symmetric(3)) == 1
-    c2 = PermSubgroup(4, [Perm.transposition(4, 0, 1)])
+    c2 = PermSubgroup(4, [Perm.from_cycle(4, (0, 1))])
     assert orbit_count_free(c2) == 12
     assert orbit_count_free(PermSubgroup.symmetric(4)) == 1
 
@@ -124,3 +124,41 @@ def test_describe_is_json_ready():
 def test_block_groups_reject_empty_blocks(block_group, block_size, blocks):
     with pytest.raises(ValueError, match="block_size and blocks must be >= 1"):
         block_group(block_size, blocks)
+
+
+# Literal generator lists: the named groups are built from cycles, and these
+# pin the images each constructor hands to the rank route and to `describe`.
+SYMMETRIC_GENERATORS = {
+    0: [],
+    1: [],
+    2: [[1, 0]],
+    3: [[1, 0, 2], [1, 2, 0]],
+    4: [[1, 0, 2, 3], [1, 2, 3, 0]],
+    5: [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]],
+    6: [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]],
+    7: [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]],
+    8: [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]],
+}
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_symmetric_generators_are_the_first_transposition_and_the_n_cycle(n):
+    G = PermSubgroup.symmetric(n)
+    assert [list(g.images) for g in G.generators] == SYMMETRIC_GENERATORS[n]
+    assert G.order == math.factorial(n)
+
+
+@pytest.mark.parametrize(
+    "build, block_size, blocks, generators",
+    [
+        (contiguous_block_group, 2, 3, [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]]),
+        (wreath_block_group, 2, 3, [
+            [1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4], [2, 3, 0, 1, 4, 5], [0, 1, 4, 5, 2, 3],
+        ]),
+        (wreath_block_group, 3, 2, [
+            [1, 0, 2, 3, 4, 5], [1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 3, 5], [0, 1, 2, 4, 5, 3], [3, 4, 5, 0, 1, 2],
+        ]),
+    ],
+)
+def test_block_group_generators(build, block_size, blocks, generators):
+    assert [list(g.images) for g in build(block_size, blocks).generators] == generators

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -594,6 +595,90 @@ def test_girsanov_squares_designed_multiplicity():
     assert len(rep["witness_multisets"]) == rep["chosen_count"]
     assert rep["satisfied"]
     assert rep["level_max"] == {"1": 1, "2": 2, "4": 4}
+
+
+def reference_girsanov_step(sigma, n):
+    """girsanov_step as it was before it counted per packed key: every level
+    decoded into fibers, eigenvalues ranked by `max` in eigenvalue order."""
+    level_1, level_n, level_2n = (
+        {fc.eigenvalue: fc.index_multisets for fc in fibers(sigma, j)} for j in (1, n, 2 * n)
+    )
+
+    def top(counts, skip=None):
+        return max((eig for eig in counts if eig != skip), key=lambda eig: len(counts[eig]), default=None)
+
+    s = top(level_n)
+    s2 = top(level_n, skip=s) or s
+    q = len(level_n[s])
+    atoms = sigma.support()
+
+    def names(multisets):
+        return [[str(atoms[i]) for i in ms] for ms in multisets]
+
+    candidate = s * s2
+    required = q * q
+    chosen = candidate if len(level_2n.get(candidate, ())) >= required else top(level_2n)
+    chosen_count = len(level_2n[chosen])
+    return {
+        "level": n,
+        "q": q,
+        "trivial": q == 1,
+        "top_eigenvalue": str(s),
+        "top_multisets": names(level_n[s]),
+        "second_eigenvalue": str(s2),
+        "second_multisets": names(level_n[s2]),
+        "candidate_eigenvalue": str(candidate),
+        "candidate_count": len(level_2n.get(candidate, ())),
+        "chosen_eigenvalue": str(chosen),
+        "chosen_count": chosen_count,
+        "required": required,
+        "witness_multisets": names(level_2n[chosen]),
+        "level_max": {
+            "1": max(len(ms) for ms in level_1.values()),
+            str(n): q,
+            str(2 * n): max(len(ms) for ms in level_2n.values()),
+        },
+        "satisfied": chosen_count >= required,
+    }
+
+
+def assert_same_girsanov_report(sigma, n):
+    rep, ref = girsanov_step(sigma, n), reference_girsanov_step(sigma, n)
+    assert rep == ref
+    assert json.dumps(rep) == json.dumps(ref)  # key order too
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_measures(), st.sampled_from([1, 2]))
+def test_girsanov_matches_the_decoding_reference(mu, n):
+    assert_same_girsanov_report(mu, n)
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        AtomicMeasure.delta(CirclePoint.identity()),  # one eigenvalue per level, packed key 0
+        AtomicMeasure.delta(CirclePoint.generator(0)),
+        AtomicMeasure.delta(CirclePoint.identity()) + AtomicMeasure.delta(CirclePoint.generator(0)),
+        AtomicMeasure({CirclePoint(0): 1, CirclePoint(Fraction(1, 2)): 1}),
+        designed_relation_measure(),
+        paired_relation_measure(),
+        generic_measure(4),
+    ],
+    ids=["identity", "one-generator", "identity-and-generator", "halves", "designed", "paired", "generic"],
+)
+@pytest.mark.parametrize("n", [1, 2])
+def test_girsanov_matches_the_decoding_reference_on_edge_measures(sigma, n):
+    assert_same_girsanov_report(sigma, n)
+
+
+def test_girsanov_decodes_only_what_it_prints(monkeypatch):
+    calls = []
+    original = _PackedCodec.point
+    monkeypatch.setattr(_PackedCodec, "point", lambda self, r, pairs: calls.append(1) or original(self, r, pairs))
+    rep = girsanov_step(generic_measure(6), 2)
+    assert rep["satisfied"] and rep["level_max"] == {"1": 1, "2": 1, "4": 1}
+    assert len(calls) <= 5
 
 
 def test_paired_relation_measure_shape():
