@@ -68,7 +68,7 @@ def integer(text: str) -> int:
 
 def _parse_dims(text: str) -> list[int]:
     try:
-        return [integer(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
+        return [integer(tok.strip()) for tok in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad dimension list {text!r}: {exc}") from None
 

@@ -76,21 +76,19 @@ class FiberClass:
 
 
 def _group_by_product(
-    sigma: AtomicMeasure, n: int, tuple_cap: int
+    sigma: AtomicMeasure, n: int
 ) -> tuple[tuple[CirclePoint, ...], _PackedCodec, dict[int, list[tuple[int, ...]]]]:
     """(atoms, codec, by_key): the n-multisets of atom indices grouped by the
     packed key of their product, each list in lexicographic order.  Each of
     the C(d+n-1, n) multisets is multiplied once, as a sum of packed integer
-    keys; nothing is sorted or decoded.  The cap counts the d^n ordered
-    tuples the multisets stand for."""
+    keys; nothing is sorted or decoded.  Nothing is admitted here: each
+    caller charges its own work first."""
     require_positive(power=n)
     atoms = sigma.support()
-    d = len(atoms)
-    admit(d**n, tuple_cap, f"{d}^{n} tuples")
     codec = _PackedCodec(atoms, n)
     keys = [codec.key(p) for p in atoms]
     by_key: dict[int, list[tuple[int, ...]]] = {}
-    for ms in itertools.combinations_with_replacement(range(d), n):
+    for ms in itertools.combinations_with_replacement(range(len(atoms)), n):
         by_key.setdefault(codec.product(keys[i] for i in ms), []).append(ms)
     return atoms, codec, by_key
 
@@ -100,16 +98,17 @@ def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> list[F
 
     The grouping is `_group_by_product`'s; the codec then sorts the packed
     keys and decodes each once.  The fibers stand for all d^n ordered
-    tuples, and the cap counts those.  Only the two multiplicity routes read them."""
-    atoms, codec, by_key = _group_by_product(sigma, n, tuple_cap)
+    tuples, and the cap counts those first.  Only the two multiplicity routes read them."""
+    admit(len(sigma) ** n, tuple_cap, f"{len(sigma)}^{n} tuples")
+    atoms, codec, by_key = _group_by_product(sigma, n)
     return [FiberClass(eig, atoms, tuple(mss)) for eig, mss in codec.ordered(by_key.items())]
 
 
-def _first_nonsimple_fiber(sigma: AtomicMeasure, n: int, tuple_cap: int) -> FiberClass | None:
+def _first_nonsimple_fiber(sigma: AtomicMeasure, n: int) -> FiberClass | None:
     """The eigenvalue-first fiber of n-multisets holding more than one
     multiset, or None when the n-th symmetric power is simple.  Multisets
     are counted per packed key; only the returned fiber's key is decoded."""
-    atoms, codec, by_key = _group_by_product(sigma, n, tuple_cap)
+    atoms, codec, by_key = _group_by_product(sigma, n)
     shared = [key for key, mss in by_key.items() if len(mss) > 1]
     if not shared:
         return None
@@ -310,9 +309,10 @@ def matrix_oracle(
 
 def simple_spectrum(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> bool:
     """True when the n-th symmetric power is multiplicity-free: every product
-    of n atoms is achieved by exactly one atom multiset.  Counts multisets
-    per packed product key and decodes at most one witness eigenvalue."""
-    return _first_nonsimple_fiber(sigma, n, tuple_cap) is None
+    of n atoms is achieved by exactly one atom multiset.  Admits the d^n
+    tuples, counts multisets per packed key, decodes at most one witness."""
+    admit(len(sigma) ** n, tuple_cap, f"{len(sigma)}^{n} tuples")
+    return _first_nonsimple_fiber(sigma, n) is None
 
 
 def check_simplicity_levels(
@@ -328,7 +328,7 @@ def check_simplicity_levels(
     levels: dict[int, bool] = {}
     witnesses: dict[int, dict] = {}
     for j in range(1, max_level + 1):
-        fc = _first_nonsimple_fiber(sigma, j, tuple_cap)
+        fc = _first_nonsimple_fiber(sigma, j)
         levels[j] = fc is None
         if fc is not None:
             witnesses[j] = {
@@ -353,34 +353,26 @@ def check_simplicity_levels(
 
 
 def _level_counts(sigma: AtomicMeasure, k: int, m: int, select) -> dict:
-    """Count the selections `select(vectors, m)` of level atoms (k-multisets
-    of base atoms, as count vectors with one base-(km+1) digit per atom) per
-    total base multiset, the sum of their vectors, all in C.  Each total is
-    multiplied once, as a sum of packed keys, and is generic when no digit
-    exceeds 1.  Two totals sharing a product, also when two level atoms
-    collide, mean the base measure was not generic: a caller error."""
-    atoms = sigma.support()
-    radix = k * m + 1
-    powers = [radix**i for i in range(len(atoms))]
-    codec = _PackedCodec(atoms, k * m)
-    base = [codec.key(p) for p in atoms]
-    vectors = [sum(c) for c in itertools.combinations_with_replacement(powers, k)]
-    by_key: dict[int, tuple[int, list[int]]] = {}  # product key -> (count, digits of the total)
-    for total, count in Counter(map(sum, select(vectors, m))).items():
-        digits = [total // p % radix for p in powers]
-        key = codec.product(map(operator.mul, digits, base))
-        if key in by_key:
-            a, b = (tuple(i for i, c in enumerate(ds) for _ in range(c))
-                    for ds in (by_key[key][1], digits))
-            raise RuntimeError(
-                f"base measure is not generic: totals {a} and {b} share product "
-                f"{codec.point(*codec.sort_key(key))}"
-            )
-        by_key[key] = (count, digits)
+    """Count the selections `select(levels, m)` of level atoms, each the key sum of
+    a k-multiset of base atoms, per total, in C.  The totals are the groups of
+    `_group_by_product(sigma, k*m)`, as each km-multiset totals its sorted runs of k;
+    one is generic when its atoms are distinct.  A shared product, also of two level
+    atoms, means a non-generic base: a caller error, named by its first repeat in
+    lexicographic order.  The caller admits the selections; they bound the groups."""
+    atoms, codec, by_key = _group_by_product(sigma, k * m)
+    shared = [(mss[1], key) for key, mss in by_key.items() if len(mss) > 1]
+    if shared:
+        b, key = min(shared)
+        raise RuntimeError(
+            f"base measure is not generic: totals {by_key[key][0]} and {b} share product "
+            f"{codec.point(*codec.sort_key(key))}"
+        )
+    levels = [sum(c) for c in itertools.combinations_with_replacement(map(codec.key, atoms), k)]
+    counts = {codec.product((total,)): c for total, c in Counter(map(sum, select(levels, m))).items()}
     out: dict[str, dict[CirclePoint, int]] = {"entries": {}, "generic": {}, "degenerate": {}}
-    for eig, (count, digits) in codec.ordered(by_key.items()):
+    for eig, (count, ms) in codec.ordered((key, (counts[key], mss[0])) for key, mss in by_key.items()):
         out["entries"][eig] = count
-        out["generic" if max(digits) <= 1 else "degenerate"][eig] = count
+        out["generic" if len(set(ms)) == len(ms) else "degenerate"][eig] = count
     return out
 
 
@@ -450,9 +442,9 @@ def check_tensor_power(k: int, m: int, d: int, caps: Caps = Caps()) -> dict:
     sigma = generic_measure(d)
     T = math.comb(d + k - 1, k)
     admit(T**m, caps.tuples, f"{T}^{m} level tuples")
-    counts = _level_counts(sigma, k, m, lambda vectors, m: itertools.product(vectors, repeat=m))
-    formula = math.factorial(m * k) // math.factorial(k) ** m
     G = contiguous_block_group(k, m)
+    counts = _level_counts(sigma, k, m, lambda levels, m: itertools.product(levels, repeat=m))
+    formula = math.factorial(m * k) // math.factorial(k) ** m
     report = _power_report(sigma, k, m, counts, formula, G, caps)
     return {"conv_power": k, "tensor_power": m, **report}
 
@@ -465,9 +457,9 @@ def check_symmetric_power(k: int, m: int, d: int, caps: Caps = Caps()) -> dict:
     sigma = generic_measure(d)
     level_multisets = math.comb(math.comb(d + k - 1, k) + m - 1, m)
     admit(level_multisets, caps.tuples, f"{level_multisets} level multisets")
+    G = wreath_block_group(k, m)
     counts = _level_counts(sigma, k, m, itertools.combinations_with_replacement)
     formula = math.factorial(m * k) // (math.factorial(k) ** m * math.factorial(m))
-    G = wreath_block_group(k, m)
     report = _power_report(sigma, k, m, counts, formula, G, caps)
     return {"conv_power": k, "symmetric_power": m, **report}
 
@@ -486,28 +478,27 @@ def fock_multiplicity_set(
     the level-m counts, since every km-multiset of atoms splits into m
     k-multisets and all weights are positive; so no convolution power is
     built, and two levels are singular exactly when those sets are
-    disjoint.  Level m_max is admitted once, before any level runs."""
+    disjoint.  Level m_max and its closed form, by the digits of 2^((k-1)(m-1)) <=
+    (m!)^(k-1) <= (mk)!/((k!)^m m!), are admitted before any level runs, each
+    printed form then exactly.  Below km atoms a level has no generic total: it fails."""
     require_positive(k=k, m_max=m_max, d=d)
     level_multisets = math.comb(math.comb(d + k - 1, k) + m_max - 1, m_max)
     admit(level_multisets, tuple_cap, f"{level_multisets} level multisets")
+    _admit_digits(f"level {m_max} formula", bits=(k - 1) * (m_max - 1))
     sigma = generic_measure(d)
     per_level: dict[str, int | None] = {}
-    values = []
     formulas = {}
     levels = []
     ok = True
     for m in range(1, m_max + 1):
+        formula = math.factorial(m * k) // (math.factorial(k) ** m * math.factorial(m))
+        _admit_digits(f"level {m} formula", formula)
         counts = _level_counts(sigma, k, m, itertools.combinations_with_replacement)
         levels.append(counts["entries"].keys())
         value, homogeneous = _generic_summary(counts["generic"].values())
-        formula = math.factorial(m * k) // (math.factorial(k) ** m * math.factorial(m))
         per_level[str(m)] = value
         formulas[str(m)] = formula
-        if d >= k * m:
-            ok = ok and homogeneous and value == formula
-            values.append(value)
-        else:
-            ok = False
+        ok = ok and homogeneous and value == formula
     disjoint = all(
         levels[i].isdisjoint(levels[j])
         for i in range(len(levels))
@@ -520,7 +511,7 @@ def fock_multiplicity_set(
         "atoms": d,
         "per_level": per_level,
         "formula_per_level": formulas,
-        "set": sorted(set(v for v in values if v is not None)),
+        "set": sorted(set(v for v in per_level.values() if v is not None)),
         "levels_pairwise_singular": disjoint,
         "warning": warning,
         "passed": bool(ok and disjoint),
@@ -528,6 +519,17 @@ def fock_multiplicity_set(
 
 
 # -- arithmetic criteria -------------------------------------------------------
+
+
+def _admit_digits(name: str, value: int | None = None, bits: int = 0) -> None:
+    """Admit an int a report prints against the int-to-str digit limit: by its
+    exact digit count, or, before it is computed, by that of 2^bits <= it."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    bits = bits if value is None else value.bit_length() - 1
+    digits = bits * 301029995 // 10**9 + 1  # digits of 2^bits, at least: log10(2) > 0.301029995
+    while value is not None and value >= 10**digits:
+        digits += 1
+    admit(digits, limit, f"{'at least ' if value is None else ''}{digits} digits of the {name}")
 
 
 def cs_criterion(k: int, m: int, n: int) -> dict:
@@ -542,18 +544,13 @@ def cs_criterion(k: int, m: int, n: int) -> dict:
     computed, by a lower bound: (m!)^n >= 2^(n(m-1)), and (mk)!/(k!)^m >=
     (m!)^k >= 2^(k(m-1)) as the row and column subgroups of S(mk) meet trivially."""
     require_positive(k=k, m=m, n=n)
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     names = ("group order (m!)^n", "tensor multiplicity (mk)!/(k!)^m")
     for name, bits in zip(names, (n * (m - 1), k * (m - 1))):
-        least = bits * 301029995 // 10**9 + 1  # digits of 2^bits, at least: log10(2) > 0.301029995
-        admit(least, limit, f"at least {least} digits of the {name}")
+        _admit_digits(name, bits=bits)
     group_order = math.factorial(m) ** n
     tensor_multiplicity = math.prod(math.comb(i * k, k) for i in range(1, m + 1))
     for name, value in zip(names, (group_order, tensor_multiplicity)):
-        digits = (value.bit_length() - 1) * 301029995 // 10**9 + 1
-        while value >= 10**digits:
-            digits += 1
-        admit(digits, limit, f"{digits} digits of the {name}")
+        _admit_digits(name, value)
     return {
         "conv_power": k,
         "level_power": m,
@@ -638,7 +635,8 @@ def nonsimple_counterexample(
     tau = sigma + shifted
     tau_shift = tau.translate(a)
     overlap = [p for p in tau.support() if tau_shift.weight(p) > 0]
-    witness = _first_nonsimple_fiber(tau, 2, tuple_cap)
+    admit(len(tau) ** 2, tuple_cap, f"{len(tau)}^2 tuples")
+    witness = _first_nonsimple_fiber(tau, 2)
     d = len(sigma)
     report = {
         "base_atoms": d,
@@ -684,7 +682,7 @@ def girsanov_step(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) ->
         raise ValueError("measure must have at least one atom")
     admit(len(sigma) ** (2 * n), tuple_cap, f"{len(sigma)}^{2 * n} tuples")
     (_, _, level_1), (atoms, codec_n, level_n), (_, codec_2n, level_2n) = (
-        _group_by_product(sigma, j, tuple_cap) for j in (1, n, 2 * n)
+        _group_by_product(sigma, j) for j in (1, n, 2 * n)
     )
 
     def top(codec, by_key, skip=None):

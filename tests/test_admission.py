@@ -27,6 +27,8 @@ from circlespec.spectral import (
     fock_multiplicity_set,
     girsanov_step,
     matrix_oracle,
+    nonsimple_counterexample,
+    simple_spectrum,
 )
 
 
@@ -38,6 +40,12 @@ def _closure_up_to(degree_cap):
 # site -> (amount it charges, call with the limit)
 SITES = {
     "fibers": (3**2, lambda cap: fibers(generic_measure(3), 2, tuple_cap=cap)),
+    "simple spectrum": (3**2, lambda cap: simple_spectrum(generic_measure(3), 2, cap)),
+    # tau has 4 atoms; the relation scan of the 2-atom base charges 2 + 1 * 2
+    "nonsimple tau level 2": (
+        4**2,
+        lambda cap: nonsimple_counterexample(generic_measure(2), CirclePoint.generator(2), cap),
+    ),
     "simplicity top level": (3**3, lambda cap: check_simplicity_levels(generic_measure(3), 3, cap)),
     "girsanov level 2n": (2**4, lambda cap: girsanov_step(generic_measure(2), 2, cap)),
     "matrix oracle": (
@@ -111,3 +119,26 @@ def test_cap_errors_are_made_only_by_admit():
         for owner in _cap_error_owners(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert sorted(owners) == ["cli._cmd_cs_min_m", "errors.admit"]
+
+
+def _codec_constructors(tree):
+    """Names of the functions that construct a _PackedCodec."""
+    return [
+        owner.name
+        for owner in ast.walk(tree)
+        if isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(owner)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) == "_PackedCodec"
+    ]
+
+
+def test_each_engine_packs_its_own_multisets_once():
+    """One packing per engine: the level counts read their totals from the
+    grouping engine instead of building a codec of their own."""
+    src = Path(circlespec.__file__).parent
+    constructors = [
+        f"{path.stem}.{owner}"
+        for path in sorted(src.glob("*.py"))
+        for owner in _codec_constructors(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(constructors) == ["measure._packed_fold", "measure.relation_scan", "spectral._group_by_product"]

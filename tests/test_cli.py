@@ -204,6 +204,8 @@ def test_incl_excl_default_cap_rejects_large_products_fast(dims, capsys):
         ("fock-set --k 2 --max-m 4 --atoms 20", "83369265 level multisets exceed the cap 10000000"),
         ("vproste --atoms 30 --max-level 5", "30^5 tuples exceed the cap 10000000"),
         ("girsanov --atoms 300 --n 2", "300^4 tuples exceed the cap 10000000"),
+        ("fock-set --k 200000 --max-m 2 --atoms 1", "at least 60206 digits of the level 2 formula exceed the cap 4300"),
+        ("fock-set --k 20000 --max-m 2 --atoms 1", "at least 6021 digits of the level 2 formula exceed the cap 4300"),
     ],
 )
 def test_level_caps_reject_before_any_level_runs(argv, err, capsys):
@@ -374,6 +376,22 @@ def test_cs_min_m_refuses_unprintable_terms_fast(k, capsys):
 DEEP_JSON = "[" * 100_000
 
 
+# krot and sym-krot act with a block group of degree km, which is admitted
+# before any level is counted or any factorial of km is taken.
+@pytest.mark.parametrize("command", ["krot", "sym-krot"])
+def test_power_checks_refuse_the_group_degree_before_the_levels_run(command, capsys):
+    start = time.perf_counter()
+    assert run_cli([command, "--k", "200000", "--m", "2", "--atoms", "1"]) == (2, "")
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "cap exceeded: 400000 permuted points exceed the cap 8\n"
+
+
+def test_fock_set_refuses_a_printed_formula_by_its_exact_digits(capsys):
+    # 2^7999 <= 16000!/((8000!)^2 2!): the lower bound admits 2408 digits, the formula has 4814
+    assert run_cli("fock-set --k 8000 --max-m 2 --atoms 1".split()) == (2, "")
+    assert capsys.readouterr().err == "cap exceeded: 4814 digits of the level 2 formula exceed the cap 4300\n"
+
+
 # One row per parser the CLI reaches, each given input it must refuse: the
 # point grammar and its fractions, the measure file, the --gens JSON and
 # the dimension list.
@@ -389,9 +407,13 @@ DEEP_JSON = "[" * 100_000
         (["multiplicity", "--power", "2", "--measure"], DEEP_JSON),
         (["multiplicity", "--atoms", "2", "--power", "2", "--gens", DEEP_JSON], None),
         (["markov", "incl-excl", "--dims", ","], None),
+        (["markov", "incl-excl", "--dims", "2,,3"], None),
+        (["markov", "incl-excl", "--dims", "2,"], None),
+        (["markov", "incl-excl", "--dims", ",2"], None),
     ],
     ids=["zero-denominator", "zero-denominator-factor", "non-ascii-index", "signed-rational",
-         "non-ascii-measure-key", "zero-exponent", "deep-measure-json", "deep-gens-json", "empty-dims"],
+         "non-ascii-measure-key", "zero-exponent", "deep-measure-json", "deep-gens-json", "empty-dims",
+         "empty-inner-dim", "empty-last-dim", "empty-first-dim"],
 )
 def test_malformed_input_is_exit_2_without_traceback(argv, measure_text, tmp_path, capsys):
     if measure_text is not None:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -509,6 +510,69 @@ def test_level_counts_guard_fires_exactly_on_shared_products(route, select, mu, 
             route(mu, k, m)
     else:
         assert list(route(mu, k, m)["entries"].items()) == expected
+
+
+def reference_level_counts(sigma, k, m, select):
+    """An independent level count: each total base multiset is a count vector
+    with one base-(km+1) digit per atom, unpacked into a digit list per total.
+    Its guard reports the first repeated product met in lexicographic order."""
+    atoms = sigma.support()
+    radix = k * m + 1
+    powers = [radix**i for i in range(len(atoms))]
+    codec = _PackedCodec(atoms, k * m)
+    base = [codec.key(p) for p in atoms]
+    vectors = [sum(c) for c in itertools.combinations_with_replacement(powers, k)]
+    by_key = {}  # product key -> (count, digits of the total)
+    for total, count in Counter(map(sum, select(vectors, m))).items():
+        digits = [total // p % radix for p in powers]
+        key = codec.product(map(operator.mul, digits, base))
+        if key in by_key:
+            a, b = (tuple(i for i, c in enumerate(ds) for _ in range(c)) for ds in (by_key[key][1], digits))
+            raise RuntimeError(
+                f"base measure is not generic: totals {a} and {b} share product "
+                f"{codec.point(*codec.sort_key(key))}"
+            )
+        by_key[key] = (count, digits)
+    out = {"entries": {}, "generic": {}, "degenerate": {}}
+    for eig, (count, digits) in codec.ordered(by_key.items()):
+        out["entries"][eig] = count
+        out["generic" if max(digits) <= 1 else "degenerate"][eig] = count
+    return out
+
+
+def _level_counts_or_error(count, mu, k, m, select):
+    try:
+        return {name: list(part.items()) for name, part in count(mu, k, m, select).items()}
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("select", [select for _, select in LEVEL_ROUTES])
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(twisted_generic_measures(), small_measures()),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+)
+def test_level_counts_match_the_count_vector_reference(select, mu, k, m):
+    """The same entries in the same order, the same generic/degenerate split,
+    or the same non-generic error text, witness included."""
+    assume(math.comb(len(mu) + k - 1, k) ** m <= 5000)
+    expected = _level_counts_or_error(reference_level_counts, mu, k, m, select)
+    assert _level_counts_or_error(_level_counts, mu, k, m, select) == expected
+
+
+@pytest.mark.parametrize("route, select", LEVEL_ROUTES)
+def test_level_count_guard_names_the_first_repeat_in_lexicographic_order(route, select):
+    # support order 1, g1, 1/2, 1/2 g1: 1*1 = (1/2)*(1/2) holds the first multiset,
+    # but 1 * (1/2 g1) = g1 * (1/2) repeats first, as (1, 2) < (2, 2)
+    half, g1 = CirclePoint(Fraction(1, 2)), CirclePoint.generator(1)
+    mu = AtomicMeasure({p: 1 for p in (CirclePoint(), g1, half, half * g1)})
+    message = r"^base measure is not generic: totals \(0, 3\) and \(1, 2\) share product 1/2 \* g1\^1$"
+    with pytest.raises(RuntimeError, match=message):
+        reference_level_counts(mu, 1, 2, select)
+    with pytest.raises(RuntimeError, match=message):
+        route(mu, 1, 2)
 
 
 @pytest.mark.parametrize("route", [route for route, _ in LEVEL_ROUTES])
