@@ -182,21 +182,25 @@ class CirclePoint(Immutable):
 class _PackedCodec:
     """Packs circle points into single ints, so that multiplying up to n of
     them is one integer addition.  Digit 0, in base B0 = n*L, holds the
-    rational numerator over L, the lcm of the denominators; above it each
-    generator in use has one balanced digit in base B = 2*n*max|e| + 1.
-    `product` reduces the rational digit mod 1, so equal products of up to
-    n points have equal keys, ready to group by.  `ordered` sorts on integer
-    keys and decodes each once, building one Fraction per residue met."""
+    rational numerator over L, the lcm of the denominators; above it generator
+    j has one balanced digit in base 2^w > 2*n*max|e|, times an odd u_j that
+    spreads int hashes (2^(w*j) alone has 61 residues modulo 2^61 - 1).
+    `product` reduces the rational digit mod 1, so equal products of up to n
+    points have equal keys.  `sort_key` takes one step per nonzero digit;
+    `ordered` sorts on integer keys and decodes each once."""
 
-    __slots__ = ("L", "B0", "B", "gens", "digit", "fractions")
+    __slots__ = ("L", "B0", "w", "gens", "step", "inverse", "digit", "fractions")
 
     def __init__(self, points: Iterable[CirclePoint], n: int):
         points = list(points)
         self.L = math.lcm(*(p.rational.denominator for p in points))
         self.gens = sorted({i for p in points for i, _ in p.generic})
         self.B0 = n * self.L
-        self.B = 2 * n * max((abs(e) for p in points for _, e in p.generic), default=1) + 1
-        self.digit = {g: self.B0 * self.B**j for j, g in enumerate(self.gens)}
+        self.w = (2 * n * max((abs(e) for p in points for _, e in p.generic), default=1)).bit_length()
+        odd = [0x9E37 * (j + 1) % 2**16 | 1 for j in range(len(self.gens))]  # 0x9E37 = 2^16 / golden ratio
+        self.step = [u << (self.w * j) for j, u in enumerate(odd)]
+        self.inverse = [pow(u, -1, 1 << self.w) for u in odd]
+        self.digit = {g: self.B0 * step for g, step in zip(self.gens, self.step)}
         self.fractions: dict[int, Fraction] = {}
 
     def key(self, p: CirclePoint) -> int:
@@ -211,14 +215,13 @@ class _PackedCodec:
 
     def sort_key(self, key: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         """(numerator over L, generic pairs): sorts as `CirclePoint.sort_key` does."""
-        r = key % self.B0
-        rest, B, half = (key - r) // self.B0, self.B, self.B // 2
-        pairs = []
-        for g in self.gens:
-            e = (rest + half) % B - half
-            rest = (rest - e) // B
-            if e:
-                pairs.append((g, e))
+        rest, r = divmod(key, self.B0)
+        w, half, pairs = self.w, 1 << (self.w - 1), []
+        while rest:
+            j = ((rest & -rest).bit_length() - 1) // w  # the lowest nonzero digit, as u_j is odd
+            e = ((rest >> (w * j)) * self.inverse[j] + half) % (2 * half) - half
+            rest -= e * self.step[j]
+            pairs.append((self.gens[j], e))
         return r % self.L, tuple(pairs)
 
     def point(self, r: int, pairs: tuple[tuple[int, int], ...]) -> CirclePoint:

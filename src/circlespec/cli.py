@@ -74,24 +74,17 @@ def _parse_dims(text: str) -> list[int]:
 
 
 def _render_lines(obj, indent=0) -> list[str]:
+    """Rows "key: value" in a dict and "- value" in a list; nested ones go indented below their label."""
     pad = "  " * indent
+    if not isinstance(obj, (dict, list)):
+        return [f"{pad}{obj}"]
+    labelled = [(f"{k}:", v) for k, v in obj.items()] if isinstance(obj, dict) else [("-", v) for v in obj]
     rows = []
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            if isinstance(v, (dict, list)):
-                rows.append(f"{pad}{k}:")
-                rows.extend(_render_lines(v, indent + 1))
-            else:
-                rows.append(f"{pad}{k}: {v}")
-    elif isinstance(obj, list):
-        for v in obj:
-            if isinstance(v, (dict, list)):
-                rows.append(f"{pad}-")
-                rows.extend(_render_lines(v, indent + 1))
-            else:
-                rows.append(f"{pad}- {v}")
-    else:
-        rows.append(f"{pad}{obj}")
+    for label, v in labelled:
+        if isinstance(v, (dict, list)):
+            rows += [f"{pad}{label}", *_render_lines(v, indent + 1)]
+        else:
+            rows.append(f"{pad}{label} {v}")
     return rows
 
 

@@ -189,6 +189,7 @@ def contiguous_block_group(block_size: int, blocks: int) -> PermSubgroup:
     if block_size < 1 or blocks < 1:
         raise ValueError("block_size and blocks must be >= 1")
     degree = block_size * blocks
+    admit(degree, DEFAULT_DEGREE_CAP, f"{degree} permuted points")
     gens = []
     for j in range(blocks):
         block = list(range(block_size * j, block_size * (j + 1)))

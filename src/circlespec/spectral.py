@@ -76,16 +76,16 @@ class FiberClass:
 
 
 def _group_by_product(
-    sigma: AtomicMeasure, n: int
+    sigma: AtomicMeasure, n: int, power: int | None = None, extra: tuple[CirclePoint, ...] = ()
 ) -> tuple[tuple[CirclePoint, ...], _PackedCodec, dict[int, list[tuple[int, ...]]]]:
     """(atoms, codec, by_key): the n-multisets of atom indices grouped by the
-    packed key of their product, each list in lexicographic order.  Each of
-    the C(d+n-1, n) multisets is multiplied once, as a sum of packed integer
-    keys; nothing is sorted or decoded.  Nothing is admitted here: each
-    caller charges its own work first."""
+    packed key of their product, each list in lexicographic order, under a
+    codec of up to `power` (default n) of the atoms and `extra`.  Each of the
+    C(d+n-1, n) multisets is multiplied once, as a sum of packed integer keys;
+    nothing is sorted, decoded or admitted: each caller charges its own work."""
     require_positive(power=n)
     atoms = sigma.support()
-    codec = _PackedCodec(atoms, n)
+    codec = _PackedCodec((*atoms, *extra), power or n)
     keys = [codec.key(p) for p in atoms]
     by_key: dict[int, list[tuple[int, ...]]] = {}
     for ms in itertools.combinations_with_replacement(range(len(atoms)), n):
@@ -352,14 +352,17 @@ def check_simplicity_levels(
 # -- powers of a convolution power -------------------------------------------
 
 
-def _level_counts(sigma: AtomicMeasure, k: int, m: int, select) -> dict:
-    """Count the selections `select(levels, m)` of level atoms, each the key sum of
-    a k-multiset of base atoms, per total, in C.  The totals are the groups of
-    `_group_by_product(sigma, k*m)`, as each km-multiset totals its sorted runs of k;
-    one is generic when its atoms are distinct.  A shared product, also of two level
-    atoms, means a non-generic base: a caller error, named by its first repeat in
-    lexicographic order.  The caller admits the selections; they bound the groups."""
-    atoms, codec, by_key = _group_by_product(sigma, k * m)
+def _level_counts(
+    sigma: AtomicMeasure, k: int, m: int, select, power: int | None = None
+) -> tuple[_PackedCodec, dict[str, dict[int, int]]]:
+    """(codec, counts): the selections `select(levels, m)` of level atoms, each the key
+    sum of a k-multiset of base atoms, counted per packed total in C, unsorted and
+    undecoded.  The totals are the groups of `_group_by_product(sigma, k*m, power)`, as
+    each km-multiset totals its sorted runs of k; one is generic when its atoms are
+    distinct.  A shared product, also of two level atoms, means a non-generic base: a
+    caller error, named by its first repeat in lexicographic order, the one key decoded.
+    The caller admits the selections; they bound the groups."""
+    atoms, codec, by_key = _group_by_product(sigma, k * m, power)
     shared = [(mss[1], key) for key, mss in by_key.items() if len(mss) > 1]
     if shared:
         b, key = min(shared)
@@ -369,31 +372,34 @@ def _level_counts(sigma: AtomicMeasure, k: int, m: int, select) -> dict:
         )
     levels = [sum(c) for c in itertools.combinations_with_replacement(map(codec.key, atoms), k)]
     counts = {codec.product((total,)): c for total, c in Counter(map(sum, select(levels, m))).items()}
-    out: dict[str, dict[CirclePoint, int]] = {"entries": {}, "generic": {}, "degenerate": {}}
-    for eig, (count, ms) in codec.ordered((key, (counts[key], mss[0])) for key, mss in by_key.items()):
-        out["entries"][eig] = count
-        out["generic" if len(set(ms)) == len(ms) else "degenerate"][eig] = count
-    return out
+    out: dict[str, dict[int, int]] = {"entries": counts, "generic": {}, "degenerate": {}}
+    for key, (ms,) in by_key.items():  # one multiset per key, past the guard
+        out["generic" if len(set(ms)) == len(ms) else "degenerate"][key] = counts[key]
+    return codec, out
+
+
+def _tensor_formula(k: int, m: int) -> int:
+    """(mk)!/(k!)^m = product of C(jk, k), j = 1..m: block j takes k of the first jk points."""
+    return math.prod(math.comb(j * k, k) for j in range(1, m + 1))
+
+
+def _symmetric_formula(k: int, m: int) -> int:
+    """(mk)!/((k!)^m m!) = product of C(jk - 1, k - 1): point jk's block takes k - 1 below it."""
+    return math.prod(math.comb(j * k - 1, k - 1) for j in range(1, m + 1))
 
 
 def _histogram(values) -> dict[str, int]:
     return {str(v): count for v, count in sorted(Counter(values).items())}
 
 
-def _power_report(
-    sigma: AtomicMeasure,
-    k: int,
-    m: int,
-    counts: dict,
-    formula: int,
-    G: PermSubgroup,
-    caps: Caps,
-) -> dict:
+def _power_report(k: int, m: int, d: int, select, formula: int, G: PermSubgroup, caps: Caps) -> dict:
     """The report fields that the tensor and the symmetric power checks share,
-    from "atoms" on.  Runs the subgroup-orbit and matrix-rank routes unless
-    their own admission refuses them, compares them per eigenvalue against
-    the partition counts, and compares the generic value with the closed form."""
-    d = len(sigma.support())
+    from "atoms" on, for a generic d-atom measure.  Runs the subgroup-orbit and
+    matrix-rank routes unless their own admission refuses them, compares them
+    per eigenvalue, packed by the level counts' codec, against the partition
+    counts of `select`, and compares the generic value with the closed form."""
+    sigma = generic_measure(d)
+    codec, counts = _level_counts(sigma, k, m, select)
     n = k * m
     agree = True
     # Built per call, so that rebinding either route in this module reaches it.
@@ -405,7 +411,7 @@ def _power_report(
         except EnumerationCapError:
             route_reports[name] = {"ran": False}
             continue
-        matches = rep.entries == counts["entries"]
+        matches = {codec.key(eig): mult for eig, mult in rep.entries.items()} == counts["entries"]
         route_reports[name] = {
             "ran": True,
             "generic_value": rep.generic_value,
@@ -439,13 +445,12 @@ def check_tensor_power(k: int, m: int, d: int, caps: Caps = Caps()) -> dict:
     exact matrix rank.  All present routes must agree on every eigenvalue.
     """
     require_positive(k=k, m=m, d=d)
-    sigma = generic_measure(d)
     T = math.comb(d + k - 1, k)
     admit(T**m, caps.tuples, f"{T}^{m} level tuples")
     G = contiguous_block_group(k, m)
-    counts = _level_counts(sigma, k, m, lambda levels, m: itertools.product(levels, repeat=m))
-    formula = math.factorial(m * k) // math.factorial(k) ** m
-    report = _power_report(sigma, k, m, counts, formula, G, caps)
+    report = _power_report(
+        k, m, d, lambda levels, m: itertools.product(levels, repeat=m), _tensor_formula(k, m), G, caps
+    )
     return {"conv_power": k, "tensor_power": m, **report}
 
 
@@ -454,13 +459,10 @@ def check_symmetric_power(k: int, m: int, d: int, caps: Caps = Caps()) -> dict:
     m-multisets of k-multisets, closed form (mk)!/((k!)^m m!), cross-checked
     against the wreath subgroup (within-block permutations plus block swaps)."""
     require_positive(k=k, m=m, d=d)
-    sigma = generic_measure(d)
     level_multisets = math.comb(math.comb(d + k - 1, k) + m - 1, m)
     admit(level_multisets, caps.tuples, f"{level_multisets} level multisets")
     G = wreath_block_group(k, m)
-    counts = _level_counts(sigma, k, m, itertools.combinations_with_replacement)
-    formula = math.factorial(m * k) // (math.factorial(k) ** m * math.factorial(m))
-    report = _power_report(sigma, k, m, counts, formula, G, caps)
+    report = _power_report(k, m, d, itertools.combinations_with_replacement, _symmetric_formula(k, m), G, caps)
     return {"conv_power": k, "symmetric_power": m, **report}
 
 
@@ -474,11 +476,12 @@ def fock_multiplicity_set(
     k-fold convolution of one shared generic d-atom measure, plus the check
     that the convolution levels sigma^{*k}, sigma^{*2k}, ... are pairwise
     mutually singular (so the multiplicities genuinely live on disjoint
-    spectral pieces).  The support of sigma^{*km} is the eigenvalue set of
-    the level-m counts, since every km-multiset of atoms splits into m
-    k-multisets and all weights are positive; so no convolution power is
-    built, and two levels are singular exactly when those sets are
-    disjoint.  Level m_max and its closed form, by the digits of 2^((k-1)(m-1)) <=
+    spectral pieces).  The support of sigma^{*km} is the key set of the
+    level-m counts, since every km-multiset of atoms splits into m
+    k-multisets and all weights are positive; every level packs with one
+    codec of power k*m_max, so no convolution power is built or key decoded,
+    and the levels are singular exactly when their key sets are disjoint.
+    Level m_max and its closed form, by the digits of 2^((k-1)(m-1)) <=
     (m!)^(k-1) <= (mk)!/((k!)^m m!), are admitted before any level runs, each
     printed form then exactly.  Below km atoms a level has no generic total: it fails."""
     require_positive(k=k, m_max=m_max, d=d)
@@ -491,19 +494,15 @@ def fock_multiplicity_set(
     levels = []
     ok = True
     for m in range(1, m_max + 1):
-        formula = math.factorial(m * k) // (math.factorial(k) ** m * math.factorial(m))
+        formula = _symmetric_formula(k, m)
         _admit_digits(f"level {m} formula", formula)
-        counts = _level_counts(sigma, k, m, itertools.combinations_with_replacement)
+        _, counts = _level_counts(sigma, k, m, itertools.combinations_with_replacement, k * m_max)
         levels.append(counts["entries"].keys())
         value, homogeneous = _generic_summary(counts["generic"].values())
         per_level[str(m)] = value
         formulas[str(m)] = formula
         ok = ok and homogeneous and value == formula
-    disjoint = all(
-        levels[i].isdisjoint(levels[j])
-        for i in range(len(levels))
-        for j in range(i + 1, len(levels))
-    )
+    disjoint = len(set().union(*levels)) == sum(map(len, levels))
     warning = None if d >= k * m_max else f"no generic fiber above level {d // k}: d={d} < {k * m_max}"
     return {
         "conv_power": k,
@@ -548,7 +547,7 @@ def cs_criterion(k: int, m: int, n: int) -> dict:
     for name, bits in zip(names, (n * (m - 1), k * (m - 1))):
         _admit_digits(name, bits=bits)
     group_order = math.factorial(m) ** n
-    tensor_multiplicity = math.prod(math.comb(i * k, k) for i in range(1, m + 1))
+    tensor_multiplicity = _tensor_formula(k, m)
     for name, value in zip(names, (group_order, tensor_multiplicity)):
         _admit_digits(name, value)
     return {
@@ -595,6 +594,9 @@ def check_translate_singularity(
 ) -> dict:
     """Is sigma^{*n} singular to the a-translate of sigma^{*m}?
 
+    Weights are positive, so the two are singular exactly when no product of
+    m atoms and a is a product of n atoms.  Both kinds are packed by one codec
+    over the atoms and a, of power max(n, m + 1), and never decoded.
     For a generic base measure this holds whenever n != m (the total-degree
     strata are disjoint) or a is not the identity; it fails exactly for
     n = m, a = identity, where the two measures coincide."""
@@ -602,13 +604,14 @@ def check_translate_singularity(
     d, j = len(sigma), max(n, m)
     atoms = math.comb(d + j - 1, j)
     admit(atoms, tuple_cap, f"{atoms} atoms of convolution level {j} of a {d}-atom measure")
-    left = sigma.convolve_power(n)
-    right = sigma.convolve_power(m).translate(a)
+    _, codec, left = _group_by_product(sigma, n, max(n, m + 1), (a,))
+    _, _, right = _group_by_product(sigma, m, max(n, m + 1), (a,))
+    shift = codec.key(a)
     return {
         "n": n,
         "m": m,
         "shift": str(a),
-        "singular": left.is_singular_to(right),
+        "singular": not any(codec.product((key, shift)) in left for key in right),
     }
 
 

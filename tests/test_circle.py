@@ -18,7 +18,7 @@ from circlespec import (
 )
 from circlespec.circle import _PackedCodec
 
-from tests.helpers import point_strategy as helper_points
+from tests.helpers import point_strategy as helper_points, small_measures
 
 
 def point_strategy(max_index=5, max_exp=3):
@@ -206,3 +206,71 @@ def test_codec_integer_order_with_coprime_denominators():
             CirclePoint(Fraction(1, 999983), {0: -2}),
         ]
     )
+
+
+def assert_codec_faithful(points, n):
+    """Over every multiset of up to n of the points: equal keys exactly for
+    equal products, each key decoding to its product, and the integer sort
+    key ordering the keys as the products sort."""
+    codec = _PackedCodec(points, n)
+    multisets = [ms for j in range(n + 1) for ms in itertools.combinations_with_replacement(points, j)]
+    keys = [codec.product(map(codec.key, ms)) for ms in multisets]
+    products = [math.prod(ms, start=CirclePoint()) for ms in multisets]
+    assert len(set(zip(keys, products))) == len(set(keys)) == len(set(products))
+    assert [codec.point(*codec.sort_key(key)) for key in keys] == products
+    by_key = sorted(range(len(keys)), key=lambda i: codec.sort_key(keys[i]))
+    assert [products[i] for i in by_key] == sorted(products)
+
+
+@given(small_measures(), st.integers(min_value=1, max_value=4))
+def test_codec_keys_are_faithful_on_products_of_up_to_n_atoms(mu, n):
+    assert_codec_faithful(list(mu.support()), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_codec_holds_the_extreme_digit(n, e):
+    # n copies of g0^e or of g1^-e reach the digit +-n*e, the extreme that the
+    # base 2^w > 2*n*e must hold, next to digits of the other sign and to a
+    # rational digit that is zero or not
+    atoms = [
+        CirclePoint(0, {0: e}),
+        CirclePoint(Fraction(1, 2), {0: -e}),
+        CirclePoint(Fraction(1, 3), {1: -e}),
+        CirclePoint(Fraction(2, 3), {1: e, 2: -e}),
+        CirclePoint(0, {2: e}),
+    ]
+    assert_codec_faithful(atoms, n)
+
+
+def test_codec_reads_a_negative_digit_above_a_zero_rational_digit():
+    # (1/2 g0) * (1/2 g1^-1) = g0 g1^-1: the rational digit wraps to 0 and the key is negative
+    atoms = [CirclePoint(Fraction(1, 2), {0: 1}), CirclePoint(Fraction(1, 2), {1: -1}), CirclePoint(0, {1: -1})]
+    codec = _PackedCodec(atoms, 2)
+    key = codec.product(map(codec.key, atoms[:2]))
+    assert key < 0 and codec.sort_key(key) == (0, ((0, 1), (1, -1)))
+    assert codec.sort_key(codec.product([codec.key(atoms[2])] * 2)) == (0, ((1, -2),))
+    assert_codec_faithful(atoms, 2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_codec_packs_a_shift_with_a_larger_exponent_than_every_atom(m):
+    # the translate check packs m-multisets times a under one codec of power m + 1
+    atoms = [CirclePoint(0, {0: 1}), CirclePoint(Fraction(1, 4), {1: -1}), CirclePoint(Fraction(1, 2))]
+    a = CirclePoint(Fraction(1, 3), {0: -7, 5: 9})
+    codec = _PackedCodec([*atoms, a], m + 1)
+    for ms in itertools.combinations_with_replacement(atoms, m):
+        key = codec.product([*map(codec.key, ms), codec.key(a)])
+        assert codec.point(*codec.sort_key(key)) == math.prod(ms, start=a)
+    assert_codec_faithful([*atoms, a], m + 1)
+
+
+def test_codec_keys_spread_over_int_hashes():
+    # int hashes reduce modulo 2^61 - 1, where 2^(w*j) takes only 61 values:
+    # without the odd multipliers the 20 100 pair products of 200 generators
+    # would share 1 891 hash values, and every dict keyed by them would crowd
+    atoms = [CirclePoint.generator(i) for i in range(200)]
+    codec = _PackedCodec(atoms, 2)
+    keys = {codec.product(map(codec.key, pair)) for pair in itertools.combinations_with_replacement(atoms, 2)}
+    assert len(keys) == 20100
+    assert len({hash(key) for key in keys}) > 0.99 * len(keys)

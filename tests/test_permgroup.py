@@ -126,6 +126,16 @@ def test_block_groups_reject_empty_blocks(block_group, block_size, blocks):
         block_group(block_size, blocks)
 
 
+@pytest.mark.parametrize("block_group", [contiguous_block_group, wreath_block_group])
+def test_block_groups_admit_the_degree_before_building_generators(block_group, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a generator was built before the degree was admitted")
+
+    monkeypatch.setattr(Perm, "from_cycle", forbidden)
+    with pytest.raises(EnumerationCapError, match="^400000 permuted points exceed the cap 8$"):
+        block_group(200000, 2)
+
+
 # Literal generator lists: the named groups are built from cycles, and these
 # pin the images each constructor hands to the rank route and to `describe`.
 SYMMETRIC_GENERATORS = {

@@ -39,7 +39,16 @@ from circlespec import linalg, spectral
 from circlespec.circle import _PackedCodec
 from circlespec.spectral import _level_counts
 
-from tests.helpers import designed_relation_measure, small_measures
+from tests.helpers import designed_relation_measure, point_strategy, small_measures
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The keys decoded so far: `_PackedCodec.point` appends one entry per call."""
+    calls = []
+    original = _PackedCodec.point
+    monkeypatch.setattr(_PackedCodec, "point", lambda self, r, pairs: calls.append(1) or original(self, r, pairs))
+    return calls
 
 
 def brute_fibers(mu, n):
@@ -467,12 +476,18 @@ def brute_level_counts(mu, k, m, select):
     return sorted(counts.items(), key=lambda kv: kv[0].sort_key()), totals
 
 
+def decoded_level_counts(mu, k, m, select):
+    """`_level_counts` with each part decoded through its codec, in eigenvalue order."""
+    codec, counts = _level_counts(mu, k, m, select)
+    return {name: dict(codec.ordered(part.items())) for name, part in counts.items()}
+
+
 def _tensor_level_counts(mu, k, m):
-    return _level_counts(mu, k, m, lambda xs, m: itertools.product(xs, repeat=m))
+    return decoded_level_counts(mu, k, m, lambda xs, m: itertools.product(xs, repeat=m))
 
 
 def _symmetric_level_counts(mu, k, m):
-    return _level_counts(mu, k, m, itertools.combinations_with_replacement)
+    return decoded_level_counts(mu, k, m, itertools.combinations_with_replacement)
 
 
 # The level counts that check_tensor_power and check_symmetric_power run.
@@ -559,7 +574,7 @@ def test_level_counts_match_the_count_vector_reference(select, mu, k, m):
     or the same non-generic error text, witness included."""
     assume(math.comb(len(mu) + k - 1, k) ** m <= 5000)
     expected = _level_counts_or_error(reference_level_counts, mu, k, m, select)
-    assert _level_counts_or_error(_level_counts, mu, k, m, select) == expected
+    assert _level_counts_or_error(decoded_level_counts, mu, k, m, select) == expected
 
 
 @pytest.mark.parametrize("route, select", LEVEL_ROUTES)
@@ -586,6 +601,76 @@ def test_level_counts_reject_non_generic_base(route):
     # x*y = z*w
     with pytest.raises(RuntimeError, match="not generic"):
         route(designed_relation_measure(), 1, 2)
+
+
+@pytest.mark.parametrize("select", [select for _, select in LEVEL_ROUTES])
+def test_level_counts_decode_only_the_key_their_guard_names(select, decodes):
+    codec, counts = _level_counts(generic_measure(5), 2, 2, select)
+    assert decodes == [] and all(isinstance(key, int) for key in counts["entries"])
+    with pytest.raises(RuntimeError, match="not generic"):
+        _level_counts(designed_relation_measure(), 1, 2, select)
+    assert len(decodes) == 1
+
+
+def test_fock_levels_and_translate_singularity_decode_nothing(decodes):
+    rep = fock_multiplicity_set(2, 4, 8)
+    assert rep["passed"] and rep["set"] == [1, 3, 15, 105]
+    alloc = GeneratorAllocator()
+    sigma = generic_measure(5, alloc)
+    for a in (alloc.fresh_point(), CirclePoint.identity(), CirclePoint(Fraction(1, 3), {0: 5})):
+        check_translate_singularity(sigma, 2, 2, a)
+    assert decodes == []
+
+
+def reference_translate_singularity(sigma, n, m, a):
+    """The singularity of the two measures themselves: convolution powers, one translated."""
+    return sigma.convolve_power(n).is_singular_to(sigma.convolve_power(m).translate(a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    small_measures(),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.one_of(st.just(CirclePoint.identity()), point_strategy()),
+)
+def test_translate_singularity_matches_the_measures(mu, n, m, a):
+    assert check_translate_singularity(mu, n, m, a)["singular"] == reference_translate_singularity(mu, n, m, a)
+
+
+def test_translate_singularity_on_relations():
+    # x*y = z*w: (x*y)*a = (z*w)*a, and z*w is also a level-2 product
+    mu = designed_relation_measure()
+    x, z = CirclePoint.generator(0), CirclePoint.generator(2)
+    for a in (CirclePoint.identity(), x, z.inverse(), x * z.inverse(), CirclePoint(Fraction(1, 2))):
+        for n, m in itertools.product((1, 2, 3), repeat=2):
+            assert check_translate_singularity(mu, n, m, a)["singular"] == reference_translate_singularity(mu, n, m, a)
+    assert not check_translate_singularity(mu, 2, 1, x)["singular"]
+
+
+def test_closed_forms_are_the_factorial_forms():
+    f = math.factorial
+    for k, m in itertools.product(range(1, 9), repeat=2):
+        assert spectral._tensor_formula(k, m) == f(m * k) // f(k) ** m
+        assert spectral._symmetric_formula(k, m) == f(m * k) // (f(k) ** m * f(m))
+
+
+def test_fock_set_at_a_huge_conv_power_computes_no_factorial(monkeypatch):
+    def forbidden(n):
+        raise AssertionError("math.factorial was called")
+
+    monkeypatch.setattr(math, "factorial", forbidden)
+    assert fock_multiplicity_set(300000, 1, 1) == {
+        "conv_power": 300000,
+        "max_level": 1,
+        "atoms": 1,
+        "per_level": {"1": None},
+        "formula_per_level": {"1": 1},
+        "set": [],
+        "levels_pairwise_singular": True,
+        "warning": "no generic fiber above level 0: d=1 < 300000",
+        "passed": False,
+    }
 
 
 def test_cs_criterion_examples():
@@ -736,13 +821,10 @@ def test_girsanov_matches_the_decoding_reference_on_edge_measures(sigma, n):
     assert_same_girsanov_report(sigma, n)
 
 
-def test_girsanov_decodes_only_what_it_prints(monkeypatch):
-    calls = []
-    original = _PackedCodec.point
-    monkeypatch.setattr(_PackedCodec, "point", lambda self, r, pairs: calls.append(1) or original(self, r, pairs))
+def test_girsanov_decodes_only_what_it_prints(decodes):
     rep = girsanov_step(generic_measure(6), 2)
     assert rep["satisfied"] and rep["level_max"] == {"1": 1, "2": 1, "4": 1}
-    assert len(calls) <= 5
+    assert len(decodes) <= 5
 
 
 def test_paired_relation_measure_shape():
@@ -821,14 +903,11 @@ def test_abc_measure_fails_at_level_two():
     assert rep["monotone"]
 
 
-def test_simplicity_decodes_only_its_witnesses(monkeypatch):
-    calls = []
-    original = _PackedCodec.point
-    monkeypatch.setattr(_PackedCodec, "point", lambda self, r, pairs: calls.append(1) or original(self, r, pairs))
+def test_simplicity_decodes_only_its_witnesses(decodes):
     rep = check_simplicity_levels(generic_measure(5), 4)
-    assert all(rep["levels"].values()) and calls == []
+    assert all(rep["levels"].values()) and decodes == []
     rep = check_simplicity_levels(rotation_twisted(abc_measure()), 4)
-    assert len(calls) == list(rep["levels"].values()).count(False) == 3
+    assert len(decodes) == list(rep["levels"].values()).count(False) == 3
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
