@@ -28,6 +28,7 @@ import math
 import operator
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,21 +77,23 @@ class FiberClass:
 
 
 def _group_by_product(
-    sigma: AtomicMeasure, n: int, power: int | None = None, extra: tuple[CirclePoint, ...] = ()
-) -> tuple[tuple[CirclePoint, ...], _PackedCodec, dict[int, list[tuple[int, ...]]]]:
-    """(atoms, codec, by_key): the n-multisets of atom indices grouped by the
-    packed key of their product, each list in lexicographic order, under a
-    codec of up to `power` (default n) of the atoms and `extra`.  Each of the
-    C(d+n-1, n) multisets is multiplied once, as a sum of packed integer keys;
-    nothing is sorted, decoded or admitted: each caller charges its own work."""
-    require_positive(power=n)
+    sigma: AtomicMeasure, levels: Sequence[int], extra: tuple[CirclePoint, ...] = ()
+) -> tuple[tuple[CirclePoint, ...], _PackedCodec, list[dict[int, list[tuple[int, ...]]]]]:
+    """(atoms, codec, groups): groups[i] maps the packed key of each product of
+    levels[i] atoms to its index multisets, in lexicographic order.  One codec,
+    of power max(levels) + len(extra), packs every level, so keys compare across
+    levels and may gain one point of `extra`.  Each level's C(d+n-1, n) key sums
+    are taken in C and reduced once; nothing is sorted, decoded or admitted."""
+    require_positive(power=min(levels))
     atoms = sigma.support()
-    codec = _PackedCodec((*atoms, *extra), power or n)
+    codec = _PackedCodec((*atoms, *extra), max(levels) + len(extra))
     keys = [codec.key(p) for p in atoms]
-    by_key: dict[int, list[tuple[int, ...]]] = {}
-    for ms in itertools.combinations_with_replacement(range(len(atoms)), n):
-        by_key.setdefault(codec.product(keys[i] for i in ms), []).append(ms)
-    return atoms, codec, by_key
+    groups: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in levels]
+    for n, by_key in zip(levels, groups):
+        totals = map(sum, itertools.combinations_with_replacement(keys, n))
+        for ms, total in zip(itertools.combinations_with_replacement(range(len(atoms)), n), totals):
+            by_key.setdefault(codec.product((total,)), []).append(ms)
+    return atoms, codec, groups
 
 
 def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> list[FiberClass]:
@@ -100,15 +103,14 @@ def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> list[F
     keys and decodes each once.  The fibers stand for all d^n ordered
     tuples, and the cap counts those first.  Only the two multiplicity routes read them."""
     admit(len(sigma) ** n, tuple_cap, f"{len(sigma)}^{n} tuples")
-    atoms, codec, by_key = _group_by_product(sigma, n)
+    atoms, codec, (by_key,) = _group_by_product(sigma, (n,))
     return [FiberClass(eig, atoms, tuple(mss)) for eig, mss in codec.ordered(by_key.items())]
 
 
-def _first_nonsimple_fiber(sigma: AtomicMeasure, n: int) -> FiberClass | None:
-    """The eigenvalue-first fiber of n-multisets holding more than one
-    multiset, or None when the n-th symmetric power is simple.  Multisets
-    are counted per packed key; only the returned fiber's key is decoded."""
-    atoms, codec, by_key = _group_by_product(sigma, n)
+def _first_nonsimple_fiber(atoms, codec: _PackedCodec, by_key) -> FiberClass | None:
+    """The eigenvalue-first fiber of one level of `_group_by_product` holding
+    more than one multiset, or None when that symmetric power is simple.
+    Multisets are counted per packed key; only the returned fiber's key is decoded."""
     shared = [key for key, mss in by_key.items() if len(mss) > 1]
     if not shared:
         return None
@@ -312,33 +314,36 @@ def simple_spectrum(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) 
     of n atoms is achieved by exactly one atom multiset.  Admits the d^n
     tuples, counts multisets per packed key, decodes at most one witness."""
     admit(len(sigma) ** n, tuple_cap, f"{len(sigma)}^{n} tuples")
-    return _first_nonsimple_fiber(sigma, n) is None
+    atoms, codec, (by_key,) = _group_by_product(sigma, (n,))
+    return _first_nonsimple_fiber(atoms, codec, by_key) is None
+
+
+def _names(atoms, multisets) -> list[list[str]]:
+    """Each index multiset as the list of its atoms' names."""
+    return [[str(atoms[i]) for i in ms] for ms in multisets]
 
 
 def check_simplicity_levels(
     sigma: AtomicMeasure, max_level: int, tuple_cap: int = Caps.tuples
 ) -> dict:
     """Simplicity level by level, with the downward-monotonicity check:
-    a simple level k forces simplicity at every level below it.  Each level
-    counts multisets per packed product key and decodes only its witness,
-    the eigenvalue-first fiber with more than one multiset.  The cap is
-    checked for the top level before any level runs."""
+    a simple level k forces simplicity at every level below it.  One grouping
+    call packs levels 1..max_level; each level decodes only its witness, the
+    eigenvalue-first fiber with more than one multiset.  The cap is checked
+    for the top level before any level runs."""
     require_positive(**{"max level": max_level})
     admit(len(sigma) ** max_level, tuple_cap, f"{len(sigma)}^{max_level} tuples")
-    levels: dict[int, bool] = {}
-    witnesses: dict[int, dict] = {}
-    for j in range(1, max_level + 1):
-        fc = _first_nonsimple_fiber(sigma, j)
-        levels[j] = fc is None
-        if fc is not None:
-            witnesses[j] = {
-                "eigenvalue": str(fc.eigenvalue),
-                "multisets": [[str(fc.atoms[i]) for i in ms] for ms in fc.index_multisets],
-            }
+    atoms, codec, groups = _group_by_product(sigma, range(1, max_level + 1))
+    fcs = [_first_nonsimple_fiber(atoms, codec, by_key) for by_key in groups]
+    levels = {j: fc is None for j, fc in enumerate(fcs, 1)}
+    witnesses = {
+        j: {"eigenvalue": str(fc.eigenvalue), "multisets": _names(atoms, fc.index_multisets)}
+        for j, fc in enumerate(fcs, 1)
+        if fc is not None
+    }
     violations = [
         {"lower": j, "higher": k, "witness": witnesses[j]}
-        for j in range(1, max_level + 1)
-        for k in range(j + 1, max_level + 1)
+        for j, k in itertools.combinations(range(1, max_level + 1), 2)
         if levels[k] and not levels[j]
     ]
     return {
@@ -353,28 +358,31 @@ def check_simplicity_levels(
 
 
 def _level_counts(
-    sigma: AtomicMeasure, k: int, m: int, select, power: int | None = None
-) -> tuple[_PackedCodec, dict[str, dict[int, int]]]:
-    """(codec, counts): the selections `select(levels, m)` of level atoms, each the key
-    sum of a k-multiset of base atoms, counted per packed total in C, unsorted and
-    undecoded.  The totals are the groups of `_group_by_product(sigma, k*m, power)`, as
-    each km-multiset totals its sorted runs of k; one is generic when its atoms are
-    distinct.  A shared product, also of two level atoms, means a non-generic base: a
-    caller error, named by its first repeat in lexicographic order, the one key decoded.
-    The caller admits the selections; they bound the groups."""
-    atoms, codec, by_key = _group_by_product(sigma, k * m, power)
-    shared = [(mss[1], key) for key, mss in by_key.items() if len(mss) > 1]
+    sigma: AtomicMeasure, k: int, ms: Sequence[int], select
+) -> tuple[_PackedCodec, list[dict[str, dict[int, int]]]]:
+    """(codec, counts per m in ms): the selections `select(levels, m)` of level atoms,
+    each the raw key sum of a k-multiset of base atoms, counted per packed total in C,
+    unsorted and undecoded.  The totals of m are the level-km groups of one grouping
+    call, as each km-multiset totals its sorted runs of k; one is generic when its atoms
+    are distinct.  A shared product means a non-generic base: a caller error, named by
+    its first repeat in lexicographic order at the top level (a repeat at level j
+    repeats above it), the one key decoded.  The caller admits the selections."""
+    atoms, codec, groups = _group_by_product(sigma, [k * m for m in ms])
+    top = groups[ms.index(max(ms))]
+    shared = [(mss[1], key) for key, mss in top.items() if len(mss) > 1]
     if shared:
         b, key = min(shared)
         raise RuntimeError(
-            f"base measure is not generic: totals {by_key[key][0]} and {b} share product "
+            f"base measure is not generic: totals {top[key][0]} and {b} share product "
             f"{codec.point(*codec.sort_key(key))}"
         )
     levels = [sum(c) for c in itertools.combinations_with_replacement(map(codec.key, atoms), k)]
-    counts = {codec.product((total,)): c for total, c in Counter(map(sum, select(levels, m))).items()}
-    out: dict[str, dict[int, int]] = {"entries": counts, "generic": {}, "degenerate": {}}
-    for key, (ms,) in by_key.items():  # one multiset per key, past the guard
-        out["generic" if len(set(ms)) == len(ms) else "degenerate"][key] = counts[key]
+    out = []
+    for m, by_key in zip(ms, groups):
+        counts = {codec.product((total,)): c for total, c in Counter(map(sum, select(levels, m))).items()}
+        out.append({"entries": counts, "generic": {}, "degenerate": {}})
+        for key, (mset,) in by_key.items():  # one multiset per key, past the guard
+            out[-1]["generic" if len(set(mset)) == len(mset) else "degenerate"][key] = counts[key]
     return codec, out
 
 
@@ -399,7 +407,7 @@ def _power_report(k: int, m: int, d: int, select, formula: int, G: PermSubgroup,
     per eigenvalue, packed by the level counts' codec, against the partition
     counts of `select`, and compares the generic value with the closed form."""
     sigma = generic_measure(d)
-    codec, counts = _level_counts(sigma, k, m, select)
+    codec, (counts,) = _level_counts(sigma, k, (m,), select)
     n = k * m
     agree = True
     # Built per call, so that rebinding either route in this module reaches it.
@@ -478,30 +486,29 @@ def fock_multiplicity_set(
     mutually singular (so the multiplicities genuinely live on disjoint
     spectral pieces).  The support of sigma^{*km} is the key set of the
     level-m counts, since every km-multiset of atoms splits into m
-    k-multisets and all weights are positive; every level packs with one
-    codec of power k*m_max, so no convolution power is built or key decoded,
-    and the levels are singular exactly when their key sets are disjoint.
-    Level m_max and its closed form, by the digits of 2^((k-1)(m-1)) <=
-    (m!)^(k-1) <= (mk)!/((k!)^m m!), are admitted before any level runs, each
-    printed form then exactly.  Below km atoms a level has no generic total: it fails."""
+    k-multisets and all weights are positive; one `_level_counts` call packs
+    every level with one codec, so no key is decoded, and the levels are singular
+    exactly when their key sets are disjoint.  Level m_max and its closed form, by
+    the digits of 2^((k-1)(m-1)) <= (m!)^(k-1) <= (mk)!/((k!)^m m!), then each
+    printed form exactly, are admitted before any level is counted.  Below km
+    atoms a level has no generic total: it fails."""
     require_positive(k=k, m_max=m_max, d=d)
     level_multisets = math.comb(math.comb(d + k - 1, k) + m_max - 1, m_max)
     admit(level_multisets, tuple_cap, f"{level_multisets} level multisets")
     _admit_digits(f"level {m_max} formula", bits=(k - 1) * (m_max - 1))
-    sigma = generic_measure(d)
-    per_level: dict[str, int | None] = {}
     formulas = {}
-    levels = []
-    ok = True
     for m in range(1, m_max + 1):
-        formula = _symmetric_formula(k, m)
-        _admit_digits(f"level {m} formula", formula)
-        _, counts = _level_counts(sigma, k, m, itertools.combinations_with_replacement, k * m_max)
-        levels.append(counts["entries"].keys())
+        formulas[str(m)] = _symmetric_formula(k, m)
+        _admit_digits(f"level {m} formula", formulas[str(m)])
+    select = itertools.combinations_with_replacement
+    _, per_m = _level_counts(generic_measure(d), k, range(1, m_max + 1), select)
+    per_level: dict[str, int | None] = {}
+    ok = True
+    for (m, formula), counts in zip(formulas.items(), per_m):
         value, homogeneous = _generic_summary(counts["generic"].values())
-        per_level[str(m)] = value
-        formulas[str(m)] = formula
+        per_level[m] = value
         ok = ok and homogeneous and value == formula
+    levels = [counts["entries"].keys() for counts in per_m]
     disjoint = len(set().union(*levels)) == sum(map(len, levels))
     warning = None if d >= k * m_max else f"no generic fiber above level {d // k}: d={d} < {k * m_max}"
     return {
@@ -595,8 +602,8 @@ def check_translate_singularity(
     """Is sigma^{*n} singular to the a-translate of sigma^{*m}?
 
     Weights are positive, so the two are singular exactly when no product of
-    m atoms and a is a product of n atoms.  Both kinds are packed by one codec
-    over the atoms and a, of power max(n, m + 1), and never decoded.
+    m atoms and a is a product of n atoms.  One grouping call packs levels n
+    and m with a as the extra point, and no key is decoded.
     For a generic base measure this holds whenever n != m (the total-degree
     strata are disjoint) or a is not the identity; it fails exactly for
     n = m, a = identity, where the two measures coincide."""
@@ -604,8 +611,7 @@ def check_translate_singularity(
     d, j = len(sigma), max(n, m)
     atoms = math.comb(d + j - 1, j)
     admit(atoms, tuple_cap, f"{atoms} atoms of convolution level {j} of a {d}-atom measure")
-    _, codec, left = _group_by_product(sigma, n, max(n, m + 1), (a,))
-    _, _, right = _group_by_product(sigma, m, max(n, m + 1), (a,))
+    _, codec, (left, right) = _group_by_product(sigma, (n, m), (a,))
     shift = codec.key(a)
     return {
         "n": n,
@@ -639,7 +645,8 @@ def nonsimple_counterexample(
     tau_shift = tau.translate(a)
     overlap = [p for p in tau.support() if tau_shift.weight(p) > 0]
     admit(len(tau) ** 2, tuple_cap, f"{len(tau)}^2 tuples")
-    witness = _first_nonsimple_fiber(tau, 2)
+    atoms, codec, (by_key,) = _group_by_product(tau, (2,))
+    witness = _first_nonsimple_fiber(atoms, codec, by_key)
     d = len(sigma)
     report = {
         "base_atoms": d,
@@ -659,7 +666,7 @@ def nonsimple_counterexample(
         report["witness"] = {
             "eigenvalue": str(witness.eigenvalue),
             "multiplicity": len(witness.index_multisets),
-            "multisets": [[str(witness.atoms[i]) for i in ms] for ms in witness.index_multisets],
+            "multisets": _names(atoms, witness.index_multisets),
         }
     report["found"] = bool(overlap) and witness is not None
     return report
@@ -677,55 +684,45 @@ def girsanov_step(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) ->
     search tries the product of the two highest-multiplicity level-n
     eigenvalues first (the construction's own witness) before scanning all
     level-2n fibers.  q = 1 makes the claim trivially true.  The cap is
-    checked for level 2n before any level runs.  Each level counts its
-    multisets per packed key, as the simplicity checks do; keys rank by
-    (-count, eigenvalue order), and only printed eigenvalues are decoded."""
+    checked for level 2n before any level runs.  One grouping call packs
+    levels 1, n and 2n, so the candidate's key is its factors' key sum; keys
+    rank by (-count, eigenvalue order); only printed eigenvalues decode."""
     require_positive(power=n)
     if len(sigma) < 1:
         raise ValueError("measure must have at least one atom")
     admit(len(sigma) ** (2 * n), tuple_cap, f"{len(sigma)}^{2 * n} tuples")
-    (_, _, level_1), (atoms, codec_n, level_n), (_, codec_2n, level_2n) = (
-        _group_by_product(sigma, j) for j in (1, n, 2 * n)
-    )
+    atoms, codec, (level_1, level_n, level_2n) = _group_by_product(sigma, (1, n, 2 * n))
 
-    def top(codec, by_key, skip=None):
+    def top(by_key, skip=None):
         """The first key other than `skip` by (-count, eigenvalue order), or
         `skip` when no other is left; only the largest count's keys decode."""
         counts = {key: len(mss) for key, mss in by_key.items() if key != skip}
         most = max(counts.values(), default=None)
         return min((key for key, c in counts.items() if c == most), key=codec.sort_key, default=skip)
 
-    top_key = top(codec_n, level_n)
-    second_key = top(codec_n, level_n, skip=top_key)
-    s, s2 = (codec_n.point(*codec_n.sort_key(key)) for key in (top_key, second_key))
+    top_key = top(level_n)
+    second_key = top(level_n, skip=top_key)
+    s, s2 = (codec.point(*codec.sort_key(key)) for key in (top_key, second_key))
     q = len(level_n[top_key])
-
-    def names(multisets):
-        return [[str(atoms[i]) for i in ms] for ms in multisets]
-
-    candidate = s * s2
-    candidate_key = codec_2n.key(candidate)
+    candidate_key = codec.product((top_key, second_key))
     required = q * q
-    if len(level_2n.get(candidate_key, ())) >= required:
-        chosen, chosen_key = candidate, candidate_key
-    else:
-        chosen_key = top(codec_2n, level_2n)
-        chosen = codec_2n.point(*codec_2n.sort_key(chosen_key))
+    chosen_key = candidate_key if len(level_2n.get(candidate_key, ())) >= required else top(level_2n)
+    candidate, chosen = (codec.point(*codec.sort_key(key)) for key in (candidate_key, chosen_key))
     chosen_count = len(level_2n[chosen_key])
     return {
         "level": n,
         "q": q,
         "trivial": q == 1,
         "top_eigenvalue": str(s),
-        "top_multisets": names(level_n[top_key]),
+        "top_multisets": _names(atoms, level_n[top_key]),
         "second_eigenvalue": str(s2),
-        "second_multisets": names(level_n[second_key]),
+        "second_multisets": _names(atoms, level_n[second_key]),
         "candidate_eigenvalue": str(candidate),
         "candidate_count": len(level_2n.get(candidate_key, ())),
         "chosen_eigenvalue": str(chosen),
         "chosen_count": chosen_count,
         "required": required,
-        "witness_multisets": names(level_2n[chosen_key]),
+        "witness_multisets": _names(atoms, level_2n[chosen_key]),
         "level_max": {
             "1": max(len(mss) for mss in level_1.values()),
             str(n): q,

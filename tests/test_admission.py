@@ -142,3 +142,22 @@ def test_each_engine_packs_its_own_multisets_once():
         for owner in _codec_constructors(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert sorted(constructors) == ["measure._packed_fold", "measure.relation_scan", "spectral._group_by_product"]
+
+
+def test_each_report_groups_its_levels_in_one_call():
+    """Every level a report reads comes from one `_group_by_product` call, under
+    one codec: no function calls it twice, and no engine takes a codec power."""
+    tree = ast.parse((Path(circlespec.__file__).parent / "spectral.py").read_text(encoding="utf-8"))
+    engines = ("_group_by_product", "_level_counts")
+    calls = {
+        owner.name: [c for c in ast.walk(owner) if isinstance(c, ast.Call) and getattr(c.func, "id", None) in engines]
+        for owner in ast.walk(tree)
+        if isinstance(owner, ast.FunctionDef)
+    }
+    grouping = {name: sum(c.func.id == "_group_by_product" for c in cs) for name, cs in calls.items()}
+    assert {name: n for name, n in grouping.items() if n > 1} == {}
+    readers = {"check_simplicity_levels", "check_translate_singularity", "girsanov_step", "_level_counts"}
+    assert readers <= {name for name, n in grouping.items() if n}
+    assert "power" not in {kw.arg for cs in calls.values() for c in cs for kw in c.keywords}
+    definitions = {node.name: node.args for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert all("power" not in [a.arg for a in definitions[name].args + definitions[name].kwonlyargs] for name in engines)

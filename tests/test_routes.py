@@ -1,0 +1,99 @@
+"""The route ledger: which criterion catches a fault in which route.
+
+Each row injects one plausible wrong answer into one function, runs only
+the criterion that should notice, at seed 0, and expects `passed` to be
+False or an engine `RuntimeError`; `test_acceptance.py` shows each
+criterion passing without a fault.  A fault that no criterion catches is
+not dropped: it sits on `MISSED`, with the reason, and its test asserts
+that it is still missed.  Those claims rest on one route each; the README
+lists them.  When a new route starts to catch one, that test fails, and
+the row moves to `CAUGHT`.
+"""
+
+import pytest
+
+from circlespec import linalg, spectral, suite
+from circlespec.errors import Caps
+from circlespec.measure import AtomicMeasure
+
+SEED = 0
+
+
+def _wrap(owner, name, change):
+    """A patch that rebinds owner.name to a wrapper passing its result through `change`."""
+    original = getattr(owner, name)
+    return owner, name, lambda *args, **kwargs: change(original(*args, **kwargs))
+
+
+def _bump_first(part):
+    """Wrap `_level_counts` so that the first count of `part` in its first level is one more."""
+
+    def change(result):
+        codec, per_m = result
+        counts = per_m[0][part]
+        counts[next(iter(counts))] += 1
+        return codec, per_m
+
+    return _wrap(spectral, "_level_counts", change)
+
+
+def _group_with(attribute, keep):
+    """Wrap `contiguous_block_group` so that its `attribute` keeps only `keep` of
+    it, set past the immutability guard, as a bug inside the class would."""
+
+    def change(G):
+        object.__setattr__(G, attribute, keep(getattr(G, attribute)))
+        return G
+
+    return _wrap(spectral, "contiguous_block_group", change)
+
+
+def _bump_orbit_count(counts):
+    counts[max(counts)] += 1
+    return counts
+
+
+# (criterion, fault) -> the patch that injects the fault
+CAUGHT = {
+    ("tensor-power-multiplicity", "linalg.rank one less"): _wrap(linalg, "rank", lambda r: r - 1),
+    ("tensor-power-multiplicity", "one orbit count +1"): _wrap(spectral, "_orbit_counts", _bump_orbit_count),
+    ("tensor-power-multiplicity", "one level count +1"): _bump_first("entries"),
+    ("tensor-power-multiplicity", "last generator dropped"): _group_with("generators", lambda gs: gs[:-1]),
+    ("tensor-power-multiplicity", "last group element dropped"): _group_with("elements", lambda es: es[:-1] or es),
+    ("fock-multiplicity-set", "one generic level count +1"): _bump_first("generic"),
+    ("nonsimple-symmetric-square", "every level simple"): (spectral, "_first_nonsimple_fiber", lambda *a: None),
+    ("simplicity-monotone", "every level simple"): (spectral, "_first_nonsimple_fiber", lambda *a: None),
+}
+
+# (criterion, fault) -> (the patch, why no criterion catches it)
+MISSED = {
+    ("nonsimple-symmetric-square", "is_singular_to as 'the measures differ'"): (
+        (AtomicMeasure, "is_singular_to", lambda self, other: self != other),
+        "the shift's singularity to the base is read from is_singular_to alone",
+    ),
+    ("nonsimple-symmetric-square", "relation_scan finds nothing"): (
+        (spectral, "relation_scan", lambda *args: []),
+        "the base's genericity is read from relation_scan alone",
+    ),
+}
+
+
+def _run(criterion):
+    """The criterion's `passed`, or False when an engine raises RuntimeError."""
+    try:
+        return dict(suite.CRITERIA)[criterion](SEED, Caps())["passed"]
+    except RuntimeError:
+        return False
+
+
+@pytest.mark.parametrize("row", sorted(CAUGHT), ids=" / ".join)
+def test_each_fault_is_caught_by_its_criterion(row, monkeypatch):
+    monkeypatch.setattr(*CAUGHT[row])
+    assert _run(row[0]) is False
+
+
+@pytest.mark.parametrize("row", sorted(MISSED), ids=" / ".join)
+def test_each_allowed_fault_is_still_missed(row, monkeypatch):
+    patch, reason = MISSED[row]
+    monkeypatch.setattr(*patch)
+    assert _run(row[0]) is True, f"now caught, move it to CAUGHT: {reason}"

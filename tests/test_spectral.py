@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
@@ -461,6 +461,36 @@ def twisted_generic_measures(draw, max_atoms=5):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(twisted_generic_measures(max_atoms=4), small_measures()),
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3).map(tuple),
+    st.lists(point_strategy(), max_size=1).map(tuple),
+)
+@example(AtomicMeasure({CirclePoint(Fraction(1, 2), {0: 2}): 1}), (1,), (CirclePoint(Fraction(1, 2), {0: 2}),))
+def test_grouping_engine_packs_every_level_under_one_codec(mu, levels, extra):
+    """Each level decodes to the CirclePoint products of its multisets, in
+    order, and keys of levels whose sizes add up to at most the codec power
+    multiply as their points do, also by the extra point.  The example needs
+    the extra point's share of the power: without it, the rational base is
+    L = 2, and the numerators 1 + 1 of 1/2 + 1/2 carry into the generator digits."""
+    atoms, codec, groups = spectral._group_by_product(mu, levels, extra)
+    assert atoms == mu.support() and len(groups) == len(levels)
+    decoded = []
+    for n, by_key in zip(levels, groups):
+        brute = {}
+        for ms in itertools.combinations_with_replacement(range(len(atoms)), n):
+            brute.setdefault(math.prod((atoms[i] for i in ms), start=CirclePoint()), []).append(ms)
+        assert codec.ordered(by_key.items()) == sorted(brute.items(), key=lambda kv: kv[0].sort_key())
+        decoded.append([(key, codec.point(*codec.sort_key(key))) for key in by_key])
+    power = max(levels) + len(extra)
+    for (n, xs), (n2, ys) in itertools.product(zip(levels, decoded), repeat=2):
+        if n + n2 <= power:
+            assert all(codec.product((x, y)) == codec.key(p * q) for x, p in xs for y, q in ys)
+    for a in extra:
+        assert all(codec.product((x, codec.key(a))) == codec.key(p * a) for xs in decoded for x, p in xs)
+
+
 def brute_level_counts(mu, k, m, select):
     """Per eigenvalue, eigenvalue-sorted: the selections of m level atoms
     (k-fold CirclePoint products) with that product, and the set of their
@@ -478,7 +508,7 @@ def brute_level_counts(mu, k, m, select):
 
 def decoded_level_counts(mu, k, m, select):
     """`_level_counts` with each part decoded through its codec, in eigenvalue order."""
-    codec, counts = _level_counts(mu, k, m, select)
+    codec, (counts,) = _level_counts(mu, k, (m,), select)
     return {name: dict(codec.ordered(part.items())) for name, part in counts.items()}
 
 
@@ -604,11 +634,26 @@ def test_level_counts_reject_non_generic_base(route):
 
 
 @pytest.mark.parametrize("select", [select for _, select in LEVEL_ROUTES])
+def test_level_counts_of_several_levels_are_each_level_alone(select):
+    """One call over levels 1..3 counts each level as a call for it alone,
+    and its guard finds a repeat of a lower level at the top one."""
+    sigma = generic_measure(4)
+    codec, per_m = _level_counts(sigma, 2, (1, 2, 3), select)
+    for m, counts in zip((1, 2, 3), per_m):
+        decoded = {name: dict(codec.ordered(part.items())) for name, part in counts.items()}
+        assert decoded == decoded_level_counts(sigma, 2, m, select)
+    g0, g1 = CirclePoint.generator(0), CirclePoint.generator(1)
+    mu = AtomicMeasure({g0: 1, g1: 1, g0 * g0 * g1.inverse(): 1})  # g0*g0 = g1*(g0^2 g1^-1) at level 1
+    with pytest.raises(RuntimeError, match=r"totals \(0, 0, 0, 0\) and \(0, 0, 1, 2\)"):
+        _level_counts(mu, 2, (1, 2), select)
+
+
+@pytest.mark.parametrize("select", [select for _, select in LEVEL_ROUTES])
 def test_level_counts_decode_only_the_key_their_guard_names(select, decodes):
-    codec, counts = _level_counts(generic_measure(5), 2, 2, select)
+    codec, (counts,) = _level_counts(generic_measure(5), 2, (2,), select)
     assert decodes == [] and all(isinstance(key, int) for key in counts["entries"])
     with pytest.raises(RuntimeError, match="not generic"):
-        _level_counts(designed_relation_measure(), 1, 2, select)
+        _level_counts(designed_relation_measure(), 1, (2,), select)
     assert len(decodes) == 1
 
 
