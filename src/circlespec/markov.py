@@ -17,10 +17,14 @@ coupling; `inclusion_exclusion_identity` compares integer-scaled matrices.
 The empty selection takes no case of its own: its sub-product is the product
 of no spaces, the one-point space.
 
-The public `Coupling` and `MarkovOp` constructors validate every entry and
-both marginals.  Couplings that exact maps derive from already valid objects
-skip that check through the trusted `Coupling._canonical`: the results of
-`coupling_from_markov`, `marginal_coupling` and `rel_indep_extension`.
+Every check and derivation runs on integer numerators: the constructors of
+`FiniteSpace`, `Coupling` and `MarkovOp` validate every entry and both
+marginals, signs from numerators, each row and column scaled once by
+`_integer_row` (the module's one lcm) and cross-multiplied with its target;
+the derivations build each stored `Fraction` once, and `project_markov`
+cross-multiplies its two sides.  Couplings that exact maps derive from valid
+objects skip validation through the trusted `Coupling._canonical`: the
+results of `coupling_from_markov`, `marginal_coupling` and `rel_indep_extension`.
 `markov_from_coupling` still validates: it builds the operator that
 `project_markov` returns from its extension route and the operator side of
 every round trip, so each identity validates one output of its own.
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
@@ -37,6 +42,28 @@ from typing import Iterable, Sequence
 
 from circlespec import linalg
 from circlespec.errors import Caps, Immutable, admit
+
+
+def _fractions(values: Iterable) -> tuple[Fraction, ...]:
+    """`values` as Fractions; anything not already one goes through `Fraction()`."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
+
+
+def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators w and common denominator D with values == w / D."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _check_sums(lines, weights, targets, error: str) -> None:
+    """Raise ValueError(error.format(i, exact total, target)) at the first line i
+    that, weighted by `weights`, does not sum to its target."""
+    w, w_den = _integer_row(weights)
+    for i, (line, target) in enumerate(zip(lines, targets)):
+        nums, den = _integer_row(line)
+        total, den = sum(map(operator.mul, w, nums)), den * w_den
+        if total * target.denominator != target.numerator * den:
+            raise ValueError(error.format(i, Fraction(total, den), target))
 
 
 class FiniteSpace(Immutable):
@@ -47,15 +74,14 @@ class FiniteSpace(Immutable):
 
     def __init__(self, labels: Iterable[str], probs: Iterable[Fraction]):
         labels = tuple(labels)
-        probs = tuple(Fraction(p) for p in probs)
+        probs = _fractions(probs)
         if len(labels) != len(probs):
             raise ValueError(f"{len(labels)} labels vs {len(probs)} probabilities")
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
-        if any(p <= 0 for p in probs):
+        if any(p.numerator <= 0 for p in probs):
             raise ValueError("probabilities must be strictly positive")
-        if sum(probs) != 1:
-            raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
+        _check_sums([probs], [1] * len(probs), [1], "probabilities sum to {1}, not 1")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
 
@@ -82,8 +108,9 @@ def product_space(components: Sequence[FiniteSpace]) -> FiniteSpace:
     labels = []
     probs = []
     for combo in itertools.product(*(range(c.size) for c in components)):
+        picked = [c.probs[i] for c, i in zip(components, combo)]
         labels.append(",".join(c.labels[i] for c, i in zip(components, combo)))
-        probs.append(math.prod((c.probs[i] for c, i in zip(components, combo)), start=Fraction(1)))
+        probs.append(Fraction(math.prod(p.numerator for p in picked), math.prod(p.denominator for p in picked)))
     return FiniteSpace(labels, probs)
 
 
@@ -97,22 +124,13 @@ class Coupling(Immutable):
     __slots__ = ("left", "right", "joint")
 
     def __init__(self, left: FiniteSpace, right: FiniteSpace, joint: Sequence[Sequence[Fraction]]):
-        joint = tuple(tuple(Fraction(x) for x in row) for row in joint)
+        joint = tuple(map(_fractions, joint))
         if len(joint) != left.size or any(len(row) != right.size for row in joint):
             raise ValueError(f"joint must be {left.size}x{right.size}")
-        if any(x < 0 for row in joint for x in row):
+        if any(x.numerator < 0 for row in joint for x in row):
             raise ValueError("joint entries must be non-negative")
-        for i, row in enumerate(joint):
-            if sum(row) != left.probs[i]:
-                raise ValueError(
-                    f"row {i} sums to {sum(row)}, expected left marginal {left.probs[i]}"
-                )
-        for j in range(right.size):
-            col = sum(row[j] for row in joint)
-            if col != right.probs[j]:
-                raise ValueError(
-                    f"column {j} sums to {col}, expected right marginal {right.probs[j]}"
-                )
+        _check_sums(joint, [1] * right.size, left.probs, "row {} sums to {}, expected left marginal {}")
+        _check_sums(zip(*joint), [1] * left.size, right.probs, "column {} sums to {}, expected right marginal {}")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "joint", joint)
@@ -142,25 +160,19 @@ class MarkovOp(Immutable):
 
     Two stochastic constraints, both induced by the coupling correspondence:
     rows sum to one (constants are preserved) and target-weighted columns
-    reproduce the source probabilities (the measure is preserved)."""
+    reproduce the source probabilities (the measure is preserved): column s
+    pushes Σ_t w_t·m_ts, target probabilities w and column m scaled once."""
 
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace, matrix: Sequence[Sequence[Fraction]]):
-        matrix = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+        matrix = tuple(map(_fractions, matrix))
         if len(matrix) != target.size or any(len(row) != source.size for row in matrix):
             raise ValueError(f"matrix must be {target.size}x{source.size}")
-        if any(x < 0 for row in matrix for x in row):
+        if any(x.numerator < 0 for row in matrix for x in row):
             raise ValueError("matrix entries must be non-negative")
-        for t, row in enumerate(matrix):
-            if sum(row) != 1:
-                raise ValueError(f"row {t} sums to {sum(row)}, not 1")
-        for s in range(source.size):
-            pushed = sum(target.probs[t] * matrix[t][s] for t in range(target.size))
-            if pushed != source.probs[s]:
-                raise ValueError(
-                    f"column {s} pushes mass {pushed}, expected {source.probs[s]}"
-                )
+        _check_sums(matrix, [1] * source.size, itertools.repeat(1), "row {} sums to {}, not 1")
+        _check_sums(zip(*matrix), target.probs, source.probs, "column {} pushes mass {}, expected {}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
@@ -185,19 +197,15 @@ class MarkovOp(Immutable):
 
 def markov_from_coupling(c: Coupling) -> MarkovOp:
     """Divide the joint column of each target point by its probability."""
-    matrix = [
-        [c.joint[s][t] / c.right.probs[t] for s in range(c.left.size)]
-        for t in range(c.right.size)
-    ]
+    matrix = [[Fraction(x.numerator * p.denominator, x.denominator * p.numerator) for x in col]
+              for p, col in zip(c.right.probs, zip(*c.joint))]
     return MarkovOp(c.left, c.right, matrix)
 
 
 def coupling_from_markov(phi: MarkovOp) -> Coupling:
     """Exact inverse of markov_from_coupling."""
-    joint = tuple(
-        tuple(phi.matrix[t][s] * phi.target.probs[t] for t in range(phi.target.size))
-        for s in range(phi.source.size)
-    )
+    joint = tuple(tuple(Fraction(m.numerator * p.numerator, m.denominator * p.denominator)
+                        for p, m in zip(phi.target.probs, col)) for col in zip(*phi.matrix))
     return Coupling._canonical(phi.source, phi.target, joint)
 
 
@@ -239,21 +247,25 @@ class FactorStructure:
                 weight = [w for w in weight for _ in range(c.size)]
             else:
                 sub = [s for s in sub for _ in range(c.size)]
-                weight = [w * p for w in weight for p in c.probs]
+                weight = [Fraction(w.numerator * p.numerator, w.denominator * p.denominator)
+                          for w in weight for p in c.probs]
         return tuple(zip(sub, weight))
 
 
 def marginal_coupling(lam: Coupling, factor: FactorStructure) -> Coupling:
     """Restrict a coupling of X with the full product to the sub-product of
-    the selected components, summing out the rest."""
+    the selected components, summing out each row's integer numerators."""
     if lam.right != factor.full_space:
         raise ValueError("coupling right space is not the factor's full product")
     sub = factor.sub_space
-    joint = [[Fraction(0)] * sub.size for _ in range(lam.left.size)]
-    for x, row in enumerate(lam.joint):
-        for mass, (s, _) in zip(row, factor.columns):
-            joint[x][s] += mass
-    return Coupling._canonical(lam.left, sub, tuple(map(tuple, joint)))
+    joint = []
+    for row in lam.joint:
+        nums, den = _integer_row(row)
+        sums = [0] * sub.size
+        for n, (s, _) in zip(nums, factor.columns):
+            sums[s] += n
+        joint.append(tuple(Fraction(n, den) for n in sums))
+    return Coupling._canonical(lam.left, sub, tuple(joint))
 
 
 def rel_indep_extension(lam: Coupling, factor: FactorStructure) -> Coupling:
@@ -263,7 +275,8 @@ def rel_indep_extension(lam: Coupling, factor: FactorStructure) -> Coupling:
     times the product of the unselected coordinate probabilities."""
     if lam.right != factor.sub_space:
         raise ValueError("coupling right space is not the selected sub-product")
-    joint = tuple(tuple(row[s] * extra for s, extra in factor.columns) for row in lam.joint)
+    joint = tuple(tuple(Fraction(row[s].numerator * w.numerator, row[s].denominator * w.denominator)
+                        for s, w in factor.columns) for row in lam.joint)
     return Coupling._canonical(lam.left, factor.full_space, joint)
 
 
@@ -275,20 +288,14 @@ def conditional_expectation_matrix(factor: FactorStructure) -> list[list[Fractio
     return [[extra if s == r else Fraction(0) for s, extra in columns] for r, _ in columns]
 
 
-def _integer_row(probs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer weights w and common denominator D with probs == w / D."""
-    den = math.lcm(*(p.denominator for p in probs))
-    return [p.numerator * (den // p.denominator) for p in probs], den
-
-
-def _factored_expectation(phi: MarkovOp, factor: FactorStructure) -> list[list[Fraction]]:
+def _factored_expectation(phi: MarkovOp, factor: FactorStructure) -> tuple[list[tuple[int, ...]], int]:
     """E·phi for E = ⊗_i F_i (F_i = I if i is selected, else 1·p_iᵀ) without
-    forming E: on phi's columns, scaled once to integers, each line along an
-    unselected axis i (stride prod_{j>i} d_j) becomes its sum weighted by
-    w_i = D_i·p_i, and the common denominator is multiplied by D_i."""
-    den = math.lcm(*(x.denominator for row in phi.matrix for x in row))
-    cols = [[x.numerator * (den // x.denominator) for x in col] for col in zip(*phi.matrix)]
+    forming E, as integer rows over one denominator D: on phi's columns, scaled
+    once, each line along an unselected axis i (stride prod_{j>i} d_j) becomes
+    its sum weighted by w_i = D_i·p_i, and D is multiplied by D_i."""
     stride = len(phi.matrix)
+    flat, den = _integer_row([x for col in zip(*phi.matrix) for x in col])
+    cols = [flat[start:start + stride] for start in range(0, len(flat), stride)]
     for i, space in enumerate(factor.components):
         block, stride = stride, stride // space.size
         if i in factor.selected:
@@ -302,7 +309,7 @@ def _factored_expectation(phi: MarkovOp, factor: FactorStructure) -> list[list[F
                     total = sum(w * v[j] for w, j in zip(weights, line))
                     for j in line:
                         v[j] = total
-    return [[Fraction(x, den) for x in row] for row in zip(*cols)]
+    return list(zip(*cols)), den
 
 
 def project_markov(phi: MarkovOp, factor: FactorStructure) -> MarkovOp:
@@ -315,11 +322,13 @@ def project_markov(phi: MarkovOp, factor: FactorStructure) -> MarkovOp:
     component probabilities; only the extension side goes through couplings."""
     if phi.target != factor.full_space:
         raise ValueError("operator target is not the factor's full product")
-    direct = _factored_expectation(phi, factor)
+    direct, den = _factored_expectation(phi, factor)
 
     restricted = marginal_coupling(coupling_from_markov(phi), factor)
     via_extension = markov_from_coupling(rel_indep_extension(restricted, factor))
-    if direct != list(map(list, via_extension.matrix)):
+    ext, ext_den = _integer_row([x for row in via_extension.matrix for x in row])
+    direct_scaled = [n * ext_den for row in direct for n in row]
+    if len(via_extension.matrix) != len(direct) or direct_scaled != [e * den for e in ext]:
         raise RuntimeError(
             "projection identity failed: conditional expectation of the operator "
             "differs from the relatively-independent-extension operator"
@@ -382,13 +391,12 @@ def inclusion_exclusion_identity(
     admit(entries, 256 * matrix_cap, f"{entries} dense entries")
     if probs is None:
         probs = [[Fraction(1, d)] * d for d in dims]
-    probs = [[Fraction(p) for p in row] for row in probs]
+    probs = list(map(_fractions, probs))
     if len(probs) != n or any(len(row) != d for row, d in zip(probs, dims)):
         raise ValueError("probs shape does not match dims")
-    for row in probs:
-        if any(p <= 0 for p in row) or sum(row) != 1:
-            raise ValueError("each probability row must be positive and sum to 1")
     weights, scales = zip(*map(_integer_row, probs))
+    if any(min(w) <= 0 or sum(w) != den for w, den in zip(weights, scales)):
+        raise ValueError("each probability row must be positive and sum to 1")
 
     def scaled_identity(size, c):
         return [[c if r == s else 0 for s in range(size)] for r in range(size)]

@@ -294,11 +294,16 @@ def check_round_trips(rng: random.Random, count: int) -> list[dict]:
     failures = []
     for index in range(count):
         c = _random_coupling(rng)
-        phi = markov_from_coupling(c)
-        if coupling_from_markov(phi) != c:
-            failures.append({"stage": "coupling-round-trip", "index": index})
-        if markov_from_coupling(coupling_from_markov(phi)) != phi:
-            failures.append({"stage": "markov-round-trip", "index": index})
+        stage = "coupling-round-trip"
+        try:  # a derived operator failing its validation fails the stage
+            phi = markov_from_coupling(c)
+            if coupling_from_markov(phi) != c:
+                failures.append({"stage": stage, "index": index})
+            stage = "markov-round-trip"
+            if markov_from_coupling(coupling_from_markov(phi)) != phi:
+                failures.append({"stage": stage, "index": index})
+        except ValueError as exc:
+            failures.append({"stage": stage, "index": index, "error": str(exc)})
     return failures
 
 
@@ -310,14 +315,19 @@ def check_projections(rng: random.Random, n: int, count: int) -> tuple[int, list
     cases, failures = 0, []
     for trial in range(count):
         components = tuple(_random_space(rng, 3, f"c{i}_") for i in range(n))
-        phi = markov_from_coupling(_random_coupling_onto_product(rng, components, rng.randint(1, 3)))
+        coupling = _random_coupling_onto_product(rng, components, rng.randint(1, 3))
+        failure = {"stage": "projection-identity", "n": n, "trial": trial}
+        try:  # a derived operator failing its validation fails the stage, as the identity does
+            phi = markov_from_coupling(coupling)
+        except ValueError as exc:
+            failures.append({**failure, "selected": None, "error": str(exc)})
+            continue
         for mask in range(2**n):
             selected = tuple(i for i in range(n) if mask >> i & 1)
             try:
                 projected = project_markov(phi, FactorStructure(components, selected))
-            except RuntimeError as exc:
-                failure = {"stage": "projection-identity", "n": n, "trial": trial, "selected": list(selected)}
-                failures.append({**failure, "error": str(exc)})
+            except (RuntimeError, ValueError) as exc:
+                failures.append({**failure, "selected": list(selected), "error": str(exc)})
                 continue
             cases += 1
             if len(selected) == n and projected != phi:

@@ -161,3 +161,22 @@ def test_each_report_groups_its_levels_in_one_call():
     assert "power" not in {kw.arg for cs in calls.values() for c in cs for kw in c.keywords}
     definitions = {node.name: node.args for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert all("power" not in [a.arg for a in definitions[name].args + definitions[name].kwonlyargs] for name in engines)
+
+
+def test_markov_scales_to_integers_in_one_helper():
+    """Every check and derivation in `markov` scales its Fractions to integer
+    numerators through `_integer_row`, the only caller of `math.lcm` there."""
+    tree = ast.parse((Path(circlespec.__file__).parent / "markov.py").read_text(encoding="utf-8"))
+
+    def is_lcm(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "lcm"
+
+    owners = [
+        owner.name
+        for owner in ast.walk(tree)
+        if isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(owner)
+        if is_lcm(call)
+    ]
+    assert owners == ["_integer_row"]
+    assert sum(map(is_lcm, ast.walk(tree))) == 1

@@ -4,10 +4,11 @@ import json
 import math
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from circlespec import measure_to_json
+from circlespec import markov, measure_to_json, suite
 from circlespec.cli import _params, build_parser, main
 
 from tests.helpers import designed_relation_measure
@@ -171,6 +172,28 @@ def test_markov_bad_dims_is_exit_2(capsys):
 def test_markov_non_positive_count_is_exit_2(argv, capsys):
     assert run_cli(argv)[0] == 2
     assert "count must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["markov", "round-trip", "--count", "3"], ["markov", "lm-kk", "--n", "2", "--count", "1"]]
+)
+def test_a_derived_operator_failing_validation_is_a_failed_check(argv, monkeypatch, capsys):
+    """A coupling derived one entry off makes the operator built from it fail
+    its validation: a failed stage (exit 1), not an input error (exit 2)."""
+    original = markov.coupling_from_markov
+
+    def one_entry_off(phi):
+        c = original(phi)
+        joint = [list(row) for row in c.joint]
+        joint[0][0] += Fraction(1, 7)
+        return markov.Coupling._canonical(c.left, c.right, tuple(map(tuple, joint)))
+
+    for owner in (markov, suite):
+        monkeypatch.setattr(owner, "coupling_from_markov", one_entry_off)
+    code, env = run_json(argv)
+    assert code == 1 and env["passed"] is False
+    assert any("sums to" in failure.get("error", "") for failure in env["report"]["failures"])
+    assert capsys.readouterr().err == ""
 
 
 # incl-excl charges (2^n - 1) * n * total^2 dense entries against 256 * matrix_cap.

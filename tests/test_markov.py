@@ -300,7 +300,8 @@ def test_factored_route_uses_no_coupling_function(monkeypatch):
         monkeypatch.setattr(markov, name, forbidden)
     monkeypatch.setattr(FactorStructure, "columns", property(forbidden))
     for selected, dense in expected.items():
-        assert markov._factored_expectation(phi, FactorStructure(BIG, selected)) == dense
+        rows, den = markov._factored_expectation(phi, FactorStructure(BIG, selected))
+        assert [[F(x, den) for x in row] for row in rows] == dense
 
 
 def test_project_markov_raises_when_the_extension_route_is_perturbed(monkeypatch):
@@ -434,3 +435,229 @@ def test_markov_from_coupling_validates_its_output():
     bad = Coupling._canonical(half, half_y, ((F(1, 2), F(1, 4)), (F(0), F(1, 4))))
     with pytest.raises(ValueError, match="pushes mass"):
         markov_from_coupling(bad)
+
+
+# -- integer validation against the Fraction reference ---------------------------
+#
+# The constructors validate on integer numerators.  The same checks written in
+# plain Fraction arithmetic are the reference: both must accept the same inputs,
+# storing the same Fractions, and reject the same inputs with the same exception
+# type and message.
+
+
+def reference_space(labels, probs):
+    labels = tuple(labels)
+    probs = tuple(Fraction(p) for p in probs)
+    if len(labels) != len(probs):
+        raise ValueError(f"{len(labels)} labels vs {len(probs)} probabilities")
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be distinct")
+    if any(p <= 0 for p in probs):
+        raise ValueError("probabilities must be strictly positive")
+    if sum(probs) != 1:
+        raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
+    return labels, probs
+
+
+def reference_coupling(left, right, joint):
+    joint = tuple(tuple(Fraction(x) for x in row) for row in joint)
+    if len(joint) != left.size or any(len(row) != right.size for row in joint):
+        raise ValueError(f"joint must be {left.size}x{right.size}")
+    if any(x < 0 for row in joint for x in row):
+        raise ValueError("joint entries must be non-negative")
+    for i, row in enumerate(joint):
+        if sum(row) != left.probs[i]:
+            raise ValueError(f"row {i} sums to {sum(row)}, expected left marginal {left.probs[i]}")
+    for j in range(right.size):
+        col = sum(row[j] for row in joint)
+        if col != right.probs[j]:
+            raise ValueError(f"column {j} sums to {col}, expected right marginal {right.probs[j]}")
+    return joint
+
+
+def reference_markov(source, target, matrix):
+    matrix = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+    if len(matrix) != target.size or any(len(row) != source.size for row in matrix):
+        raise ValueError(f"matrix must be {target.size}x{source.size}")
+    if any(x < 0 for row in matrix for x in row):
+        raise ValueError("matrix entries must be non-negative")
+    for t, row in enumerate(matrix):
+        if sum(row) != 1:
+            raise ValueError(f"row {t} sums to {sum(row)}, not 1")
+    for s in range(source.size):
+        pushed = sum(target.probs[t] * matrix[t][s] for t in range(target.size))
+        if pushed != source.probs[s]:
+            raise ValueError(f"column {s} pushes mass {pushed}, expected {source.probs[s]}")
+    return matrix
+
+
+def outcome(build, *args):
+    """What `build` returns, or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def stored(rows):
+    """The stored tuples, after checking that every entry is a Fraction."""
+    assert all(type(x) is Fraction for row in rows for x in row)
+    return rows
+
+
+def built_space(labels, probs):
+    space = FiniteSpace(labels, probs)
+    return space.labels, stored([space.probs])[0]
+
+
+def built_joint(left, right, joint):
+    return stored(Coupling(left, right, joint).joint)
+
+
+def built_matrix(source, target, matrix):
+    return stored(MarkovOp(source, target, matrix).matrix)
+
+
+# 1000003 and 2**61 - 1 are primes: denominators built from them stay coprime.
+DENOMINATORS = (1, 2, 7, 1000003, 2**61 - 1)
+deltas = st.builds(Fraction, st.integers(1, 5), st.sampled_from(DENOMINATORS))
+
+
+@st.composite
+def distributions(draw, size):
+    """`size` positive probabilities summing to 1, over mixed coprime denominators."""
+    denominators = draw(st.lists(st.sampled_from(DENOMINATORS), min_size=size - 1, max_size=size - 1))
+    head = [F(draw(st.integers(1, d)), d * size) for d in denominators]  # each at most 1/size
+    return head + [1 - sum(head)]
+
+
+def spaces(prefix, probs):
+    return FiniteSpace((f"{prefix}{i}" for i in range(len(probs))), probs)
+
+
+def as_given(draw, rows):
+    """The entries as Fractions, or each one as an int (denominator 1) or a
+    string such as "3/7", both of which Fraction() accepts."""
+    if not draw(st.booleans()):
+        return rows
+    return [[x.numerator if x.denominator == 1 else str(x) for x in row] for row in rows]
+
+
+def mutated(draw, rows):
+    """rows, possibly changed by one drawn edit.  "row" moves mass inside a row
+    (every row sum kept, so only column sums, or a Markov operator's pushed mass,
+    break), "column" moves it inside a column (rows break), "entry" changes one
+    entry, "negative" drives one entry below zero keeping its row sum, "rectangle"
+    moves mass around four corners (every line kept), "short" drops an entry."""
+    rows = [list(row) for row in rows]
+    n, m = len(rows), len(rows[0])
+    edit = draw(st.sampled_from(("none", "row", "column", "entry", "negative", "rectangle", "short")))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+    i2, j2 = (i + 1) % n, (j + 1) % m
+    delta = draw(deltas)
+    if edit == "row" and m > 1:
+        rows[i][j] += delta
+        rows[i][j2] -= delta
+    elif edit == "column" and n > 1:
+        rows[i][j] += delta
+        rows[i2][j] -= delta
+    elif edit == "entry":
+        rows[i][j] += delta
+    elif edit == "negative" and m > 1:
+        shift = rows[i][j] + delta
+        rows[i][j] -= shift
+        rows[i][j2] += shift
+    elif edit == "rectangle" and n > 1 and m > 1:
+        delta = min(rows[i][j], rows[i2][j2], delta)
+        rows[i][j] -= delta
+        rows[i][j2] += delta
+        rows[i2][j] += delta
+        rows[i2][j2] -= delta
+    elif edit == "short":
+        rows[i].pop()
+    return rows
+
+
+@st.composite
+def coupling_cases(draw):
+    """A left and right space and a joint: the right probabilities split down
+    each column in drawn proportions, the left ones their row sums."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    right = draw(distributions(m))
+    shares = draw(st.lists(st.lists(st.integers(1, 9), min_size=n, max_size=n), min_size=m, max_size=m))
+    joint = [[right[j] * F(shares[j][i], sum(shares[j])) for j in range(m)] for i in range(n)]
+    return spaces("x", [sum(row) for row in joint]), spaces("y", right), joint
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(distributions), st.data())
+def test_finite_space_accepts_and_rejects_as_the_fraction_reference(probs, data):
+    draw = data.draw
+    labels = [f"p{i}" for i in range(len(probs))]
+    edit = draw(st.sampled_from(("none", "zero", "negative", "bump", "duplicate", "short")))
+    i = draw(st.integers(0, len(probs) - 1))
+    if edit == "zero" and len(probs) > 1:
+        probs[(i + 1) % len(probs)] += probs[i]  # the sum stays 1
+        probs[i] = F(0)
+    elif edit == "negative":
+        probs[i] = -probs[i]
+    elif edit == "bump":
+        probs[i] += draw(deltas)
+    elif edit == "duplicate" and len(probs) > 1:
+        labels[i] = labels[(i + 1) % len(probs)]
+    elif edit == "short":
+        labels.pop()
+    probs = as_given(draw, [probs])[0]
+    assert outcome(built_space, labels, probs) == outcome(reference_space, labels, probs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coupling_cases(), st.data())
+def test_coupling_accepts_and_rejects_as_the_fraction_reference(case, data):
+    left, right, joint = case
+    joint = as_given(data.draw, mutated(data.draw, joint))
+    assert outcome(built_joint, left, right, joint) == outcome(reference_coupling, left, right, joint)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coupling_cases(), st.data())
+def test_markov_op_accepts_and_rejects_as_the_fraction_reference(case, data):
+    source, target, joint = case
+    matrix = [[joint[s][t] / target.probs[t] for s in range(source.size)] for t in range(target.size)]
+    matrix = as_given(data.draw, mutated(data.draw, matrix))
+    assert outcome(built_matrix, source, target, matrix) == outcome(reference_markov, source, target, matrix)
+
+
+def test_reference_cases_reach_every_branch():
+    """Hand-picked inputs for each check, so that no branch rests on the draw alone."""
+    half, half_y = two_point(F(1, 2)), two_point(F(1, 2), "y")
+    big = FiniteSpace(("b0", "b1"), (F(1, 2**61 - 1), F(2**61 - 2, 2**61 - 1)))
+    spaces_in = [
+        (["a", "b"], ["1/2", 0.5]),
+        (["a"], [1]),
+        (["a", "b"], [F(1, 1000003), F(1000001, 1000003)]),
+        (["a", "b"], [F(0), F(1)]),
+        (["a", "b"], [F(-1, 2), F(3, 2)]),
+        ([], []),
+    ]
+    for labels, probs in spaces_in:
+        assert outcome(built_space, labels, probs) == outcome(reference_space, labels, probs)
+    couplings_in = [
+        (half, half_y, [["1/4", "1/4"], [F(1, 4), F(1, 4)]]),
+        (half, half_y, [[F(1, 2), F(0)], [F(0), F(1, 2)]]),
+        (half, half_y, [[F(1, 2), F(0)], [F(1, 4), F(1, 4)]]),  # rows kept, both columns broken
+        (half, big, [[F(1, 2), F(0)], [F(0), F(1, 2)]]),
+        (half, half_y, [[F(3, 4), F(-1, 4)], [F(-1, 4), F(3, 4)]]),
+        (half, half_y, [["x", 0], [0, 1]]),
+    ]
+    for left, right, joint in couplings_in:
+        assert outcome(built_joint, left, right, joint) == outcome(reference_coupling, left, right, joint)
+    operators_in = [
+        (half, half_y, [[1, 0], [0, 1]]),
+        (two_point(F(1, 3)), half_y, [[F(1), F(0)], [F(0), F(1)]]),  # rows stochastic, pushed mass broken
+        (half, big, [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]),
+        (half, half_y, [[F(3, 2), F(-1, 2)], [F(-1, 2), F(3, 2)]]),
+        (half, half_y, [[F(1, 2), F(1, 2)], [F(1, 2)]]),
+    ]
+    for source, target, matrix in operators_in:
+        assert outcome(built_matrix, source, target, matrix) == outcome(reference_markov, source, target, matrix)

@@ -10,10 +10,13 @@ lists them.  When a new route starts to catch one, that test fails, and
 the row moves to `CAUGHT`.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from circlespec import linalg, spectral, suite
+from circlespec import linalg, markov, spectral, suite
 from circlespec.errors import Caps
+from circlespec.markov import Coupling
 from circlespec.measure import AtomicMeasure
 
 SEED = 0
@@ -53,6 +56,33 @@ def _bump_orbit_count(counts):
     return counts
 
 
+def _bump_direct(result):
+    """One numerator of the direct side of `project_markov` one more."""
+    rows, den = result
+    return [(rows[0][0] + 1, *rows[0][1:]), *rows[1:]], den
+
+
+def _shift_rectangle(c):
+    """Move mass around the top-left 2x2 rectangle of a coupling's joint: both
+    marginals stay exact, so only the projection identity can notice."""
+    if len(c.joint) < 2 or c.right.size < 2:
+        return c
+    joint = [list(row) for row in c.joint]
+    eps = min(joint[0][0], joint[1][1]) / 2
+    joint[0][0] -= eps
+    joint[0][1] += eps
+    joint[1][0] += eps
+    joint[1][1] -= eps
+    return Coupling(c.left, c.right, joint)
+
+
+def _bump_coupling(c):
+    """The first joint entry 1/7 more, past validation, as a bug in the derivation would."""
+    joint = [list(row) for row in c.joint]
+    joint[0][0] += Fraction(1, 7)
+    return Coupling._canonical(c.left, c.right, tuple(map(tuple, joint)))
+
+
 # (criterion, fault) -> the patch that injects the fault
 CAUGHT = {
     ("tensor-power-multiplicity", "linalg.rank one less"): _wrap(linalg, "rank", lambda r: r - 1),
@@ -63,6 +93,11 @@ CAUGHT = {
     ("fock-multiplicity-set", "one generic level count +1"): _bump_first("generic"),
     ("nonsimple-symmetric-square", "every level simple"): (spectral, "_first_nonsimple_fiber", lambda *a: None),
     ("simplicity-monotone", "every level simple"): (spectral, "_first_nonsimple_fiber", lambda *a: None),
+    ("markov-identities", "direct side one entry off"): _wrap(markov, "_factored_expectation", _bump_direct),
+    ("markov-identities", "extension side mass moved around a rectangle"): _wrap(
+        markov, "rel_indep_extension", _shift_rectangle
+    ),
+    ("markov-identities", "coupling_from_markov one entry off"): _wrap(markov, "coupling_from_markov", _bump_coupling),
 }
 
 # (criterion, fault) -> (the patch, why no criterion catches it)
