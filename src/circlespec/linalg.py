@@ -49,32 +49,40 @@ def kron(a, b):
 
 def rank(a):
     """Rank over Q of sparse rows {column: int | Fraction}, by fraction-free
-    elimination on integer rows.
+    elimination on integer rows.  The caller's rows are never changed.
 
-    Zero entries are dropped on entry, so a row's leading column is its
-    least column with a nonzero entry; the keys need not be sorted.  A row
-    holding a `Fraction` is scaled into integers by the lcm of its
-    denominators; an all-`int` row is taken as it is.  Each row v is made
-    primitive (content divided out), which leaves the rank unchanged.  If
-    its leading column c has an echelon row p, v becomes
-    (p[c]/g)*v - (v[c]/g)*p with g = gcd(p[c], v[c]), which clears c;
+    A row with a zero entry is copied without its zeros, so a row's leading
+    column is its least column with a nonzero entry; the keys need not be
+    sorted.  A row holding a `Fraction` is scaled into integers by the lcm of
+    its denominators; an all-`int` row is taken as it is.  Each row v is made
+    primitive (content divided out, in a new row only when it is not 1),
+    which leaves the rank unchanged.  If its leading column c has an echelon
+    row p, v becomes (p[c]/g)*v - (v[c]/g)*p with g = gcd(p[c], v[c]): a copy
+    of v, scaled when p[c]/g != 1, with p folded in, which clears c;
     otherwise v is the echelon row for c.  The rank is the number of echelon
     rows.  No residue arithmetic: a rank taken mod a prime can undercount.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for row in a:
-        v = {c: x for c, x in row.items() if x}
+    for v in a:
+        if not all(v.values()):
+            v = {c: x for c, x in v.items() if x}
         if Fraction in map(type, v.values()):
             den = math.lcm(*(x.denominator for x in v.values()))
             v = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
         while v:
             g = math.gcd(*v.values())
-            v = {c: x // g for c, x in v.items()} if g != 1 else v
+            if g != 1:
+                v = {c: x // g for c, x in v.items()}
             lead = min(v)
             p = pivots.setdefault(lead, v)
             if p is v:
                 break
             g = math.gcd(p[lead], v[lead])
             s, t = p[lead] // g, v[lead] // g
-            v = {c: x for c in v.keys() | p.keys() if (x := s * v.get(c, 0) - t * p.get(c, 0))}
+            v = dict(v) if s == 1 else {c: s * x for c, x in v.items()}
+            for c, x in p.items():
+                if y := v.get(c, 0) - t * x:
+                    v[c] = y
+                else:
+                    del v[c]
     return len(pivots)

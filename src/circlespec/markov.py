@@ -92,7 +92,7 @@ class FiniteSpace(Immutable):
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteSpace):
             return NotImplemented
-        return self.labels == other.labels and self.probs == other.probs
+        return self is other or (self.labels == other.labels and self.probs == other.probs)
 
     def __hash__(self):
         return hash((self.labels, self.probs))
@@ -324,7 +324,8 @@ def project_markov(phi: MarkovOp, factor: FactorStructure) -> MarkovOp:
         raise ValueError("operator target is not the factor's full product")
     direct, den = _factored_expectation(phi, factor)
 
-    restricted = marginal_coupling(coupling_from_markov(phi), factor)
+    lam = coupling_from_markov(phi)  # its right space, checked equal, becomes the factor's own
+    restricted = marginal_coupling(Coupling._canonical(lam.left, factor.full_space, lam.joint), factor)
     via_extension = markov_from_coupling(rel_indep_extension(restricted, factor))
     ext, ext_den = _integer_row([x for row in via_extension.matrix for x in row])
     direct_scaled = [n * ext_den for row in direct for n in row]

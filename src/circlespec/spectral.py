@@ -45,7 +45,12 @@ from circlespec.permgroup import (
 
 def _pattern(ms: tuple[int, ...]) -> tuple[int, ...]:
     """Value counts of a sorted multiset, largest first: a partition of len(ms)."""
-    return tuple(sorted((len(list(run)) for _, run in itertools.groupby(ms)), reverse=True))
+    return tuple(sorted(map(ms.count, set(ms)), reverse=True))
+
+
+def _arrangements(pattern: tuple[int, ...]) -> int:
+    """The number of distinct orderings of a multiset with this pattern."""
+    return math.factorial(sum(pattern)) // math.prod(map(math.factorial, pattern))
 
 
 @dataclass(frozen=True)
@@ -65,10 +70,7 @@ class FiberClass:
 
     @functools.cached_property
     def size(self) -> int:
-        return sum(
-            math.factorial(len(ms)) // math.prod(map(math.factorial, _pattern(ms)))
-            for ms in self.index_multisets
-        )
+        return sum(_arrangements(_pattern(ms)) for ms in self.index_multisets)
 
     @property
     def is_generic(self) -> bool:
@@ -170,14 +172,15 @@ def _generic_summary(values) -> tuple[int | None, bool]:
 
 
 def _build_report(power: int, group: PermSubgroup, classified) -> MultiplicityReport:
-    """classified: list of (fiber, multiplicity)."""
+    """classified: list of (fiber, multiplicity, tuples), tuples being the
+    fiber's ordered tuple count as the route counted it (they total d^n)."""
     entries: dict[CirclePoint, int] = {}
     degenerate = []
     generic_values = []
     total = 0
-    for fc, mult in classified:
+    for fc, mult, tuples in classified:
         entries[fc.eigenvalue] = mult
-        total += fc.size
+        total += tuples
         if fc.is_generic:
             generic_values.append(mult)
         else:
@@ -259,14 +262,16 @@ def multiplicity(
     multiplicity pattern.  Each pattern met is counted once per call by
     Burnside's lemma over the cycle-type census of `G.elements`
     (`_orbit_counts`); no arrangement is enumerated.  A fiber's multiplicity
-    sums the counts over its multisets; each multiset's pattern is taken once.
+    sums the counts over its multisets, and its tuple count their patterns'
+    multinomials; each multiset's pattern is taken once.
     """
     if G.degree != n:
         raise ValueError(f"group degree {G.degree} does not match power {n}")
     fcs = fibers(sigma, n, tuple_cap)
     patterns = [[_pattern(ms) for ms in fc.index_multisets] for fc in fcs]
     orbits = _orbit_counts(G.elements, {p for ps in patterns for p in ps})
-    classified = [(fc, sum(map(orbits.__getitem__, ps))) for fc, ps in zip(fcs, patterns)]
+    tuples = {p: _arrangements(p) for p in orbits}
+    classified = [(fc, sum(map(orbits.get, ps)), sum(map(tuples.get, ps))) for fc, ps in zip(fcs, patterns)]
     return _build_report(n, G, classified)
 
 
@@ -285,9 +290,13 @@ def matrix_oracle(
     rows that differ only in sign span the same line, so each unordered
     pair of columns becomes one row e_min - e_max.  Identity generators give
     no row and are skipped, so every getter moves two or more positions and
-    returns a tuple.  `linalg.rank` ranks the rows exactly, once per fiber.
-    The route reads the generators and the fiber's ordered tuples, never
-    `G.elements`, orbits or multiplicity patterns.
+    returns a tuple.  Generators move positions, not values, so they act alike
+    on multisets of one shape: each entry relabelled by its first position
+    ((3, 3, 5, 7) has shape (0, 0, 2, 3)).  Each shape's arrangement count and
+    sorted column pairs are built once per call, and a multiset's rows are
+    its shape's pairs shifted past the columns before it.  `linalg.rank` takes
+    each fiber's rows in one call.  The route reads the generators and the
+    fibers' multisets, never `G.elements`, orbits or multiplicity patterns.
     """
     if G.degree != n:
         raise ValueError(f"group degree {G.degree} does not match power {n}")
@@ -295,17 +304,21 @@ def matrix_oracle(
     admit(d**n, matrix_cap, f"{d}^{n} matrix rows")
     identity = tuple(range(n))
     getters = [operator.itemgetter(*s.images) for s in G.generators if s.images != identity]
+    templates: dict[tuple[int, ...], tuple[int, list[tuple[int, int]]]] = {}
     classified = []
     for fc in fibers(sigma, n, tuple_cap=matrix_cap):
-        tuples = [t for ms in fc.index_multisets for t in set(itertools.permutations(ms))]
-        index_of = {t: j for j, t in enumerate(tuples)}
-        pairs = {
-            (i, j) if i < j else (j, i)
-            for j, t in enumerate(tuples)
-            for get in getters
-            if (i := index_of[get(t)]) != j
-        }
-        classified.append((fc, len(tuples) - linalg.rank([{i: 1, j: -1} for i, j in pairs])))
+        rows, size = [], 0
+        for ms in fc.index_multisets:
+            shape = tuple(map(ms.index, ms))
+            if shape not in templates:
+                tuples = sorted(set(itertools.permutations(shape)))
+                index_of = {t: j for j, t in enumerate(tuples)}
+                moves = ((index_of[get(t)], j) for j, t in enumerate(tuples) for get in getters)
+                templates[shape] = len(tuples), sorted({(i, j) if i < j else (j, i) for i, j in moves if i != j})
+            count, pairs = templates[shape]
+            rows += [{i + size: 1, j + size: -1} for i, j in pairs]
+            size += count
+        classified.append((fc, size - linalg.rank(rows), size))
     return _build_report(n, G, classified)
 
 

@@ -180,3 +180,18 @@ def test_markov_scales_to_integers_in_one_helper():
     ]
     assert owners == ["_integer_row"]
     assert sum(map(is_lcm, ast.walk(tree))) == 1
+
+
+def test_each_multiplicity_route_names_none_of_the_other_routes_inputs():
+    """The rank route names neither the orbit route's description of the
+    group (`elements`) nor its pattern counting (`_pattern`, `_orbit_counts`);
+    the orbit route names no `linalg`.  Neither can borrow the other's answer."""
+    tree = ast.parse((Path(circlespec.__file__).parent / "spectral.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def names(function):
+        return {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(functions[function])}
+
+    assert names("matrix_oracle").isdisjoint({"_pattern", "_orbit_counts", "elements"})
+    assert "linalg" not in names("multiplicity")
+    assert {"generators", "linalg"} <= names("matrix_oracle") and {"_pattern", "elements"} <= names("multiplicity")

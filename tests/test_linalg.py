@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import sympy
@@ -137,3 +138,33 @@ def test_rank_of_difference_rows_is_size_minus_components(case):
     # The kernel of the rows e_a - e_b is spanned by the component indicators.
     n, edges, signs = case
     assert linalg.rank(difference_rows(edges, signs)) == n - components(n, edges)
+
+
+def test_rank_leaves_the_caller_rows_unchanged():
+    # Zero-free int rows with content 1 are used as they are: the first two
+    # become echelon rows, and the third is eliminated against them, so a
+    # kernel that folded into its own rows would change a caller's row.  Rows
+    # with explicit zeros and Fraction rows are rebuilt, and content is
+    # divided out; none of that may show in the rows passed in.
+    cases = [
+        [{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: -1}, {2: 3, 0: -5}, {0: 2, 3: 4}],
+        [{0: 0, 1: 3, 2: 0}, {1: 6, 2: 0, 3: -3}, {0: 0}, {3: 1, 1: 0, 2: 2}],
+        [{0: Fraction(1, 2), 1: Fraction(-1, 3)}, {0: Fraction(3, 4), 1: Fraction(0), 2: Fraction(5)},
+         {1: Fraction(2, 3), 2: 1}, {0: Fraction(3, 2), 1: -1}],
+    ]
+    for rows in cases:
+        before = copy.deepcopy(rows)
+        first = linalg.rank(rows)
+        assert rows == before
+        assert linalg.rank(rows) == first == sympy_rank(
+            [[Fraction(row.get(c, 0)) for c in range(4)] for row in before]
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(low_rank_matrices(INTS), low_rank_matrices(FRACTIONS)))
+def test_rank_never_changes_its_input(m):
+    rows = sparse(m) + [{c: x for c, x in row.items() if x} for row in sparse(m)]
+    before = copy.deepcopy(rows)
+    linalg.rank(rows)
+    assert rows == before

@@ -218,6 +218,79 @@ def test_rank_route_passes_one_row_per_column_pair(monkeypatch, G):
     assert entries == list(projector_ranks(mu, n, G).items())
 
 
+def group_kinds(n):
+    """The trivial, cyclic and symmetric groups of degree n and, for even n,
+    the group acting within n // 2 contiguous pairs."""
+    groups = [PermSubgroup.trivial(n), PermSubgroup.cyclic(n), PermSubgroup.symmetric(n)]
+    if n % 2 == 0:
+        groups.append(contiguous_block_group(2, n // 2))
+    return groups
+
+
+def recorded_rank_calls(route, *args):
+    """(report, rows of each linalg.rank call) of one route call."""
+    calls = []
+    rank = linalg.rank
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "rank", lambda rows: calls.append(rows) or rank(rows))
+        return route(*args), calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_measures(), st.integers(min_value=1, max_value=4))
+def test_rank_route_ranks_each_fiber_once_and_both_routes_count_every_tuple(mu, n):
+    # The benchmark's span counter reads the rows of a rank call as a list
+    # (len(a[0])) and pins one rank call per fiber.
+    for G in group_kinds(n):
+        rep, calls = recorded_rank_calls(matrix_oracle, mu, n, G)
+        assert len(calls) == len(rep.entries) == len(fibers(mu, n))
+        assert all(type(rows) is list for rows in calls)
+        assert rep.total_tuples == multiplicity(mu, n, G).total_tuples == len(mu) ** n
+
+
+@st.composite
+def relation_rich_measures(draw, max_atoms=6):
+    """Atoms on the two generators g0, g1 with small exponents, some rotated:
+    many product relations, so a fiber holds multisets of several shapes."""
+    point = st.builds(
+        lambda r, e0, e1: CirclePoint(r, {0: e0, 1: e1}),
+        st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3)]),
+        st.integers(-2, 2),
+        st.integers(-1, 1),
+    )
+    return AtomicMeasure(dict.fromkeys(draw(st.lists(point, min_size=3, max_size=max_atoms, unique=True)), 1))
+
+
+def per_multiset_rows(fc, G):
+    """(columns, rows) of the rank route built multiset by multiset, with
+    no shape template: the arrangements of each multiset in sorted order,
+    numbered on from those of the multisets before it, one row e_min - e_max
+    per pair of columns a generator maps onto each other."""
+    tuples = [t for ms in fc.index_multisets for t in sorted(set(itertools.permutations(ms)))]
+    index_of = {t: j for j, t in enumerate(tuples)}
+    pairs = {
+        (min(i, j), max(i, j))
+        for j, t in enumerate(tuples)
+        for s in G.generators
+        if (i := index_of[tuple(t[k] for k in s.images)]) != j
+    }
+    return len(tuples), [{i: 1, j: -1} for i, j in pairs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(relation_rich_measures(), st.integers(min_value=2, max_value=4))
+def test_shape_template_rows_are_the_per_multiset_rows(mu, n):
+    for G in group_kinds(n):
+        rep, calls = recorded_rank_calls(matrix_oracle, mu, n, G)
+        fcs = fibers(mu, n)
+        assert len(calls) == len(fcs)
+        for fc, rows, mult in zip(fcs, calls, rep.entries.values()):
+            columns, reference = per_multiset_rows(fc, G)
+            assert len(rows) == len(reference)
+            assert {frozenset(row.items()) for row in rows} == {frozenset(row.items()) for row in reference}
+            assert mult == columns - linalg.rank(reference) == columns - linalg.rank(rows)
+
+
 def partitions(n, largest=None):
     """The partitions of n, each with its parts largest first."""
     if n == 0:
@@ -984,8 +1057,9 @@ def test_fock_multiplicity_set_builds_no_convolution_power(monkeypatch):
 
 
 def test_multiplicity_takes_each_multiset_pattern_at_most_twice(monkeypatch):
-    # Once to pick the patterns to count and sum, once for FiberClass.size,
-    # which is cached: reading it again computes nothing.
+    # Exactly once, to pick the patterns to count and sum: the route counts
+    # its tuples from the same patterns, so FiberClass.size is never read.
+    # FiberClass.size is cached: reading it again computes nothing.
     mu, n = designed_relation_measure(), 4
     multisets = [ms for fc in fibers(mu, n) for ms in fc.index_multisets]
     calls = Counter()
@@ -997,7 +1071,7 @@ def test_multiplicity_takes_each_multiset_pattern_at_most_twice(monkeypatch):
 
     monkeypatch.setattr(spectral, "_pattern", counting_pattern)
     rep = multiplicity(mu, n, PermSubgroup.symmetric(n))
-    assert set(calls) == set(multisets) and max(calls.values()) <= 2
+    assert calls == dict.fromkeys(multisets, 1)
     assert rep.total_tuples == len(mu) ** n
     fc = fibers(mu, n)[0]
     calls.clear()
