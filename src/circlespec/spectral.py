@@ -22,7 +22,6 @@ insist on exact agreement.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -61,14 +60,14 @@ class FiberClass:
     eigenvalue, as sorted tuples of indices into `atoms` (the measure support
     in canonical order), lexicographically sorted.  The fiber's ordered
     tuples are their arrangements; `size` counts them by multinomial
-    coefficients, once per fiber.
+    coefficients.
     """
 
     eigenvalue: CirclePoint
     atoms: tuple[CirclePoint, ...]
     index_multisets: tuple[tuple[int, ...], ...]
 
-    @functools.cached_property
+    @property
     def size(self) -> int:
         return sum(_arrangements(_pattern(ms)) for ms in self.index_multisets)
 
@@ -422,7 +421,6 @@ def _power_report(k: int, m: int, d: int, select, formula: int, G: PermSubgroup,
     sigma = generic_measure(d)
     codec, (counts,) = _level_counts(sigma, k, (m,), select)
     n = k * m
-    agree = True
     # Built per call, so that rebinding either route in this module reaches it.
     routes = (("orbit_route", multiplicity, caps.tuples), ("matrix_route", matrix_oracle, caps.matrix))
     route_reports: dict[str, dict] = {}
@@ -438,7 +436,7 @@ def _power_report(k: int, m: int, d: int, select, formula: int, G: PermSubgroup,
             "generic_value": rep.generic_value,
             "matches_partition_count": matches,
         }
-        agree = agree and matches
+    agree = all(r["matches_partition_count"] for r in route_reports.values() if r["ran"])
 
     generic_value, homogeneous = _generic_summary(counts["generic"].values())
     warning = None if d >= n else f"no generic fiber: d={d} < {n}"
@@ -453,7 +451,7 @@ def _power_report(k: int, m: int, d: int, select, formula: int, G: PermSubgroup,
         "group": G.describe(),
         **route_reports,
         "warning": warning,
-        "passed": bool(agree and formula_ok),
+        "passed": agree and formula_ok,
     }
 
 
@@ -515,12 +513,7 @@ def fock_multiplicity_set(
         _admit_digits(f"level {m} formula", formulas[str(m)])
     select = itertools.combinations_with_replacement
     _, per_m = _level_counts(generic_measure(d), k, range(1, m_max + 1), select)
-    per_level: dict[str, int | None] = {}
-    ok = True
-    for (m, formula), counts in zip(formulas.items(), per_m):
-        value, homogeneous = _generic_summary(counts["generic"].values())
-        per_level[m] = value
-        ok = ok and homogeneous and value == formula
+    per_level = {m: _generic_summary(counts["generic"].values())[0] for m, counts in zip(formulas, per_m)}
     levels = [counts["entries"].keys() for counts in per_m]
     disjoint = len(set().union(*levels)) == sum(map(len, levels))
     warning = None if d >= k * m_max else f"no generic fiber above level {d // k}: d={d} < {k * m_max}"
@@ -533,7 +526,7 @@ def fock_multiplicity_set(
         "set": sorted(set(v for v in per_level.values() if v is not None)),
         "levels_pairwise_singular": disjoint,
         "warning": warning,
-        "passed": bool(ok and disjoint),
+        "passed": per_level == formulas and disjoint,
     }
 
 

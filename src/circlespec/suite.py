@@ -68,29 +68,17 @@ SUBGROUP_CATALOGUE = [
 def criterion_orbit_formula(seed, caps) -> dict:
     """Index formula vs direct orbit enumeration across the subgroup zoo."""
     rows = []
-    ok = True
     for n, gen_cycles in SUBGROUP_CATALOGUE:
         G = PermSubgroup(n, [reduce(mul, (Perm.from_cycle(n, c) for c in cs)) for cs in gen_cycles])
-        enumerated = orbit_count_free(G, caps.tuples)
-        formula = math.factorial(n) // G.order
-        rows.append(
-            {
-                "degree": n,
-                "generators": [g.serialize() for g in G.generators],
-                "order": G.order,
-                "orbits": enumerated,
-                "formula": formula,
-            }
-        )
-        ok = ok and enumerated == formula
-    return {"passed": ok, "subgroups": rows}
+        orbits = orbit_count_free(G, caps.tuples)
+        rows.append({**G.describe(), "orbits": orbits, "formula": math.factorial(n) // G.order})
+    return {"passed": all(r["orbits"] == r["formula"] for r in rows), "subgroups": rows}
 
 
 def criterion_tensor_power(seed, caps) -> dict:
     """Multiplicity of tensor powers of convolution powers, three routes."""
     expected = {(1, 2): 2, (1, 3): 6, (2, 2): 6, (2, 3): 90, (3, 2): 20}
     rows = []
-    ok = True
     for (k, m), want in expected.items():
         rep = check_tensor_power(k, m, m * k + 2, caps)
         rows.append(
@@ -105,8 +93,7 @@ def criterion_tensor_power(seed, caps) -> dict:
                 "passed": rep["passed"] and rep["generic_value"] == want,
             }
         )
-        ok = ok and rep["passed"] and rep["generic_value"] == want
-    return {"passed": ok, "cases": rows}
+    return {"passed": all(r["passed"] for r in rows), "cases": rows}
 
 
 def criterion_fock_set(seed, caps) -> dict:
@@ -123,7 +110,6 @@ def criterion_cs_arithmetic(seed, caps) -> dict:
     base = cs_criterion(1, 2, 2)
     expected_m = {1: 2, 2: 2, 3: 5}
     rows = []
-    ok = base["holds"]
     for k, want in expected_m.items():
         rep = minimal_m_for_cs(k)
         independent = next(
@@ -135,9 +121,7 @@ def criterion_cs_arithmetic(seed, caps) -> dict:
             ),
             None,
         )
-        row_ok = rep["found"] and rep["m"] == want == independent
-        if k == 2:
-            row_ok = row_ok and rep["sequence"][1] == "4/3"
+        row_ok = rep["found"] and rep["m"] == want == independent and (k != 2 or rep["sequence"][1] == "4/3")
         rows.append(
             {
                 "conv_power": k,
@@ -148,8 +132,8 @@ def criterion_cs_arithmetic(seed, caps) -> dict:
                 "passed": row_ok,
             }
         )
-        ok = ok and row_ok
-    return {"passed": ok, "base_criterion": base, "minimal_levels": rows}
+    passed = base["holds"] and all(r["passed"] for r in rows)
+    return {"passed": passed, "base_criterion": base, "minimal_levels": rows}
 
 
 def criterion_translate_singularity(seed, caps) -> dict:
@@ -159,23 +143,20 @@ def criterion_translate_singularity(seed, caps) -> dict:
     fresh = alloc.fresh_point()
     identity = CirclePoint.identity()
     rows = []
-    ok = True
     for n in range(1, 4):
         for m in range(1, 4):
             for shift, label in ((fresh, "fresh"), (identity, "identity")):
                 rep = check_translate_singularity(sigma, n, m, shift, caps.tuples)
-                want = not (n == m and label == "identity")
                 rows.append(
                     {
                         "n": n,
                         "m": m,
                         "shift": label,
                         "singular": rep["singular"],
-                        "expected": want,
+                        "expected": not (n == m and label == "identity"),
                     }
                 )
-                ok = ok and rep["singular"] == want
-    return {"passed": ok, "cases": rows}
+    return {"passed": all(r["singular"] == r["expected"] for r in rows), "cases": rows}
 
 
 def criterion_amplification(seed, caps) -> dict:
@@ -412,5 +393,5 @@ def run_suite(seed: int = 0, caps: Caps = Caps()) -> dict:
         "passed": reproduced,
         "rerun_criteria": list(seeded),
     }
-    battery["passed"] = battery["passed"] and reproduced
+    battery["passed"] = all(r["passed"] for r in battery["criteria"].values())
     return battery

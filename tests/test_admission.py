@@ -195,3 +195,28 @@ def test_each_multiplicity_route_names_none_of_the_other_routes_inputs():
     assert names("matrix_oracle").isdisjoint({"_pattern", "_orbit_counts", "elements"})
     assert "linalg" not in names("multiplicity")
     assert {"generators", "linalg"} <= names("matrix_oracle") and {"_pattern", "elements"} <= names("multiplicity")
+
+
+def _accumulators(tree):
+    """Lines of `x = x and ...`: a verdict restated in a second variable."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.BoolOp):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            first = node.value.values[0]
+            if isinstance(node.value.op, ast.And) and isinstance(first, ast.Name) and first.id in names:
+                sites.append(node.lineno)
+    return sites
+
+
+def test_each_verdict_is_one_expression_over_its_report():
+    """No verdict accumulates as `ok = ok and ...` beside the rows it checks:
+    each reads the fields its report prints, so the two cannot disagree."""
+    src = Path(circlespec.__file__).parent
+    sites = [
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py"))
+        for line in _accumulators(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sites == []

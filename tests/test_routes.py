@@ -40,6 +40,15 @@ def _bump_first(part):
     return _wrap(spectral, "_level_counts", change)
 
 
+def _meet_levels(result):
+    """Copy one key of the first level's counts into the second: the levels meet."""
+    codec, per_m = result
+    first = per_m[0]["entries"]
+    key = next(iter(first))
+    per_m[1]["entries"][key] = first[key]
+    return codec, per_m
+
+
 def _group_with(attribute, keep):
     """Wrap `contiguous_block_group` so that its `attribute` keeps only `keep` of
     it, set past the immutability guard, as a bug inside the class would."""
@@ -83,8 +92,20 @@ def _bump_coupling(c):
     return Coupling._canonical(c.left, c.right, tuple(map(tuple, joint)))
 
 
-# (criterion, fault) -> the patch that injects the fault
+# (criterion, fault) -> the patch that injects the fault.  `suite` imports its
+# engines by name, so a fault in a criterion's own call is patched on `suite`.
 CAUGHT = {
+    ("orbit-formula", "orbit count one more"): _wrap(suite, "orbit_count_free", lambda n: n + 1),
+    ("cs-arithmetic", "minimal m one more"): _wrap(
+        suite, "minimal_m_for_cs", lambda rep: {**rep, "m": rep["m"] + 1}
+    ),
+    ("translate-singularity", "always singular"): _wrap(
+        suite, "check_translate_singularity", lambda rep: {**rep, "singular": True}
+    ),
+    ("multiplicity-amplification", "last witness multiset dropped"): _wrap(
+        suite, "girsanov_step", lambda rep: {**rep, "witness_multisets": rep["witness_multisets"][:-1]}
+    ),
+    ("fock-multiplicity-set", "levels meet"): _wrap(spectral, "_level_counts", _meet_levels),
     ("tensor-power-multiplicity", "linalg.rank one less"): _wrap(linalg, "rank", lambda r: r - 1),
     ("tensor-power-multiplicity", "one orbit count +1"): _wrap(spectral, "_orbit_counts", _bump_orbit_count),
     ("tensor-power-multiplicity", "one level count +1"): _bump_first("entries"),

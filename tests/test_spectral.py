@@ -1059,7 +1059,7 @@ def test_fock_multiplicity_set_builds_no_convolution_power(monkeypatch):
 def test_multiplicity_takes_each_multiset_pattern_at_most_twice(monkeypatch):
     # Exactly once, to pick the patterns to count and sum: the route counts
     # its tuples from the same patterns, so FiberClass.size is never read.
-    # FiberClass.size is cached: reading it again computes nothing.
+    # FiberClass.size is not cached: each read takes each multiset's pattern once.
     mu, n = designed_relation_measure(), 4
     multisets = [ms for fc in fibers(mu, n) for ms in fc.index_multisets]
     calls = Counter()
@@ -1075,5 +1075,5 @@ def test_multiplicity_takes_each_multiset_pattern_at_most_twice(monkeypatch):
     assert rep.total_tuples == len(mu) ** n
     fc = fibers(mu, n)[0]
     calls.clear()
-    assert fc.size == fc.size
-    assert sum(calls.values()) == len(fc.index_multisets)
+    assert fc.size == sum(spectral._arrangements(pattern(ms)) for ms in fc.index_multisets)
+    assert calls == dict.fromkeys(fc.index_multisets, 1)
