@@ -17,17 +17,18 @@ coupling; `inclusion_exclusion_identity` compares integer-scaled matrices.
 The empty selection takes no case of its own: its sub-product is the product
 of no spaces, the one-point space.
 
-Every check and derivation runs on integer numerators: the constructors of
-`FiniteSpace`, `Coupling` and `MarkovOp` validate every entry and both
-marginals, signs from numerators, each row and column scaled once by
-`_integer_row` (the module's one lcm) and cross-multiplied with its target;
-the derivations build each stored `Fraction` once, and `project_markov`
-cross-multiplies its two sides.  Couplings that exact maps derive from valid
-objects skip validation through the trusted `Coupling._canonical`: the
-results of `coupling_from_markov`, `marginal_coupling` and `rel_indep_extension`.
-`markov_from_coupling` still validates: it builds the operator that
-`project_markov` returns from its extension route and the operator side of
-every round trip, so each identity validates one output of its own.
+A `FiniteSpace` also holds its probabilities as integer numerators over
+their least common denominator (`_integer_row`, the module's one lcm); a
+`Coupling` or `MarkovOp` holds only integer numerator rows over one
+denominator in lowest terms, so `==` compares integers, and `.joint` and
+`.matrix` are Fraction views built when first read.  The public constructors
+validate every entry and both marginals on those integers: signs, then each
+line's sum cross-multiplied with its target.  The six derivations (both
+conversions, restriction, extension, the direct side and `project_markov`'s
+cross-multiplied comparison) build no Fraction.  Couplings derived from valid
+objects skip validation through the trusted `_canonical`; the operator that
+`markov_from_coupling` derives is validated, so each identity checks one
+output of its own.
 """
 
 from __future__ import annotations
@@ -49,28 +50,35 @@ def _fractions(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 
-def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators w and common denominator D with values == w / D."""
-    den = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
+def _integer_row(nums: Sequence[int], dens: Sequence[int]) -> tuple[list[int], int]:
+    """Integer numerators w over the least common denominator D of `dens`,
+    with w[i] / D == nums[i] / dens[i]."""
+    den = math.lcm(*dens)
+    return [n * (den // d) for n, d in zip(nums, dens)], den
 
 
-def _check_sums(lines, weights, targets, error: str) -> None:
-    """Raise ValueError(error.format(i, exact total, target)) at the first line i
-    that, weighted by `weights`, does not sum to its target."""
-    w, w_den = _integer_row(weights)
-    for i, (line, target) in enumerate(zip(lines, targets)):
-        nums, den = _integer_row(line)
-        total, den = sum(map(operator.mul, w, nums)), den * w_den
-        if total * target.denominator != target.numerator * den:
-            raise ValueError(error.format(i, Fraction(total, den), target))
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Fractions as integer numerators over their least common denominator."""
+    return _integer_row([x.numerator for x in values], [x.denominator for x in values])
+
+
+def _check_sums(lines, weights, den: int, targets: FiniteSpace | None, error: str) -> None:
+    """Raise ValueError(error.format(i, exact total, target)) at the first line
+    i of integer numerators whose sum over `den`, weighted by `weights` (None:
+    all ones), is not the probability of point i of `targets` (None: 1)."""
+    for i, line in enumerate(lines):
+        total = sum(map(operator.mul, weights, line)) if weights else sum(line)
+        num, target_den = (targets.nums[i], targets.den) if targets else (1, 1)
+        if total * target_den != num * den:
+            raise ValueError(error.format(i, Fraction(total, den), Fraction(num, target_den)))
 
 
 class FiniteSpace(Immutable):
     """A finite probability space: point labels plus strictly positive
-    rational probabilities summing to one."""
+    rational probabilities summing to one, also held as integer numerators
+    `nums` over their least common denominator `den`."""
 
-    __slots__ = ("labels", "probs")
+    __slots__ = ("labels", "probs", "nums", "den")
 
     def __init__(self, labels: Iterable[str], probs: Iterable[Fraction]):
         labels = tuple(labels)
@@ -81,9 +89,10 @@ class FiniteSpace(Immutable):
             raise ValueError("labels must be distinct")
         if any(p.numerator <= 0 for p in probs):
             raise ValueError("probabilities must be strictly positive")
-        _check_sums([probs], [1] * len(probs), [1], "probabilities sum to {1}, not 1")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "probs", probs)
+        nums, den = _scaled(probs)
+        _check_sums([nums], None, den, None, "probabilities sum to {1}, not 1")
+        for name, value in zip(self.__slots__, (labels, probs, tuple(nums), den)):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -92,7 +101,7 @@ class FiniteSpace(Immutable):
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteSpace):
             return NotImplemented
-        return self is other or (self.labels == other.labels and self.probs == other.probs)
+        return self is other or (self.labels == other.labels and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
         return hash((self.labels, self.probs))
@@ -114,99 +123,120 @@ def product_space(components: Sequence[FiniteSpace]) -> FiniteSpace:
     return FiniteSpace(labels, probs)
 
 
-class Coupling(Immutable):
+class _IntegerRows(Immutable):
+    """Entries between two spaces as integer numerator rows `nums` over one
+    denominator `den` > 0, in lowest terms: a unique form, equal exactly when
+    the Fraction entries are.  A subclass names its two spaces in `__slots__`;
+    its `_validated` runs its constructor's checks and returns the object."""
+
+    __slots__ = ("nums", "den", "_rows")
+
+    def _store(self, first, second, nums, den: int, rows=None):
+        for name, value in zip(type(self).__slots__ + _IntegerRows.__slots__, (first, second, nums, den, rows)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def _canonical(cls, first, second, nums, den: int):
+        """Trusted constructor: numerator rows `nums` over `den` > 0 that meet
+        the class's constraints, stored in lowest terms."""
+        g = math.gcd(den, *itertools.chain.from_iterable(nums))
+        nums = tuple(tuple([n // g for n in row]) for row in nums)  # tuple(generator) reallocs and fragments
+        return object.__new__(cls)._store(first, second, nums, den // g)
+
+    def _from_fractions(self, first, second, rows, height: int, width: int, name: str) -> None:
+        """Validate and store `rows` of entries, which stay as the Fraction view."""
+        rows = tuple(map(_fractions, rows))
+        if len(rows) != height or any(len(row) != width for row in rows):
+            raise ValueError(f"{name} must be {height}x{width}")
+        flat, den = _scaled([x for row in rows for x in row])
+        self._store(first, second, tuple(tuple(flat[k:k + width]) for k in range(0, len(flat), width)), den, rows)
+        self._validated()
+
+    def _fraction_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._rows is None:
+            rows = tuple(tuple(Fraction(n, self.den) for n in row) for row in self.nums)
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in type(self).__slots__ + ("den", "nums"))
+
+
+class Coupling(_IntegerRows):
     """A joint distribution on left x right with the two spaces as exact
     marginals.  joint[i][j] is the mass on (left point i, right point j).
 
     The constructor validates; `_canonical` trusts, and serves only the
     couplings this module derives from valid ones (see the module notes)."""
 
-    __slots__ = ("left", "right", "joint")
+    __slots__ = ("left", "right")
 
     def __init__(self, left: FiniteSpace, right: FiniteSpace, joint: Sequence[Sequence[Fraction]]):
-        joint = tuple(map(_fractions, joint))
-        if len(joint) != left.size or any(len(row) != right.size for row in joint):
-            raise ValueError(f"joint must be {left.size}x{right.size}")
-        if any(x.numerator < 0 for row in joint for x in row):
+        self._from_fractions(left, right, joint, left.size, right.size, "joint")
+
+    def _validated(self) -> "Coupling":
+        if any(n < 0 for row in self.nums for n in row):
             raise ValueError("joint entries must be non-negative")
-        _check_sums(joint, [1] * right.size, left.probs, "row {} sums to {}, expected left marginal {}")
-        _check_sums(zip(*joint), [1] * left.size, right.probs, "column {} sums to {}, expected right marginal {}")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "joint", joint)
+        _check_sums(self.nums, None, self.den, self.left, "row {} sums to {}, expected left marginal {}")
+        _check_sums(zip(*self.nums), None, self.den, self.right,
+                    "column {} sums to {}, expected right marginal {}")
+        return self
 
-    @classmethod
-    def _canonical(cls, left: FiniteSpace, right: FiniteSpace, joint: tuple) -> "Coupling":
-        """Trusted constructor: `joint` rows are tuples of non-negative
-        Fractions with `left` and `right` as exact marginals."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "left", left)
-        object.__setattr__(c, "right", right)
-        object.__setattr__(c, "joint", joint)
-        return c
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Coupling):
-            return NotImplemented
-        return self.left == other.left and self.right == other.right and self.joint == other.joint
+    joint = property(_IntegerRows._fraction_rows)
 
     def __repr__(self) -> str:
         return f"Coupling({self.left.size}x{self.right.size})"
 
 
-class MarkovOp(Immutable):
+class MarkovOp(_IntegerRows):
     """A measure-preserving Markov operator from functions on `source` to
     functions on `target`; matrix[t][s] is indexed target x source.
 
     Two stochastic constraints, both induced by the coupling correspondence:
     rows sum to one (constants are preserved) and target-weighted columns
     reproduce the source probabilities (the measure is preserved): column s
-    pushes Σ_t w_t·m_ts, target probabilities w and column m scaled once."""
+    pushes Σ_t w_t·m_ts, on the numerators of w and of the matrix."""
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target")
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace, matrix: Sequence[Sequence[Fraction]]):
-        matrix = tuple(map(_fractions, matrix))
-        if len(matrix) != target.size or any(len(row) != source.size for row in matrix):
-            raise ValueError(f"matrix must be {target.size}x{source.size}")
-        if any(x.numerator < 0 for row in matrix for x in row):
+        self._from_fractions(source, target, matrix, target.size, source.size, "matrix")
+
+    def _validated(self) -> "MarkovOp":
+        if any(n < 0 for row in self.nums for n in row):
             raise ValueError("matrix entries must be non-negative")
-        _check_sums(matrix, [1] * source.size, itertools.repeat(1), "row {} sums to {}, not 1")
-        _check_sums(zip(*matrix), target.probs, source.probs, "column {} pushes mass {}, expected {}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
+        _check_sums(self.nums, None, self.den, None, "row {} sums to {}, not 1")
+        _check_sums(zip(*self.nums), self.target.nums, self.den * self.target.den, self.source,
+                    "column {} pushes mass {}, expected {}")
+        return self
+
+    matrix = property(_IntegerRows._fraction_rows)
 
     @classmethod
     def mean(cls, source: FiniteSpace, target: FiniteSpace) -> "MarkovOp":
         """The rank-one operator sending every function to its mean."""
-        return cls(source, target, [list(source.probs)] * target.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MarkovOp):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.matrix == other.matrix
-        )
+        return cls._canonical(source, target, [source.nums] * target.size, source.den)._validated()
 
     def __repr__(self) -> str:
         return f"MarkovOp({self.target.size}x{self.source.size})"
 
 
 def markov_from_coupling(c: Coupling) -> MarkovOp:
-    """Divide the joint column of each target point by its probability."""
-    matrix = [[Fraction(x.numerator * p.denominator, x.denominator * p.numerator) for x in col]
-              for p, col in zip(c.right.probs, zip(*c.joint))]
-    return MarkovOp(c.left, c.right, matrix)
+    """Divide the joint column of each target point by its probability q_t:
+    with 1/q_t = r_t / L, entry (t, s) is J[s][t]·r_t over den·L.  The
+    result is validated (see the module notes)."""
+    r, lcm = _integer_row([c.right.den] * c.right.size, c.right.nums)
+    nums = [[x * w for x in col] for w, col in zip(r, zip(*c.nums))]
+    return MarkovOp._canonical(c.left, c.right, nums, c.den * lcm)._validated()
 
 
 def coupling_from_markov(phi: MarkovOp) -> Coupling:
-    """Exact inverse of markov_from_coupling."""
-    joint = tuple(tuple(Fraction(m.numerator * p.numerator, m.denominator * p.denominator)
-                        for p, m in zip(phi.target.probs, col)) for col in zip(*phi.matrix))
-    return Coupling._canonical(phi.source, phi.target, joint)
+    """Exact inverse of markov_from_coupling: entry (s, t) is m_ts·q_t."""
+    nums = [[m * w for w, m in zip(phi.target.nums, col)] for col in zip(*phi.nums)]
+    return Coupling._canonical(phi.source, phi.target, nums, phi.den * phi.target.den)
 
 
 @dataclass(frozen=True)
@@ -214,8 +244,8 @@ class FactorStructure:
     """A product of component spaces with a chosen sub-product: the selected
     component indices, strictly increasing.  The empty selection is the
     trivial factor: its sub-product is the product of no spaces, one point.
-    `columns` gives each full point, in product order, its sub-product index
-    and the product of its unselected coordinate probabilities."""
+    `columns` holds (indices, numerators, denominator): per full point, in
+    product order, its sub-product index and its unselected probabilities' product."""
 
     components: tuple[FiniteSpace, ...]
     selected: tuple[int, ...]
@@ -237,19 +267,19 @@ class FactorStructure:
         return product_space([self.components[i] for i in self.selected])
 
     @cached_property
-    def columns(self) -> tuple[tuple[int, Fraction], ...]:
+    def columns(self) -> tuple[list[int], list[int], int]:
         """Built per component, the last varying fastest: a selected one adds
         a mixed-radix digit to the index, an unselected one a weight factor."""
-        sub, weight = [0], [Fraction(1)]
+        sub, weight, den = [0], [1], 1
         for i, c in enumerate(self.components):
             if i in self.selected:
                 sub = [s * c.size + k for s in sub for k in range(c.size)]
                 weight = [w for w in weight for _ in range(c.size)]
             else:
                 sub = [s for s in sub for _ in range(c.size)]
-                weight = [Fraction(w.numerator * p.numerator, w.denominator * p.denominator)
-                          for w in weight for p in c.probs]
-        return tuple(zip(sub, weight))
+                weight = [w * p for w in weight for p in c.nums]
+                den *= c.den
+        return sub, weight, den
 
 
 def marginal_coupling(lam: Coupling, factor: FactorStructure) -> Coupling:
@@ -257,15 +287,14 @@ def marginal_coupling(lam: Coupling, factor: FactorStructure) -> Coupling:
     the selected components, summing out each row's integer numerators."""
     if lam.right != factor.full_space:
         raise ValueError("coupling right space is not the factor's full product")
-    sub = factor.sub_space
-    joint = []
-    for row in lam.joint:
-        nums, den = _integer_row(row)
-        sums = [0] * sub.size
-        for n, (s, _) in zip(nums, factor.columns):
+    sub, size = factor.columns[0], factor.sub_space.size
+    nums = []
+    for row in lam.nums:
+        sums = [0] * size
+        for n, s in zip(row, sub):
             sums[s] += n
-        joint.append(tuple(Fraction(n, den) for n in sums))
-    return Coupling._canonical(lam.left, sub, tuple(joint))
+        nums.append(sums)
+    return Coupling._canonical(lam.left, factor.sub_space, nums, lam.den)
 
 
 def rel_indep_extension(lam: Coupling, factor: FactorStructure) -> Coupling:
@@ -275,38 +304,36 @@ def rel_indep_extension(lam: Coupling, factor: FactorStructure) -> Coupling:
     times the product of the unselected coordinate probabilities."""
     if lam.right != factor.sub_space:
         raise ValueError("coupling right space is not the selected sub-product")
-    joint = tuple(tuple(Fraction(row[s].numerator * w.numerator, row[s].denominator * w.denominator)
-                        for s, w in factor.columns) for row in lam.joint)
-    return Coupling._canonical(lam.left, factor.full_space, joint)
+    sub, weight, den = factor.columns
+    nums = [[row[s] * w for s, w in zip(sub, weight)] for row in lam.nums]
+    return Coupling._canonical(lam.left, factor.full_space, nums, lam.den * den)
 
 
 def conditional_expectation_matrix(factor: FactorStructure) -> list[list[Fraction]]:
     """Matrix on functions over the full product averaging out the unselected
     coordinates: (Ef)(y) depends only on the selected part of y.  The dense
     definition; `project_markov` applies E factored instead."""
-    columns = factor.columns
-    return [[extra if s == r else Fraction(0) for s, extra in columns] for r, _ in columns]
+    sub, weight, den = factor.columns
+    return [[Fraction(w, den) if s == r else Fraction(0) for s, w in zip(sub, weight)] for r in sub]
 
 
 def _factored_expectation(phi: MarkovOp, factor: FactorStructure) -> tuple[list[tuple[int, ...]], int]:
     """E·phi for E = ⊗_i F_i (F_i = I if i is selected, else 1·p_iᵀ) without
-    forming E, as integer rows over one denominator D: on phi's columns, scaled
-    once, each line along an unselected axis i (stride prod_{j>i} d_j) becomes
-    its sum weighted by w_i = D_i·p_i, and D is multiplied by D_i."""
-    stride = len(phi.matrix)
-    flat, den = _integer_row([x for col in zip(*phi.matrix) for x in col])
-    cols = [flat[start:start + stride] for start in range(0, len(flat), stride)]
+    forming E, as integer rows over one denominator D: on phi's numerator
+    columns, each line along an unselected axis i (stride prod_{j>i} d_j)
+    becomes its sum weighted by p_i's numerators, and D gains p_i's denominator."""
+    stride, den = len(phi.nums), phi.den
+    cols = [list(col) for col in zip(*phi.nums)]
     for i, space in enumerate(factor.components):
         block, stride = stride, stride // space.size
         if i in factor.selected:
             continue
-        weights, axis_den = _integer_row(space.probs)
-        den *= axis_den
+        den *= space.den
         for v in cols:
             for start in range(0, len(v), block):
                 for first in range(start, start + stride):
                     line = range(first, first + block, stride)
-                    total = sum(w * v[j] for w, j in zip(weights, line))
+                    total = sum(w * v[j] for w, j in zip(space.nums, line))
                     for j in line:
                         v[j] = total
     return list(zip(*cols)), den
@@ -324,12 +351,10 @@ def project_markov(phi: MarkovOp, factor: FactorStructure) -> MarkovOp:
         raise ValueError("operator target is not the factor's full product")
     direct, den = _factored_expectation(phi, factor)
 
-    lam = coupling_from_markov(phi)  # its right space, checked equal, becomes the factor's own
-    restricted = marginal_coupling(Coupling._canonical(lam.left, factor.full_space, lam.joint), factor)
+    restricted = marginal_coupling(coupling_from_markov(phi), factor)
     via_extension = markov_from_coupling(rel_indep_extension(restricted, factor))
-    ext, ext_den = _integer_row([x for row in via_extension.matrix for x in row])
-    direct_scaled = [n * ext_den for row in direct for n in row]
-    if len(via_extension.matrix) != len(direct) or direct_scaled != [e * den for e in ext]:
+    scale = via_extension.den
+    if [[n * scale for n in row] for row in direct] != [[n * den for n in row] for row in via_extension.nums]:
         raise RuntimeError(
             "projection identity failed: conditional expectation of the operator "
             "differs from the relatively-independent-extension operator"
@@ -395,7 +420,7 @@ def inclusion_exclusion_identity(
     probs = list(map(_fractions, probs))
     if len(probs) != n or any(len(row) != d for row, d in zip(probs, dims)):
         raise ValueError("probs shape does not match dims")
-    weights, scales = zip(*map(_integer_row, probs))
+    weights, scales = zip(*map(_scaled, probs))
     if any(min(w) <= 0 or sum(w) != den for w, den in zip(weights, scales)):
         raise ValueError("each probability row must be positive and sum to 1")
 

@@ -182,6 +182,22 @@ def test_markov_scales_to_integers_in_one_helper():
     assert sum(map(is_lcm, ast.walk(tree))) == 1
 
 
+def test_markov_derivations_build_no_fraction():
+    """The six derivations of `markov` work on integer numerators: none names
+    `Fraction`, or reads a Fraction view (`joint`, `matrix`, `probs`), whose
+    first read builds Fractions."""
+    tree = ast.parse((Path(circlespec.__file__).parent / "markov.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    derivations = ("markov_from_coupling", "coupling_from_markov", "marginal_coupling", "rel_indep_extension",
+                   "_factored_expectation", "project_markov")
+    fraction_names = {"Fraction", "_fractions", "joint", "matrix", "probs"}
+    named = {
+        name: {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(functions[name])} & fraction_names
+        for name in derivations
+    }
+    assert named == dict.fromkeys(derivations, set())
+
+
 def test_each_multiplicity_route_names_none_of_the_other_routes_inputs():
     """The rank route names neither the orbit route's description of the
     group (`elements`) nor its pattern counting (`_pattern`, `_orbit_counts`);

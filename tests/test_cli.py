@@ -4,7 +4,6 @@ import json
 import math
 import time
 from contextlib import redirect_stdout
-from fractions import Fraction
 
 import pytest
 
@@ -184,9 +183,9 @@ def test_a_derived_operator_failing_validation_is_a_failed_check(argv, monkeypat
 
     def one_entry_off(phi):
         c = original(phi)
-        joint = [list(row) for row in c.joint]
-        joint[0][0] += Fraction(1, 7)
-        return markov.Coupling._canonical(c.left, c.right, tuple(map(tuple, joint)))
+        nums = [[7 * n for n in row] for row in c.nums]
+        nums[0][0] += c.den  # the first entry 1/7 more
+        return markov.Coupling._canonical(c.left, c.right, nums, 7 * c.den)
 
     for owner in (markov, suite):
         monkeypatch.setattr(owner, "coupling_from_markov", one_entry_off)

@@ -267,19 +267,27 @@ BIG = (
 )
 
 
+def selected_index(point, components, selected):
+    """The mixed-radix index of a full point's selected coordinates."""
+    index = 0
+    for i in selected:
+        index = index * components[i].size + point[i]
+    return index
+
+
+def unselected_weight(point, components, selected):
+    return math.prod((components[i].probs[k] for i, k in enumerate(point) if i not in selected), start=F(1))
+
+
 def test_columns_follow_the_coordinate_definition():
     # The dense conditional expectation reads columns, so columns are held to
     # the coordinates: the sub index is the mixed radix of the selected
     # coordinates, the weight the product of the unselected probabilities.
     for selected in all_selectors(3):
-        expected = []
-        for point in itertools.product(*(range(c.size) for c in BIG)):
-            index = 0
-            for i in selected:
-                index = index * BIG[i].size + point[i]
-            weight = math.prod((BIG[i].probs[point[i]] for i in range(3) if i not in selected), start=F(1))
-            expected.append((index, weight))
-        assert FactorStructure(BIG, selected).columns == tuple(expected)
+        points = itertools.product(*(range(c.size) for c in BIG))
+        expected = [(selected_index(y, BIG, selected), unselected_weight(y, BIG, selected)) for y in points]
+        sub, weight, den = FactorStructure(BIG, selected).columns
+        assert [(s, F(w, den)) for s, w in zip(sub, weight)] == expected
 
 
 def test_projection_with_coprime_large_denominators():
@@ -390,11 +398,18 @@ def test_inclusion_exclusion_check_is_live(monkeypatch):
 # -- trusted intermediates -----------------------------------------------------
 
 
-def assert_canonical(c):
-    """c is a tuple-of-tuples coupling equal to its validating rebuild, which raises if c is not valid."""
-    assert type(c.joint) is tuple and all(type(row) is tuple for row in c.joint)
-    assert all(type(x) is Fraction for row in c.joint for x in row)
-    assert c == Coupling(c.left, c.right, c.joint)
+def assert_canonical(built):
+    """`built` holds its numerators in lowest terms, reads as tuples of
+    Fractions, and equals its validating rebuild, which raises if it is not
+    valid: the stored form is the one the constructor gives."""
+    if isinstance(built, Coupling):
+        rows, rebuild = built.joint, lambda: Coupling(built.left, built.right, built.joint)
+    else:
+        rows, rebuild = built.matrix, lambda: MarkovOp(built.source, built.target, built.matrix)
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert all(type(x) is Fraction for row in rows for x in row)
+    assert built.den > 0 and math.gcd(built.den, *itertools.chain.from_iterable(built.nums)) == 1
+    assert built == rebuild()
 
 
 @settings(max_examples=40, deadline=None)
@@ -403,18 +418,25 @@ def test_trusted_results_equal_the_validating_constructors(case):
     components, phi = case
     lam = coupling_from_markov(phi)
     assert_canonical(lam)
+    assert_canonical(markov_from_coupling(lam))
     assert product_space([]) == FiniteSpace(("",), (F(1),))
     for selected in all_selectors(len(components)):
         factor = FactorStructure(components, selected)
         restricted = marginal_coupling(lam, factor)
         assert_canonical(restricted)
         assert_canonical(rel_indep_extension(restricted, factor))
+        assert_canonical(project_markov(phi, factor))
 
 
 def test_canonical_coupling_equals_the_validating_one():
+    """The trusted constructor takes numerators over any positive denominator
+    and stores them in lowest terms, as the validating constructor does."""
     left, right = two_point(F(1, 3)), two_point(F(1, 4), "y")
     joint = ((F(1, 12), F(1, 4)), (F(1, 6), F(1, 2)))
-    assert Coupling._canonical(left, right, joint) == Coupling(left, right, joint)
+    trusted = Coupling._canonical(left, right, [[2, 6], [4, 12]], 24)
+    assert trusted == Coupling(left, right, joint)
+    assert (trusted.nums, trusted.den) == (((1, 3), (2, 6)), 12)
+    assert trusted.joint == joint
 
 
 def test_public_constructors_still_validate():
@@ -432,9 +454,70 @@ def test_public_constructors_still_validate():
 def test_markov_from_coupling_validates_its_output():
     """A coupling that bypassed validation is caught when it becomes an operator."""
     half, half_y = two_point(F(1, 2)), two_point(F(1, 2), "y")
-    bad = Coupling._canonical(half, half_y, ((F(1, 2), F(1, 4)), (F(0), F(1, 4))))
+    bad = Coupling._canonical(half, half_y, [[2, 1], [0, 1]], 4)  # rows 3/4 and 1/4
     with pytest.raises(ValueError, match="pushes mass"):
         markov_from_coupling(bad)
+
+
+# -- integer derivations against the Fraction reference ---------------------------
+#
+# Each derivation works on integer numerators.  The same maps written from the
+# coordinates in plain Fraction arithmetic, reading no `columns` table, are the
+# reference.
+
+
+def reference_markov_from_coupling(c):
+    return tuple(tuple(c.joint[s][t] / q for s in range(c.left.size)) for t, q in enumerate(c.right.probs))
+
+
+def reference_coupling_from_markov(phi):
+    return tuple(tuple(phi.matrix[t][s] * q for t, q in enumerate(phi.target.probs)) for s in range(phi.source.size))
+
+
+def reference_marginal(joint, components, selected):
+    points = list(itertools.product(*(range(c.size) for c in components)))
+    out = [[F(0)] * math.prod(components[i].size for i in selected) for _ in joint]
+    for row, sums in zip(joint, out):
+        for x, point in zip(row, points):
+            sums[selected_index(point, components, selected)] += x
+    return tuple(map(tuple, out))
+
+
+def reference_extension(joint, components, selected):
+    points = list(itertools.product(*(range(c.size) for c in components)))
+    return tuple(
+        tuple(row[selected_index(y, components, selected)] * unselected_weight(y, components, selected) for y in points)
+        for row in joint
+    )
+
+
+def reference_projection(matrix, components, selected):
+    """(E·phi)[y][s]: the unselected-weighted sum of phi[z][s] over the points z
+    that agree with y on the selected coordinates."""
+    points = list(itertools.product(*(range(c.size) for c in components)))
+    keys = [selected_index(z, components, selected) for z in points]
+    weights = [unselected_weight(z, components, selected) for z in points]
+    return tuple(
+        tuple(sum((w * row[s] for k, w, row in zip(keys, weights, matrix) if k == key), start=F(0))
+              for s in range(len(matrix[0])))
+        for key in keys
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(projection_cases())
+def test_integer_derivations_equal_the_fraction_reference(case):
+    components, phi = case
+    lam = coupling_from_markov(phi)
+    assert lam.joint == reference_coupling_from_markov(phi)
+    assert markov_from_coupling(lam).matrix == reference_markov_from_coupling(lam) == phi.matrix
+    for selected in all_selectors(len(components)):
+        factor = FactorStructure(components, selected)
+        restricted = marginal_coupling(lam, factor)
+        assert restricted.joint == reference_marginal(lam.joint, components, selected)
+        extended = rel_indep_extension(restricted, factor)
+        assert extended.joint == reference_extension(restricted.joint, components, selected)
+        assert project_markov(phi, factor).matrix == reference_projection(phi.matrix, components, selected)
 
 
 # -- integer validation against the Fraction reference ---------------------------

@@ -10,8 +10,6 @@ lists them.  When a new route starts to catch one, that test fails, and
 the row moves to `CAUGHT`.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from circlespec import linalg, markov, spectral, suite
@@ -87,9 +85,9 @@ def _shift_rectangle(c):
 
 def _bump_coupling(c):
     """The first joint entry 1/7 more, past validation, as a bug in the derivation would."""
-    joint = [list(row) for row in c.joint]
-    joint[0][0] += Fraction(1, 7)
-    return Coupling._canonical(c.left, c.right, tuple(map(tuple, joint)))
+    nums = [[7 * n for n in row] for row in c.nums]
+    nums[0][0] += c.den
+    return Coupling._canonical(c.left, c.right, nums, 7 * c.den)
 
 
 # (criterion, fault) -> the patch that injects the fault.  `suite` imports its
