@@ -13,7 +13,8 @@ the restricted coupling.  `project_markov` computes both sides separately
 and refuses to return if they differ.  The conditional expectation is a
 Kronecker product of per-component factors, so the direct side applies it
 axis by axis to integer numerators ((A⊗B)·vec X = vec(B·X·Aᵀ)), reading no
-coupling; `inclusion_exclusion_identity` compares integer-scaled matrices.
+coupling; `inclusion_exclusion_identity` compares a Kronecker chain with
+sub-product projections read off `FactorStructure.columns`.
 The empty selection takes no case of its own: its sub-product is the product
 of no spaces, the one-point space.
 
@@ -272,6 +273,8 @@ class FactorStructure:
         a mixed-radix digit to the index, an unselected one a weight factor."""
         sub, weight, den = [0], [1], 1
         for i, c in enumerate(self.components):
+            if c.size == 1:  # one point of probability 1 changes neither column
+                continue
             if i in self.selected:
                 sub = [s * c.size + k for s in sub for k in range(c.size)]
                 weight = [w for w in weight for _ in range(c.size)]
@@ -309,12 +312,19 @@ def rel_indep_extension(lam: Coupling, factor: FactorStructure) -> Coupling:
     return Coupling._canonical(lam.left, factor.full_space, nums, lam.den * den)
 
 
+def _expectation_nums(factor: FactorStructure, den: int) -> list[list[int]]:
+    """The conditional expectation as dense integer rows over `den`, a multiple of the `columns` denominator."""
+    sub, weight, columns_den = factor.columns
+    rows = {r: [w * (den // columns_den) if s == r else 0 for s, w in zip(sub, weight)] for r in set(sub)}
+    return [rows[r][:] for r in sub]  # one row per sub-product point, copied per full point
+
+
 def conditional_expectation_matrix(factor: FactorStructure) -> list[list[Fraction]]:
     """Matrix on functions over the full product averaging out the unselected
     coordinates: (Ef)(y) depends only on the selected part of y.  The dense
-    definition; `project_markov` applies E factored instead."""
-    sub, weight, den = factor.columns
-    return [[Fraction(w, den) if s == r else Fraction(0) for s, w in zip(sub, weight)] for r in sub]
+    definition, as Fractions; `project_markov` applies E factored instead."""
+    den = factor.columns[2]
+    return [[Fraction(n, den) for n in row] for row in _expectation_nums(factor, den)]
 
 
 def _factored_expectation(phi: MarkovOp, factor: FactorStructure) -> tuple[list[tuple[int, ...]], int]:
@@ -405,40 +415,30 @@ def inclusion_exclusion_identity(
 
     and on dimensions:  prod d_i - 1 = sum over non-empty S of prod_{i in S} (d_i - 1).
 
-    The matrices are compared on integers, each factor scaled by the common
-    denominator D_i of p_i (D_i·Id; rows w_i = D_i·p_i for q_i).  The cap
-    charges the (2^n - 1)·n·total² entries that the Kronecker steps of the
-    2^n - 1 terms write against 256·matrix_cap (about 10^6 by default).
+    Each probability row is validated as a `FiniteSpace`.  Both sides are
+    integer matrices over the product D of the components' denominators D_i:
+    a Kronecker chain of the factors D_i·Id - D_i·q_i on the left, each p_T
+    read off `FactorStructure(spaces, T).columns` on the right.  The cap
+    bounds their work by (2^n - 1)·n·total² entries against 256·matrix_cap.
     """
     dims = _checked_dims(dims)
     n = len(dims)
     total = math.prod(dims)
     entries = (2**n - 1) * n * total**2
     admit(entries, 256 * matrix_cap, f"{entries} dense entries")
-    if probs is None:
-        probs = [[Fraction(1, d)] * d for d in dims]
-    probs = list(map(_fractions, probs))
-    if len(probs) != n or any(len(row) != d for row, d in zip(probs, dims)):
+    probs = [[Fraction(1, d)] * d for d in dims] if probs is None else probs
+    if len(probs) != n:
         raise ValueError("probs shape does not match dims")
-    weights, scales = zip(*map(_scaled, probs))
-    if any(min(w) <= 0 or sum(w) != den for w, den in zip(weights, scales)):
-        raise ValueError("each probability row must be positive and sum to 1")
-
-    def scaled_identity(size, c):
-        return [[c if r == s else 0 for s in range(size)] for r in range(size)]
-
-    eyes = [scaled_identity(d, c) for d, c in zip(dims, scales)]  # D_i·Id
-    means = [[w] * d for w, d in zip(weights, dims)]  # D_i·q_i
-    lhs = linalg.mat_sub(
-        scaled_identity(total, math.prod(scales)),
-        reduce(linalg.kron, [linalg.mat_sub(e, m) for e, m in zip(eyes, means)]),
-    )
-    rhs = scaled_identity(total, 0)
+    spaces = tuple(FiniteSpace(map(str, range(d)), row) for d, row in zip(dims, probs))
+    den = math.prod(c.den for c in spaces)
+    factors = [[[(c.den if r == s else 0) - w for s, w in enumerate(c.nums)] for r in range(c.size)] for c in spaces]
+    chain = reduce(linalg.kron, factors)  # tensor_i (D_i·Id - D_i·q_i)
+    lhs = [[(den if r == s else 0) - x for s, x in enumerate(row)] for r, row in enumerate(chain)]
+    rhs = [[0] * total for _ in range(total)]
     for k in range(n):
         accumulate = linalg.mat_add if (n - k) % 2 else linalg.mat_sub  # sign (-1)^(n-k-1)
         for T in itertools.combinations(range(n), k):
-            term = reduce(linalg.kron, [eyes[i] if i in T else means[i] for i in range(n)])
-            rhs = accumulate(rhs, term)
+            rhs = accumulate(rhs, _expectation_nums(FactorStructure(spaces, T), den))
     matrix_identity = lhs == rhs
 
     dim_report = dimension_identity(dims)
@@ -448,4 +448,3 @@ def inclusion_exclusion_identity(
         **dim_report,
         "passed": matrix_identity and dim_report["dimension_identity"],
     }
-

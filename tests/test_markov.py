@@ -202,6 +202,10 @@ def test_inclusion_exclusion_validation_and_cap():
         inclusion_exclusion_identity([2, 0])
     with pytest.raises(ValueError):
         inclusion_exclusion_identity([2, 2], [[F(1, 2), F(1, 2)]])
+    with pytest.raises(ValueError, match="strictly positive"):
+        inclusion_exclusion_identity([2, 2], [[F(0), F(1)], [F(1, 2), F(1, 2)]])
+    with pytest.raises(ValueError, match="sum to 2/3"):
+        inclusion_exclusion_identity([2, 2], [[F(1, 2), F(1, 2)], [F(1, 3), F(1, 3)]])
     with pytest.raises(EnumerationCapError):
         inclusion_exclusion_identity([10, 10, 10], matrix_cap=100)
 
@@ -283,11 +287,15 @@ def test_columns_follow_the_coordinate_definition():
     # The dense conditional expectation reads columns, so columns are held to
     # the coordinates: the sub index is the mixed radix of the selected
     # coordinates, the weight the product of the unselected probabilities.
-    for selected in all_selectors(3):
-        points = itertools.product(*(range(c.size) for c in BIG))
-        expected = [(selected_index(y, BIG, selected), unselected_weight(y, BIG, selected)) for y in points]
-        sub, weight, den = FactorStructure(BIG, selected).columns
-        assert [(s, F(w, den)) for s, w in zip(sub, weight)] == expected
+    # One-point components, which `columns` skips, are checked too.
+    one = FiniteSpace(("o",), (F(1),))
+    for components in (BIG, (BIG[0], one, BIG[1], one)):
+        for selected in all_selectors(len(components)):
+            points = itertools.product(*(range(c.size) for c in components))
+            expected = [(selected_index(y, components, selected), unselected_weight(y, components, selected))
+                        for y in points]
+            sub, weight, den = FactorStructure(components, selected).columns
+            assert [(s, F(w, den)) for s, w in zip(sub, weight)] == expected
 
 
 def test_projection_with_coprime_large_denominators():

@@ -117,6 +117,9 @@ CAUGHT = {
         markov, "rel_indep_extension", _shift_rectangle
     ),
     ("markov-identities", "coupling_from_markov one entry off"): _wrap(markov, "coupling_from_markov", _bump_coupling),
+    ("markov-identities", "linalg.kron blocks in the wrong order"): (
+        linalg, "kron", lambda a, b, kron=linalg.kron: kron(b, a)
+    ),
 }
 
 # (criterion, fault) -> (the patch, why no criterion catches it)
