@@ -1,9 +1,10 @@
-"""Exact matrices over the rationals.
+"""Exact matrices over the rationals; nothing here touches floating point.
 
-Nothing here ever touches floating point.  The products and sums take dense
-matrices as lists of rows.  `rank`, one of the independent verification
-routes, takes sparse rows {column: int | Fraction} and eliminates on
-integers only.
+`rank`, an independent verification route, eliminates sparse rows
+{column: int | Fraction} on integers.  The dense helpers take lists of rows:
+inclusion-exclusion calls `kron`, `mat_add` and `mat_sub` at run time, the
+tests compare against all of them, and `bench/spans.py` wraps `kron`,
+`mat_add` and `mat_mul` by name, so deleting one breaks its traced run.
 """
 
 import math

@@ -57,14 +57,12 @@ class FiberClass:
     """The atom multisets over one eigenvalue of the coordinate product.
 
     `index_multisets` holds the distinct multisets whose product is the
-    eigenvalue, as sorted tuples of indices into `atoms` (the measure support
-    in canonical order), lexicographically sorted.  The fiber's ordered
-    tuples are their arrangements; `size` counts them by multinomial
-    coefficients.
+    eigenvalue, as sorted tuples of indices into `sigma.support()` (canonical
+    order), lexicographically sorted.  The fiber's ordered tuples are their
+    arrangements; `size` counts them by multinomial coefficients.
     """
 
     eigenvalue: CirclePoint
-    atoms: tuple[CirclePoint, ...]
     index_multisets: tuple[tuple[int, ...], ...]
 
     @property
@@ -104,11 +102,11 @@ def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> list[F
     keys and decodes each once.  The fibers stand for all d^n ordered
     tuples, and the cap counts those first.  Only the two multiplicity routes read them."""
     admit(len(sigma) ** n, tuple_cap, f"{len(sigma)}^{n} tuples")
-    atoms, codec, (by_key,) = _group_by_product(sigma, (n,))
-    return [FiberClass(eig, atoms, tuple(mss)) for eig, mss in codec.ordered(by_key.items())]
+    _, codec, (by_key,) = _group_by_product(sigma, (n,))
+    return [FiberClass(eig, tuple(mss)) for eig, mss in codec.ordered(by_key.items())]
 
 
-def _first_nonsimple_fiber(atoms, codec: _PackedCodec, by_key) -> FiberClass | None:
+def _first_nonsimple_fiber(codec: _PackedCodec, by_key) -> FiberClass | None:
     """The eigenvalue-first fiber of one level of `_group_by_product` holding
     more than one multiset, or None when that symmetric power is simple.
     Multisets are counted per packed key; only the returned fiber's key is decoded."""
@@ -116,7 +114,7 @@ def _first_nonsimple_fiber(atoms, codec: _PackedCodec, by_key) -> FiberClass | N
     if not shared:
         return None
     key = min(shared, key=codec.sort_key)
-    return FiberClass(codec.point(*codec.sort_key(key)), atoms, tuple(by_key[key]))
+    return FiberClass(codec.point(*codec.sort_key(key)), tuple(by_key[key]))
 
 
 @dataclass
@@ -326,8 +324,8 @@ def simple_spectrum(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) 
     of n atoms is achieved by exactly one atom multiset.  Admits the d^n
     tuples, counts multisets per packed key, decodes at most one witness."""
     admit(len(sigma) ** n, tuple_cap, f"{len(sigma)}^{n} tuples")
-    atoms, codec, (by_key,) = _group_by_product(sigma, (n,))
-    return _first_nonsimple_fiber(atoms, codec, by_key) is None
+    _, codec, (by_key,) = _group_by_product(sigma, (n,))
+    return _first_nonsimple_fiber(codec, by_key) is None
 
 
 def _names(atoms, multisets) -> list[list[str]]:
@@ -346,7 +344,7 @@ def check_simplicity_levels(
     require_positive(**{"max level": max_level})
     admit(len(sigma) ** max_level, tuple_cap, f"{len(sigma)}^{max_level} tuples")
     atoms, codec, groups = _group_by_product(sigma, range(1, max_level + 1))
-    fcs = [_first_nonsimple_fiber(atoms, codec, by_key) for by_key in groups]
+    fcs = [_first_nonsimple_fiber(codec, by_key) for by_key in groups]
     levels = {j: fc is None for j, fc in enumerate(fcs, 1)}
     witnesses = {
         j: {"eigenvalue": str(fc.eigenvalue), "multisets": _names(atoms, fc.index_multisets)}
@@ -652,7 +650,7 @@ def nonsimple_counterexample(
     overlap = [p for p in tau.support() if tau_shift.weight(p) > 0]
     admit(len(tau) ** 2, tuple_cap, f"{len(tau)}^2 tuples")
     atoms, codec, (by_key,) = _group_by_product(tau, (2,))
-    witness = _first_nonsimple_fiber(atoms, codec, by_key)
+    witness = _first_nonsimple_fiber(codec, by_key)
     d = len(sigma)
     report = {
         "base_atoms": d,

@@ -965,7 +965,7 @@ def reference_simplicity_levels(mu, max_level):
         if bad:
             witnesses[j] = {
                 "eigenvalue": str(bad[0].eigenvalue),
-                "multisets": [[str(bad[0].atoms[i]) for i in ms] for ms in bad[0].index_multisets],
+                "multisets": [[str(mu.support()[i]) for i in ms] for ms in bad[0].index_multisets],
             }
     violations = [
         {"lower": j, "higher": k, "witness": witnesses[j]}
