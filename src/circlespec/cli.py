@@ -318,25 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
     for path, help_text, arguments, handler in COMMANDS:
         parent = subparsers[path[:-1]]
         if handler is None:
-            group = parent.add_parser(path[-1], help=help_text)
-            subparsers[path] = group.add_subparsers(dest=f"{path[-1]}_command")
+            subparsers[path] = parent.add_parser(path[-1], help=help_text).add_subparsers()
             continue
         p = parent.add_parser(path[-1], parents=[common], help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
-        p.set_defaults(func=handler, seed=0)
+        p.set_defaults(func=handler, command=" ".join(path), seed=0)
     return parser
 
 
-def _command_label(args) -> str:
-    label = args.command
-    if getattr(args, "markov_command", None):
-        label = f"{label} {args.markov_command}"
-    return label
-
-
 def _params(args) -> dict:
-    skip = {"func", "command", "markov_command", "format", "seed"}
+    skip = {"func", "command", "format", "seed"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
@@ -362,7 +354,7 @@ def main(argv=None) -> int:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     envelope = {
-        "command": _command_label(args),
+        "command": args.command,
         "seed": args.seed,
         "params": _params(args),
         "passed": passed,

@@ -106,15 +106,19 @@ def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> list[F
     return [FiberClass(eig, tuple(mss)) for eig, mss in codec.ordered(by_key.items())]
 
 
-def _first_nonsimple_fiber(codec: _PackedCodec, by_key) -> FiberClass | None:
-    """The eigenvalue-first fiber of one level of `_group_by_product` holding
-    more than one multiset, or None when that symmetric power is simple.
-    Multisets are counted per packed key; only the returned fiber's key is decoded."""
-    shared = [key for key, mss in by_key.items() if len(mss) > 1]
-    if not shared:
+def _first_nonsimple_fiber(atoms, codec: _PackedCodec, by_key) -> dict | None:
+    """The witness, as reports print it, that one level of `_group_by_product` is
+    not simple: {"eigenvalue", "multisets" as atom names} of its eigenvalue-first
+    product of two or more multisets, or None.  Only the witness's key is decoded."""
+    key = min((key for key, mss in by_key.items() if len(mss) > 1), key=codec.sort_key, default=None)
+    if key is None:
         return None
-    key = min(shared, key=codec.sort_key)
-    return FiberClass(codec.point(*codec.sort_key(key)), tuple(by_key[key]))
+    return {"eigenvalue": str(codec.point(*codec.sort_key(key))), "multisets": _names(atoms, by_key[key])}
+
+
+def _names(atoms, multisets) -> list[list[str]]:
+    """Each index multiset as the list of its atoms' names."""
+    return [[str(atoms[i]) for i in ms] for ms in multisets]
 
 
 @dataclass
@@ -324,13 +328,8 @@ def simple_spectrum(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) 
     of n atoms is achieved by exactly one atom multiset.  Admits the d^n
     tuples, counts multisets per packed key, decodes at most one witness."""
     admit(len(sigma) ** n, tuple_cap, f"{len(sigma)}^{n} tuples")
-    _, codec, (by_key,) = _group_by_product(sigma, (n,))
-    return _first_nonsimple_fiber(codec, by_key) is None
-
-
-def _names(atoms, multisets) -> list[list[str]]:
-    """Each index multiset as the list of its atoms' names."""
-    return [[str(atoms[i]) for i in ms] for ms in multisets]
+    atoms, codec, (by_key,) = _group_by_product(sigma, (n,))
+    return _first_nonsimple_fiber(atoms, codec, by_key) is None
 
 
 def check_simplicity_levels(
@@ -338,27 +337,22 @@ def check_simplicity_levels(
 ) -> dict:
     """Simplicity level by level, with the downward-monotonicity check:
     a simple level k forces simplicity at every level below it.  One grouping
-    call packs levels 1..max_level; each level decodes only its witness, the
-    eigenvalue-first fiber with more than one multiset.  The cap is checked
-    for the top level before any level runs."""
+    call packs levels 1..max_level, and each level's witness is built once
+    (`_first_nonsimple_fiber`): a level is simple when it has none, and a
+    violation prints the lower level's witness.  The cap is checked for the
+    top level before any level runs."""
     require_positive(**{"max level": max_level})
     admit(len(sigma) ** max_level, tuple_cap, f"{len(sigma)}^{max_level} tuples")
     atoms, codec, groups = _group_by_product(sigma, range(1, max_level + 1))
-    fcs = [_first_nonsimple_fiber(codec, by_key) for by_key in groups]
-    levels = {j: fc is None for j, fc in enumerate(fcs, 1)}
-    witnesses = {
-        j: {"eigenvalue": str(fc.eigenvalue), "multisets": _names(atoms, fc.index_multisets)}
-        for j, fc in enumerate(fcs, 1)
-        if fc is not None
-    }
+    witnesses = [_first_nonsimple_fiber(atoms, codec, by_key) for by_key in groups]
     violations = [
-        {"lower": j, "higher": k, "witness": witnesses[j]}
-        for j, k in itertools.combinations(range(1, max_level + 1), 2)
-        if levels[k] and not levels[j]
+        {"lower": j, "higher": k, "witness": low}
+        for (j, low), (k, high) in itertools.combinations(enumerate(witnesses, 1), 2)
+        if high is None and low is not None
     ]
     return {
         "max_level": max_level,
-        "levels": {str(j): levels[j] for j in range(1, max_level + 1)},
+        "levels": {str(j): w is None for j, w in enumerate(witnesses, 1)},
         "monotone": not violations,
         "violations": violations,
     }
@@ -634,8 +628,8 @@ def nonsimple_counterexample(
     tau's translate by a shares the whole shifted copy with tau, so the two
     are far from singular, and any two base atoms x, y give one eigenvalue
     x*y*a realized by the two distinct multisets {x, y*a} and {x*a, y}.
-    With a single base atom there is no second multiset and the symmetric
-    square stays simple; the report says so instead of pretending."""
+    With a single base atom x there is no such pair, and the symmetric square
+    is simple unless a^2 = 1, when {x, x} and {x*a, x*a} share x^2."""
     if len(sigma) < 1:
         raise ValueError("base measure must have at least one atom")
     if a.is_identity:
@@ -650,30 +644,20 @@ def nonsimple_counterexample(
     overlap = [p for p in tau.support() if tau_shift.weight(p) > 0]
     admit(len(tau) ** 2, tuple_cap, f"{len(tau)}^2 tuples")
     atoms, codec, (by_key,) = _group_by_product(tau, (2,))
-    witness = _first_nonsimple_fiber(codec, by_key)
-    d = len(sigma)
-    report = {
-        "base_atoms": d,
+    witness = _first_nonsimple_fiber(atoms, codec, by_key)
+    return {
+        "base_atoms": len(sigma),
         "shift": str(a),
         "tau_atoms": len(tau),
         "overlap": [str(p) for p in overlap],
         "translate_not_singular": bool(overlap),
         "simple_level_2": witness is None,
-        "witness": None,
-        "note": None,
+        "witness": witness and {  # keys in the order the table prints them
+            "eigenvalue": witness["eigenvalue"], "multiplicity": len(witness["multisets"]), **witness
+        },
+        "note": None if witness else "needs at least 2 base atoms for a second multiset",
+        "found": bool(overlap) and witness is not None,
     }
-    if d < 2:
-        report["note"] = "needs at least 2 base atoms for a second multiset"
-        report["found"] = False
-        return report
-    if witness is not None:
-        report["witness"] = {
-            "eigenvalue": str(witness.eigenvalue),
-            "multiplicity": len(witness.index_multisets),
-            "multisets": _names(atoms, witness.index_multisets),
-        }
-    report["found"] = bool(overlap) and witness is not None
-    return report
 
 
 # -- multiplicity amplification -------------------------------------------------
@@ -706,24 +690,25 @@ def girsanov_step(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) ->
 
     top_key = top(level_n)
     second_key = top(level_n, skip=top_key)
-    s, s2 = (codec.point(*codec.sort_key(key)) for key in (top_key, second_key))
     q = len(level_n[top_key])
     candidate_key = codec.product((top_key, second_key))
+    candidate_count = len(level_2n.get(candidate_key, ()))
     required = q * q
-    chosen_key = candidate_key if len(level_2n.get(candidate_key, ())) >= required else top(level_2n)
-    candidate, chosen = (codec.point(*codec.sort_key(key)) for key in (candidate_key, chosen_key))
+    chosen_key = candidate_key if candidate_count >= required else top(level_2n)
+    keys = (top_key, second_key, candidate_key, chosen_key)
+    top_eig, second_eig, candidate, chosen = (str(codec.point(*codec.sort_key(key))) for key in keys)
     chosen_count = len(level_2n[chosen_key])
     return {
         "level": n,
         "q": q,
         "trivial": q == 1,
-        "top_eigenvalue": str(s),
+        "top_eigenvalue": top_eig,
         "top_multisets": _names(atoms, level_n[top_key]),
-        "second_eigenvalue": str(s2),
+        "second_eigenvalue": second_eig,
         "second_multisets": _names(atoms, level_n[second_key]),
-        "candidate_eigenvalue": str(candidate),
-        "candidate_count": len(level_2n.get(candidate_key, ())),
-        "chosen_eigenvalue": str(chosen),
+        "candidate_eigenvalue": candidate,
+        "candidate_count": candidate_count,
+        "chosen_eigenvalue": chosen,
         "chosen_count": chosen_count,
         "required": required,
         "witness_multisets": _names(atoms, level_2n[chosen_key]),

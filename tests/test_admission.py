@@ -6,6 +6,7 @@ runs, one below it refuses with "<what> exceed the cap <limit>".
 
 import ast
 import dataclasses
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -236,3 +237,44 @@ def test_each_verdict_is_one_expression_over_its_report():
         for line in _accumulators(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert sites == []
+
+
+# Functions that no `src` code names, each with the reason it stays.
+NAMED_ONLY_OUTSIDE_SRC = {
+    "circle.is_rational": "read by bench/workloads.py",
+    "linalg.mat_mul": "wrapped by name in bench/spans.py",
+    "measure.convolve": "wrapped by name in bench/spans.py",
+    "measure.convolve_power": "public API that the tests use",
+    "measure.delta": "public API that the tests use",
+    "measure.mass": "public API that the tests use",
+}
+
+
+def _named(tree):
+    """Every name that `tree` reads, takes as an attribute or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_src_function_is_named_elsewhere_in_src():
+    """A dead-code ratchet: every function defined in `src` is named in `src`
+    outside its own body (a call, an attribute read, a re-export in `__init__`,
+    an entry in the CLI table), or is on the list above with its reason.
+    Dunder methods run by syntax and are left out."""
+    src = Path(circlespec.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    named = Counter(name for tree in trees.values() for name in _named(tree))
+    unnamed = {
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and named[node.name] == Counter(_named(node))[node.name]
+    }
+    assert unnamed == set(NAMED_ONLY_OUTSIDE_SRC)

@@ -78,6 +78,12 @@ def test_nonsimple_default_measure():
     assert env["report"]["witness"]["multiplicity"] == 2
 
 
+def test_nonsimple_one_atom_with_an_involution_shift_passes():
+    code, env = run_json(["nonsimple", "--atoms", "1", "--shift", "1/2"])
+    assert code == 0
+    assert env["report"]["witness"]["eigenvalue"] == "g0^2"
+
+
 def test_girsanov_default_paired_measure():
     code, env = run_json(["girsanov"])
     assert code == 0
@@ -329,7 +335,7 @@ MATRIX_CAP = {"matrix_cap": 4096}
 def test_leaf_parser_defaults_and_help(command, required, params, capsys):
     args = build_parser().parse_args(command + required)
     assert _params(args) == params
-    assert (args.command, args.format, args.seed) == (command[0], "json", 0)
+    assert (args.command, args.format, args.seed) == (" ".join(command), "json", 0)
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(command + ["--help"])
     assert exc.value.code == 0
@@ -369,7 +375,7 @@ def test_every_leaf_option_is_read_by_its_handler(argv):
     args = build_parser().parse_args(argv.split(), namespace=RecordingNamespace())
     reads.clear()
     args.func(args)
-    unread = set(vars(args)) - reads - {"func", "command", "markov_command", "format", "seed"}
+    unread = set(vars(args)) - reads - {"func", "command", "format", "seed"}
     assert not unread, f"{argv}: options never read: {sorted(unread)}"
 
 

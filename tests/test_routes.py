@@ -10,12 +10,19 @@ lists them.  When a new route starts to catch one, that test fails, and
 the row moves to `CAUGHT`.
 """
 
+import itertools
+import os
+import sys
+
 import pytest
 
+import circlespec
 from circlespec import linalg, markov, spectral, suite
+from circlespec.circle import _PackedCodec
 from circlespec.errors import Caps
 from circlespec.markov import Coupling
-from circlespec.measure import AtomicMeasure
+from circlespec.measure import AtomicMeasure, generic_measure
+from circlespec.permgroup import contiguous_block_group
 
 SEED = 0
 
@@ -132,6 +139,11 @@ MISSED = {
         (spectral, "relation_scan", lambda *args: []),
         "the base's genericity is read from relation_scan alone",
     ),
+    ("simplicity-monotone", "codec product skips the mod-L reduction"): (
+        (_PackedCodec, "product", lambda self, keys: sum(keys)),
+        "no criterion runs a relation that needs the reduction (rational parts summing to 1 or more), and the "
+        "known-answer row that would catch it changes `suite --seed 0` stdout, whose sha256 bench/workloads.py pins",
+    ),
 }
 
 
@@ -154,3 +166,73 @@ def test_each_allowed_fault_is_still_missed(row, monkeypatch):
     patch, reason = MISSED[row]
     monkeypatch.setattr(*patch)
     assert _run(row[0]) is True, f"now caught, move it to CAUGHT: {reason}"
+
+
+# -- the route audit -----------------------------------------------------------
+# The `src` functions that both routes of each pair of `_power_report`'s
+# multiplicity routes call, on a generic 6-atom measure at k = m = 2.  A fault
+# in one of them reaches both routes of the pair, so their agreement cannot
+# catch it (the codec row on `MISSED` is one).  A change that makes one route
+# call into another fails here until it declares the new sharing.
+SHARED_BY_ALL_ROUTES = {
+    "circle._PackedCodec.__init__",
+    "circle._PackedCodec.key",
+    "circle._PackedCodec.product",
+    "errors.require_positive",
+    "measure.AtomicMeasure.support",
+    "spectral._group_by_product",
+}
+SHARED = {
+    ("level", "orbit"): SHARED_BY_ALL_ROUTES,
+    ("level", "rank"): SHARED_BY_ALL_ROUTES,
+    # both read `fibers`, and `_build_report` decodes, hashes and labels them
+    ("orbit", "rank"): SHARED_BY_ALL_ROUTES | {
+        "circle.CirclePoint.__hash__",
+        "circle.CirclePoint._canonical",
+        "circle._PackedCodec.ordered",
+        "circle._PackedCodec.point",
+        "circle._PackedCodec.sort_key",
+        "errors.admit",
+        "measure.AtomicMeasure.__len__",
+        "permgroup.Perm.serialize",
+        "permgroup.PermSubgroup.describe",
+        "permgroup.PermSubgroup.order",
+        "spectral.FiberClass.is_generic",
+        "spectral._build_report",
+        "spectral._generic_summary",
+        "spectral.fibers",
+    },
+}
+COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
+
+
+def _calls(run):
+    """The `src` functions that `run()` calls, as module.qualname; comprehension frames are left out."""
+    src = os.path.dirname(circlespec.__file__)
+    called = set()
+
+    def record(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and os.path.dirname(code.co_filename) == src and code.co_name not in COMPREHENSIONS:
+            called.add(f"{os.path.basename(code.co_filename)[:-3]}.{code.co_qualname}")
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return called
+
+
+@pytest.mark.parametrize("pair", sorted(SHARED), ids=" & ".join)
+def test_each_pair_of_multiplicity_routes_shares_only_its_declared_functions(pair):
+    sigma, k, m = generic_measure(6), 2, 2
+    G = contiguous_block_group(k, m)
+    routes = {
+        "level": lambda: spectral._level_counts(sigma, k, (m,), lambda levels, m: itertools.product(levels, repeat=m)),
+        "orbit": lambda: spectral.multiplicity(sigma, k * m, G),
+        "rank": lambda: spectral.matrix_oracle(sigma, k * m, G),
+    }
+    first, second = (_calls(routes[name]) for name in pair)
+    assert first & second == SHARED[pair]

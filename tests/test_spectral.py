@@ -843,6 +843,17 @@ def test_nonsimple_counterexample_needs_two_atoms():
     assert "at least 2" in rep["note"]
 
 
+def test_nonsimple_counterexample_one_atom_prints_the_witness_of_an_involution_shift():
+    """One base atom x = g0 and a = 1/2, so a^2 = 1: {x, x} and {x*a, x*a} share x^2."""
+    rep = nonsimple_counterexample(generic_measure(1), CirclePoint(Fraction(1, 2)))
+    assert rep["simple_level_2"] is False and rep["found"] is True and rep["note"] is None
+    assert rep["witness"] == {
+        "eigenvalue": "g0^2",
+        "multiplicity": 2,
+        "multisets": [["g0^1", "g0^1"], ["1/2 * g0^1", "1/2 * g0^1"]],
+    }
+
+
 def test_nonsimple_counterexample_rejects_identity_shift():
     with pytest.raises(ValueError):
         nonsimple_counterexample(generic_measure(2), CirclePoint.identity())
