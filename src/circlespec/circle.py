@@ -180,49 +180,50 @@ class CirclePoint(Immutable):
 
 
 class _PackedCodec:
-    """Packs circle points into single ints, so that multiplying up to n of
-    them is one integer addition.  Digit 0, in base B0 = n*L, holds the
-    rational numerator over L, the lcm of the denominators; above it generator
-    j has one balanced digit in base 2^w > 2*n*max|e|, times an odd u_j that
-    spreads int hashes (2^(w*j) alone has 61 residues modulo 2^61 - 1).
-    `product` reduces the rational digit mod 1, so equal products of up to n
-    points have equal keys.  `sort_key` takes one step per nonzero digit;
-    `ordered` sorts on integer keys and decodes each once."""
+    """Packs circle points into ints modulo `modulus` = L*M, so that multiplying
+    up to n of them is one integer sum and one `%`.  r/L * prod_j g_j^e_j has key
+    r*M + sum_j e_j*step_j: L is the lcm of the denominators, and step_j puts an
+    odd u_j < 2^16, which spreads int hashes (2^(w*j) alone has 61 residues
+    modulo 2^61 - 1), at balanced digit j in base 2^w > 2*n*max|e|.  A product
+    of up to n points has its generic part inside (-M/2, M/2), M = 2^(w*g + 17)
+    for g generators, below the rotation digit: equal products have equal keys,
+    and a negated key is the inverse's key.  `sort_key` takes one step per
+    nonzero digit; `ordered` sorts on integer keys and decodes each once."""
 
-    __slots__ = ("L", "B0", "w", "gens", "step", "inverse", "digit", "fractions")
+    __slots__ = ("L", "M", "modulus", "w", "gens", "step", "inverse", "digit", "fractions")
 
     def __init__(self, points: Iterable[CirclePoint], n: int):
         points = list(points)
         self.L = math.lcm(*(p.rational.denominator for p in points))
         self.gens = sorted({i for p in points for i, _ in p.generic})
-        self.B0 = n * self.L
         self.w = (2 * n * max((abs(e) for p in points for _, e in p.generic), default=1)).bit_length()
+        self.M = 1 << (self.w * len(self.gens) + 17)
+        self.modulus = self.L * self.M
         odd = [0x9E37 * (j + 1) % 2**16 | 1 for j in range(len(self.gens))]  # 0x9E37 = 2^16 / golden ratio
         self.step = [u << (self.w * j) for j, u in enumerate(odd)]
         self.inverse = [pow(u, -1, 1 << self.w) for u in odd]
-        self.digit = {g: self.B0 * step for g, step in zip(self.gens, self.step)}
+        self.digit = dict(zip(self.gens, self.step))
         self.fractions: dict[int, Fraction] = {}
 
     def key(self, p: CirclePoint) -> int:
         scaled = p.rational.numerator * (self.L // p.rational.denominator)
-        return scaled + sum(e * self.digit[i] for i, e in p.generic)
+        return (scaled * self.M + sum(e * self.digit[i] for i, e in p.generic)) % self.modulus
 
     def product(self, keys: Iterable[int]) -> int:
         """The key of the product of the points with these keys."""
-        total = sum(keys)
-        r = total % self.B0
-        return total - r + r % self.L
+        return sum(keys) % self.modulus
 
     def sort_key(self, key: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         """(numerator over L, generic pairs): sorts as `CirclePoint.sort_key` does."""
-        rest, r = divmod(key, self.B0)
+        rest = (key + (self.M >> 1)) % self.M - (self.M >> 1)  # the generic part, balanced
+        r = (key - rest) // self.M % self.L
         w, half, pairs = self.w, 1 << (self.w - 1), []
         while rest:
             j = ((rest & -rest).bit_length() - 1) // w  # the lowest nonzero digit, as u_j is odd
             e = ((rest >> (w * j)) * self.inverse[j] + half) % (2 * half) - half
             rest -= e * self.step[j]
             pairs.append((self.gens[j], e))
-        return r % self.L, tuple(pairs)
+        return r, tuple(pairs)
 
     def point(self, r: int, pairs: tuple[tuple[int, int], ...]) -> CirclePoint:
         """The point with sort key (r, pairs)."""

@@ -6,7 +6,7 @@ support disjointness, which is the whole story for purely atomic measures.
 `generic_measure` builds the model of "d points drawn from a continuous
 measure": d fresh generators, equal weight, no multiplicative relations.
 `relation_scan` only searches exponents +-1 on distinct atoms, summing
-packed point keys, so it does not certify that absence.
+packed keys (negated for inverses), so it does not certify that absence.
 """
 
 from __future__ import annotations
@@ -165,11 +165,10 @@ def relation_scan(mu: AtomicMeasure, degree: int, tuple_cap: int = Caps.tuples) 
     a*a = b*c and the symmetric square is not simple.
 
     Each signed product is one sum of packed keys, from one codec of power
-    `degree` over the atoms and their inverses.  An inverse has its own key,
-    `codec.key(a.inverse())`: a negated key would borrow from the generic
-    digits whenever the rational digit goes below zero.  A product is
-    rational exactly when its key lies in [0, L), and only those products
-    are multiplied out as points, for the relation's constant.
+    `degree` over the atoms; an inverse's key is the negated key.  A product
+    is rational exactly when its generic digits, its key mod `codec.M`, are
+    zero, and only those products are multiplied out as points, for the
+    relation's constant.
     """
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
         raise ValueError(f"scan degree must be an int >= 2, got {degree!r}")
@@ -177,17 +176,16 @@ def relation_scan(mu: AtomicMeasure, degree: int, tuple_cap: int = Caps.tuples) 
     d = len(atoms)
     total = sum(math.comb(d, L) * 2 ** (L - 1) for L in range(1, min(degree, d) + 1))
     admit(total, tuple_cap, f"relation scan: {total} sign tuples")
-    inverses = tuple(a.inverse() for a in atoms)
-    codec = _PackedCodec(atoms + inverses, degree)
-    keys = [(codec.key(a), codec.key(b)) for a, b in zip(atoms, inverses)]  # exponent +1, -1
+    codec = _PackedCodec(atoms, degree)
+    keys = [(key, -key % codec.modulus) for key in map(codec.key, atoms)]  # exponent +1, -1
     found = []
     for L in range(1, min(degree, d) + 1):
         tails = list(itertools.product((1, -1), repeat=L - 1))
         for subset in itertools.combinations(range(d), L):
             head = keys[subset[0]][0]
             for tail, tail_keys in zip(tails, itertools.product(*(keys[i] for i in subset[1:]))):
-                if 0 <= codec.product((head, *tail_keys)) < codec.L:
-                    factors = (atoms[i] if e == 1 else inverses[i] for i, e in zip(subset[1:], tail))
+                if (head + sum(tail_keys)) % codec.M == 0:
+                    factors = (atoms[i] if e == 1 else atoms[i].inverse() for i, e in zip(subset[1:], tail))
                     constant = math.prod(factors, start=atoms[subset[0]])
                     found.append(Relation(tuple(atoms[i] for i in subset), (1,) + tail, constant))
     return found

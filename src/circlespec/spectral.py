@@ -82,16 +82,16 @@ def _group_by_product(
     levels[i] atoms to its index multisets, in lexicographic order.  One codec,
     of power max(levels) + len(extra), packs every level, so keys compare across
     levels and may gain one point of `extra`.  Each level's C(d+n-1, n) key sums
-    are taken in C and reduced once; nothing is sorted, decoded or admitted."""
+    are taken and reduced in C; nothing is sorted, decoded or admitted."""
     require_positive(power=min(levels))
     atoms = sigma.support()
     codec = _PackedCodec((*atoms, *extra), max(levels) + len(extra))
     keys = [codec.key(p) for p in atoms]
     groups: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in levels]
     for n, by_key in zip(levels, groups):
-        totals = map(sum, itertools.combinations_with_replacement(keys, n))
-        for ms, total in zip(itertools.combinations_with_replacement(range(len(atoms)), n), totals):
-            by_key.setdefault(codec.product((total,)), []).append(ms)
+        products = map(codec.modulus.__rmod__, map(sum, itertools.combinations_with_replacement(keys, n)))
+        for ms, key in zip(itertools.combinations_with_replacement(range(len(atoms)), n), products):
+            by_key.setdefault(key, []).append(ms)
     return atoms, codec, groups
 
 
@@ -365,10 +365,10 @@ def _level_counts(
     sigma: AtomicMeasure, k: int, ms: Sequence[int], select
 ) -> tuple[_PackedCodec, list[dict[str, dict[int, int]]]]:
     """(codec, counts per m in ms): the selections `select(levels, m)` of level atoms,
-    each the raw key sum of a k-multiset of base atoms, counted per packed total in C,
-    unsorted and undecoded.  The totals of m are the level-km groups of one grouping
-    call, as each km-multiset totals its sorted runs of k; one is generic when its atoms
-    are distinct.  A shared product means a non-generic base: a caller error, named by
+    each the raw key sum of a k-multiset of base atoms, counted per raw total in C, and
+    each distinct total reduced to its key, undecoded.  The totals of m are the level-km
+    groups of one grouping call, as each km-multiset totals its sorted runs of k; one is
+    generic when its atoms are distinct.  A shared product means a non-generic base: a caller error, named by
     its first repeat in lexicographic order at the top level (a repeat at level j
     repeats above it), the one key decoded.  The caller admits the selections."""
     atoms, codec, groups = _group_by_product(sigma, [k * m for m in ms])
@@ -383,7 +383,7 @@ def _level_counts(
     levels = [sum(c) for c in itertools.combinations_with_replacement(map(codec.key, atoms), k)]
     out = []
     for m, by_key in zip(ms, groups):
-        counts = {codec.product((total,)): c for total, c in Counter(map(sum, select(levels, m))).items()}
+        counts = {total % codec.modulus: c for total, c in Counter(map(sum, select(levels, m))).items()}
         out.append({"entries": counts, "generic": {}, "degenerate": {}})
         for key, (mset,) in by_key.items():  # one multiset per key, past the guard
             out[-1]["generic" if len(set(mset)) == len(mset) else "degenerate"][key] = counts[key]

@@ -145,6 +145,22 @@ def test_each_engine_packs_its_own_multisets_once():
     assert sorted(constructors) == ["measure._packed_fold", "measure.relation_scan", "spectral._group_by_product"]
 
 
+def test_only_circle_knows_the_codec_layout():
+    """Outside `circle.py` a codec is read through its keys, its products, its
+    modulus and generic base M, and its decoders; where each digit sits stays in
+    `circle.py`."""
+    public = {"key", "product", "modulus", "M", "sort_key", "point", "ordered"}
+    src = Path(circlespec.__file__).parent
+    reads = [
+        f"{path.stem}:{node.lineno} codec.{node.attr}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "circle.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "codec" and node.attr not in public
+    ]
+    assert reads == []
+
+
 def test_each_report_groups_its_levels_in_one_call():
     """Every level a report reads comes from one `_group_by_product` call, under
     one codec: no function calls it twice, and no engine takes a codec power."""

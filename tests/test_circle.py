@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from circlespec import (
     AtomicMeasure,
@@ -244,11 +244,12 @@ def test_codec_holds_the_extreme_digit(n, e):
 
 
 def test_codec_reads_a_negative_digit_above_a_zero_rational_digit():
-    # (1/2 g0) * (1/2 g1^-1) = g0 g1^-1: the rational digit wraps to 0 and the key is negative
+    # (1/2 g0) * (1/2 g1^-1) = g0 g1^-1: the rational digit wraps to 0 and the
+    # generic part is negative, so the key wraps below the modulus
     atoms = [CirclePoint(Fraction(1, 2), {0: 1}), CirclePoint(Fraction(1, 2), {1: -1}), CirclePoint(0, {1: -1})]
     codec = _PackedCodec(atoms, 2)
     key = codec.product(map(codec.key, atoms[:2]))
-    assert key < 0 and codec.sort_key(key) == (0, ((0, 1), (1, -1)))
+    assert 0 <= key < codec.modulus and codec.sort_key(key) == (0, ((0, 1), (1, -1)))
     assert codec.sort_key(codec.product([codec.key(atoms[2])] * 2)) == (0, ((1, -2),))
     assert_codec_faithful(atoms, 2)
 
@@ -265,12 +266,37 @@ def test_codec_packs_a_shift_with_a_larger_exponent_than_every_atom(m):
     assert_codec_faithful([*atoms, a], m + 1)
 
 
+ROTATIONS = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4)])
+RATIONAL_MEASURES = st.lists(ROTATIONS, min_size=1, max_size=4).map(
+    lambda rs: AtomicMeasure((CirclePoint(r), Fraction(1)) for r in rs)
+)
+# negating either key takes its rotation numerator and its generic part below zero
+BORROW = AtomicMeasure({CirclePoint(Fraction(1, 3), {0: 1}): 1, CirclePoint(Fraction(2, 3), {0: 1}): 1})
+
+
+@given(st.one_of(small_measures(), RATIONAL_MEASURES), st.integers(min_value=1, max_value=4))
+@example(BORROW, 1)
+@example(BORROW, 2)
+@example(BORROW, 3)
+@example(BORROW, 4)
+def test_negated_keys_are_inverse_keys(mu, n):
+    """`relation_scan` takes each inverse's key as the negated key."""
+    codec = _PackedCodec(mu.support(), n)
+    identity = codec.key(CirclePoint.identity())
+    for p in mu.support():
+        key = codec.key(p)
+        assert -key % codec.modulus == codec.key(p.inverse())
+        assert codec.product((key, -key % codec.modulus)) == identity
+
+
 def test_codec_keys_spread_over_int_hashes():
     # int hashes reduce modulo 2^61 - 1, where 2^(w*j) takes only 61 values:
     # without the odd multipliers the 20 100 pair products of 200 generators
-    # would share 1 891 hash values, and every dict keyed by them would crowd
-    atoms = [CirclePoint.generator(i) for i in range(200)]
-    codec = _PackedCodec(atoms, 2)
-    keys = {codec.product(map(codec.key, pair)) for pair in itertools.combinations_with_replacement(atoms, 2)}
-    assert len(keys) == 20100
-    assert len({hash(key) for key in keys}) > 0.99 * len(keys)
+    # would share 1 891 hash values, and every dict keyed by them would crowd;
+    # the rotation digit above the generic digits, here i/6, must not crowd them either
+    for rotation in (lambda i: 0, lambda i: Fraction(i, 6)):
+        atoms = [CirclePoint(rotation(i), {i: 1}) for i in range(200)]
+        codec = _PackedCodec(atoms, 2)
+        keys = {codec.product(map(codec.key, pair)) for pair in itertools.combinations_with_replacement(atoms, 2)}
+        assert len(keys) == 20100
+        assert len({hash(key) for key in keys}) > 0.99 * len(keys)

@@ -544,10 +544,16 @@ def twisted_generic_measures(draw, max_atoms=5):
 def test_grouping_engine_packs_every_level_under_one_codec(mu, levels, extra):
     """Each level decodes to the CirclePoint products of its multisets, in
     order, and keys of levels whose sizes add up to at most the codec power
-    multiply as their points do, also by the extra point.  The example needs
-    the extra point's share of the power: without it, the rational base is
-    L = 2, and the numerators 1 + 1 of 1/2 + 1/2 carry into the generator digits."""
+    multiply as their points do, also by the extra point: the product key is
+    the point's key and decodes to it.  The example needs the extra point's
+    share of the power: without it, the generator digit has base 2^3, and the
+    exponent 2 + 2 of g0^2 * g0^2 leaves its balanced range [-4, 4)."""
     atoms, codec, groups = spectral._group_by_product(mu, levels, extra)
+
+    def multiplies(x, y, point):
+        key = codec.product((x, y))
+        return key == codec.key(point) and codec.point(*codec.sort_key(key)) == point
+
     assert atoms == mu.support() and len(groups) == len(levels)
     decoded = []
     for n, by_key in zip(levels, groups):
@@ -559,9 +565,22 @@ def test_grouping_engine_packs_every_level_under_one_codec(mu, levels, extra):
     power = max(levels) + len(extra)
     for (n, xs), (n2, ys) in itertools.product(zip(levels, decoded), repeat=2):
         if n + n2 <= power:
-            assert all(codec.product((x, y)) == codec.key(p * q) for x, p in xs for y, q in ys)
+            assert all(multiplies(x, y, p * q) for x, p in xs for y, q in ys)
     for a in extra:
-        assert all(codec.product((x, codec.key(a))) == codec.key(p * a) for xs in decoded for x, p in xs)
+        assert all(multiplies(x, codec.key(a), p * a) for xs in decoded for x, p in xs)
+
+
+def test_grouping_makes_no_codec_call_per_multiset(monkeypatch):
+    """The key sums of every level are reduced in C: the codec packs each atom
+    once, and no multiset goes through `product`."""
+    calls = Counter()
+    for name in ("key", "product"):
+        original = getattr(_PackedCodec, name)
+        monkeypatch.setattr(
+            _PackedCodec, name, lambda self, arg, name=name, f=original: calls.update([name]) or f(self, arg)
+        )
+    spectral._group_by_product(generic_measure(12), (1, 2, 3))
+    assert calls == {"key": 12}
 
 
 def brute_level_counts(mu, k, m, select):
