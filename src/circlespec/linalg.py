@@ -1,10 +1,11 @@
 """Exact matrices over the rationals; nothing here touches floating point.
 
-`rank`, an independent verification route, eliminates sparse rows
-{column: int | Fraction} on integers.  The dense helpers take lists of rows:
-inclusion-exclusion calls `kron`, `mat_add` and `mat_sub` at run time, the
-tests compare against all of them, and `bench/spans.py` wraps `kron`,
-`mat_add` and `mat_mul` by name, so deleting one breaks its traced run.
+`rank`, an independent verification route, eliminates sparse integer rows
+{column: nonzero int}: the rank route builds only such rows, each one ±1
+difference row.  The dense helpers take lists of rows: inclusion-exclusion
+calls `kron`, `mat_add` and `mat_sub` at run time, the tests compare against
+all of them, and `bench/spans.py` wraps `kron`, `mat_add` and `mat_mul` by
+name, so deleting one breaks its traced run.
 """
 
 import math
@@ -49,31 +50,23 @@ def kron(a, b):
 
 
 def rank(a):
-    """Rank over Q of sparse rows {column: int | Fraction}, by fraction-free
-    elimination on integer rows.  The caller's rows are never changed.
+    """Rank over Q of sparse integer rows {column: nonzero int}, by
+    fraction-free elimination.  The caller's rows are never changed.
 
-    A row with a zero entry is copied without its zeros, so a row's leading
-    column is its least column with a nonzero entry; the keys need not be
-    sorted.  A row holding a `Fraction` is scaled into integers by the lcm of
-    its denominators; an all-`int` row is taken as it is.  Each row v is made
-    primitive (content divided out, in a new row only when it is not 1),
-    which leaves the rank unchanged.  If its leading column c has an echelon
-    row p, v becomes (p[c]/g)*v - (v[c]/g)*p with g = gcd(p[c], v[c]): a copy
-    of v, scaled when p[c]/g != 1, with p folded in, which clears c;
-    otherwise v is the echelon row for c.  The rank is the number of echelon
-    rows.  No residue arithmetic: a rank taken mod a prime can undercount.
+    A row's leading column is its least key; the keys need not be sorted.
+    If the leading column c of row v has an echelon row p, v becomes
+    (p[c]/g)*v - (v[c]/g)*p with g = gcd(p[c], v[c]): a copy of v, scaled
+    when p[c]/g != 1, with p folded in, which clears c and drops the entries
+    it zeroes; otherwise v is the echelon row for c.  The rank is the number
+    of echelon rows.  The step is exact on any integer rows.  No content is
+    divided out: that would only keep entries small, and the rank route's
+    rows e_i - e_j never need it, since they are totally unimodular and keep
+    at most two entries, both ±1, under this step.  No residue arithmetic: a
+    rank taken mod a prime can undercount.
     """
     pivots: dict[int, dict[int, int]] = {}
     for v in a:
-        if not all(v.values()):
-            v = {c: x for c, x in v.items() if x}
-        if Fraction in map(type, v.values()):
-            den = math.lcm(*(x.denominator for x in v.values()))
-            v = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
         while v:
-            g = math.gcd(*v.values())
-            if g != 1:
-                v = {c: x // g for c, x in v.items()}
             lead = min(v)
             p = pivots.setdefault(lead, v)
             if p is v:

@@ -302,6 +302,7 @@ def matrix_oracle(
     if G.degree != n:
         raise ValueError(f"group degree {G.degree} does not match power {n}")
     d = len(sigma.support())
+    # `fibers` admits the same d^n, but refused there it leaves a traced span without the counts bench/spans.py reads.
     admit(d**n, matrix_cap, f"{d}^{n} matrix rows")
     identity = tuple(range(n))
     getters = [operator.itemgetter(*s.images) for s in G.generators if s.images != identity]

@@ -16,7 +16,7 @@ from functools import reduce
 from operator import mul
 
 from circlespec.circle import CirclePoint, GeneratorAllocator
-from circlespec.errors import Caps
+from circlespec.errors import Caps, require_positive
 from circlespec.markov import (
     Coupling,
     FactorStructure,
@@ -270,8 +270,7 @@ def _random_coupling_onto_product(rng: random.Random, components, left_size: int
 
 def check_round_trips(rng: random.Random, count: int) -> list[dict]:
     """The round trips of `count` random couplings that changed their input."""
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    require_positive(count=count)
     failures = []
     for index in range(count):
         c = _random_coupling(rng)
@@ -291,8 +290,7 @@ def check_round_trips(rng: random.Random, count: int) -> list[dict]:
 def check_projections(rng: random.Random, n: int, count: int) -> tuple[int, list[dict]]:
     """Project `count` random operators into n-component products onto every
     selector: (projections whose two routes agreed, failures)."""
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    require_positive(count=count)
     cases, failures = 0, []
     for trial in range(count):
         components = tuple(_random_space(rng, 3, f"c{i}_") for i in range(n))

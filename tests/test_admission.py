@@ -199,6 +199,18 @@ def test_markov_scales_to_integers_in_one_helper():
     assert sum(map(is_lcm, ast.walk(tree))) == 1
 
 
+def test_rank_takes_integer_rows_as_they_are():
+    """`linalg.rank` scales no row into integers and divides out no content:
+    it names neither `Fraction` nor `lcm`, and each `gcd` it takes is of
+    two leading entries, never of a whole row."""
+    tree = ast.parse((Path(circlespec.__file__).parent / "linalg.py").read_text(encoding="utf-8"))
+    (rank,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "rank"]
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(rank)}
+    assert not names & {"Fraction", "lcm"}
+    gcds = [node for node in ast.walk(rank) if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "gcd"]
+    assert gcds and all(len(call.args) == 2 and not any(isinstance(x, ast.Starred) for x in call.args) for call in gcds)
+
+
 def test_markov_derivations_build_no_fraction():
     """The six derivations of `markov` work on integer numerators: none names
     `Fraction`, or reads a Fraction view (`joint`, `matrix`, `probs`), whose

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import math
+import random
 import time
 from contextlib import redirect_stdout
 
@@ -176,7 +177,17 @@ def test_markov_bad_dims_is_exit_2(capsys):
 )
 def test_markov_non_positive_count_is_exit_2(argv, capsys):
     assert run_cli(argv)[0] == 2
-    assert "count must be at least 1" in capsys.readouterr().err
+    assert "count must be an int >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "check", [suite.check_round_trips, lambda rng, count: suite.check_projections(rng, 1, count)],
+    ids=["round-trips", "projections"],
+)
+def test_suite_checks_refuse_a_bool_count(check):
+    # `True < 1` is false, so only a type check keeps a bool from running one trial.
+    with pytest.raises(ValueError, match="count must be an int >= 1, got True"):
+        check(random.Random(0), True)
 
 
 @pytest.mark.parametrize(

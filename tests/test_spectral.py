@@ -198,7 +198,9 @@ def test_orbit_route_matches_rank_route_and_tuple_orbits(mu, n):
 )
 def test_rank_route_passes_one_row_per_column_pair(monkeypatch, G):
     # Transpositions map tuples both ways; each unordered pair of columns
-    # must reach linalg.rank once, as one two-entry row.
+    # must reach linalg.rank once, as one row {i: 1, j: -1} with i < j and
+    # int entries: the kernel takes such rows as they are, and neither
+    # scales a Fraction nor drops a zero.
     mu, n = designed_relation_measure(), 4
     calls = []
     rank = linalg.rank
@@ -211,7 +213,9 @@ def test_rank_route_passes_one_row_per_column_pair(monkeypatch, G):
     entries = list(matrix_oracle(mu, n, G).entries.items())
     assert len(calls) == len(fibers(mu, n))
     for rows in calls:
-        assert all(sorted(row.values()) == [-1, 1] for row in rows)
+        for row in rows:
+            (i, x), (j, y) = sorted(row.items())
+            assert i < j and (x, y) == (1, -1) and type(x) is type(y) is int
         pairs = [frozenset(row) for row in rows]
         assert len(pairs) == len(set(pairs))
     assert any(calls)
