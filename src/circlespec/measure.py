@@ -6,11 +6,13 @@ support disjointness, which is the whole story for purely atomic measures.
 `generic_measure` builds the model of "d points drawn from a continuous
 measure": d fresh generators, equal weight, no multiplicative relations.
 `relation_scan` only searches exponents +-1 on distinct atoms, summing
-packed keys (negated for inverses), so it does not certify that absence.
+packed keys (negated for inverses) and decoding each rational sum as the
+relation's constant, so it does not certify that absence.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -47,13 +49,6 @@ class AtomicMeasure(Immutable):
         object.__setattr__(self, "_atoms", dict(sorted(acc.items(), key=lambda kv: kv[0].sort_key())))
 
     @classmethod
-    def _canonical(cls, atoms: dict[CirclePoint, Fraction]) -> "AtomicMeasure":
-        """Trusted constructor: atoms in canonical order, positive Fraction weights."""
-        mu = object.__new__(cls)
-        object.__setattr__(mu, "_atoms", atoms)
-        return mu
-
-    @classmethod
     def delta(cls, point: CirclePoint, weight=1) -> "AtomicMeasure":
         return cls(((point, Fraction(weight)),))
 
@@ -84,12 +79,13 @@ class AtomicMeasure(Immutable):
         return f"AtomicMeasure({{{inner}}})"
 
     def convolve(self, other: "AtomicMeasure") -> "AtomicMeasure":
-        """Pushforward of the product measure under multiplication."""
-        return _packed_fold((self, other))
+        """Pushforward of the product measure under multiplication: every pair
+        of atoms is multiplied, and the constructor adds equal products' weights."""
+        return AtomicMeasure((p * q, w * v) for p, w in self.items() for q, v in other.items())
 
     def convolve_power(self, k: int) -> "AtomicMeasure":
         require_positive(**{"convolution power": k})
-        return _packed_fold((self,) * k)
+        return functools.reduce(AtomicMeasure.convolve, (self,) * k)
 
     def translate(self, a: CirclePoint) -> "AtomicMeasure":
         """Same as convolving with delta(a); atoms shift, weights survive."""
@@ -105,26 +101,6 @@ class AtomicMeasure(Immutable):
         """Mutual singularity: the supports are disjoint."""
         small, large = (self, other) if len(self) <= len(other) else (other, self)
         return not any(p in large._atoms for p in small._atoms)
-
-
-def _packed_fold(factors: tuple[AtomicMeasure, ...]) -> AtomicMeasure:
-    """Convolution of the factors, folded one factor at a time over packed
-    point keys.  Weights fold as integer numerators over D^len(factors), D
-    the lcm of all weight denominators, and are divided once at the end;
-    the codec orders the atoms, so they skip the validating constructor."""
-    codec = _PackedCodec({p for mu in factors for p in mu.support()}, len(factors))
-    D = math.lcm(*(w.denominator for mu in factors for _, w in mu.items()))
-    acc = {0: 1}
-    for mu in factors:
-        step = [(codec.key(p), w.numerator * (D // w.denominator)) for p, w in mu.items()]
-        folded: dict[int, int] = {}
-        for key, w in acc.items():
-            for atom, v in step:
-                product = codec.product((key, atom))
-                folded[product] = folded.get(product, 0) + w * v
-        acc = folded
-    scale = D ** len(factors)
-    return AtomicMeasure._canonical({p: Fraction(w, scale) for p, w in codec.ordered(acc.items())})
 
 
 def generic_measure(d: int, allocator: GeneratorAllocator | None = None) -> AtomicMeasure:
@@ -167,8 +143,7 @@ def relation_scan(mu: AtomicMeasure, degree: int, tuple_cap: int = Caps.tuples) 
     Each signed product is one sum of packed keys, from one codec of power
     `degree` over the atoms; an inverse's key is the negated key.  A product
     is rational exactly when its generic digits, its key mod `codec.M`, are
-    zero, and only those products are multiplied out as points, for the
-    relation's constant.
+    zero, and the relation's constant is then decoded from that key.
     """
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
         raise ValueError(f"scan degree must be an int >= 2, got {degree!r}")
@@ -184,9 +159,9 @@ def relation_scan(mu: AtomicMeasure, degree: int, tuple_cap: int = Caps.tuples) 
         for subset in itertools.combinations(range(d), L):
             head = keys[subset[0]][0]
             for tail, tail_keys in zip(tails, itertools.product(*(keys[i] for i in subset[1:]))):
-                if (head + sum(tail_keys)) % codec.M == 0:
-                    factors = (atoms[i] if e == 1 else atoms[i].inverse() for i, e in zip(subset[1:], tail))
-                    constant = math.prod(factors, start=atoms[subset[0]])
+                total = head + sum(tail_keys)
+                if total % codec.M == 0:
+                    constant = codec.point(*codec.sort_key(total % codec.modulus))
                     found.append(Relation(tuple(atoms[i] for i in subset), (1,) + tail, constant))
     return found
 

@@ -142,7 +142,7 @@ def test_each_engine_packs_its_own_multisets_once():
         for path in sorted(src.glob("*.py"))
         for owner in _codec_constructors(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert sorted(constructors) == ["measure._packed_fold", "measure.relation_scan", "spectral._group_by_product"]
+    assert sorted(constructors) == ["measure.relation_scan", "spectral._group_by_product"]
 
 
 def test_only_circle_knows_the_codec_layout():
@@ -271,7 +271,6 @@ def test_each_verdict_is_one_expression_over_its_report():
 NAMED_ONLY_OUTSIDE_SRC = {
     "circle.is_rational": "read by bench/workloads.py",
     "linalg.mat_mul": "wrapped by name in bench/spans.py",
-    "measure.convolve": "wrapped by name in bench/spans.py",
     "measure.convolve_power": "public API that the tests use",
     "measure.delta": "public API that the tests use",
     "measure.mass": "public API that the tests use",

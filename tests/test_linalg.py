@@ -60,13 +60,13 @@ def test_rank_of_empty_zero_and_single_rows():
     assert linalg.rank(sparse([[0, Fraction(-2, 3), 5]])) == 1
 
 
-def test_rank_of_integers_equals_rank_of_scaled_fractions():
+def test_rank_of_integer_rows_that_sparse_builds():
     m = [[2, 4, 6, 0], [1, 2, 3, 0], [0, 1, 1, 7], [2, 5, 7, 7]]
     assert linalg.rank(sparse(m)) == 2
     assert linalg.rank(sparse([[Fraction(x, 7) for x in row] for row in m])) == 2
 
 
-def test_rank_scales_coprime_denominators_exactly():
+def test_rank_of_large_coprime_integer_entries():
     p, q = Fraction(1, 1000003), Fraction(1, 999983)
     assert linalg.rank(sparse([[p, q], [3 * p, 3 * q]])) == 1
     assert linalg.rank(sparse([[p, q], [q, p]])) == 2

@@ -18,7 +18,8 @@ from circlespec import (
     parse_fraction,
     relation_scan,
 )
-from circlespec.measure import Relation, _packed_fold
+from circlespec import measure
+from circlespec.measure import Relation
 
 from tests.helpers import designed_relation_measure, small_measures
 
@@ -62,6 +63,17 @@ def test_convolution_matches_brute_force_on_relation_measure():
     brute = brute_convolve(mu, mu)
     assert dict(conv.items()) == brute
     assert conv.mass == mu.mass**2
+
+
+def test_convolution_multiplies_points_without_a_codec(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("convolution built a codec")
+
+    monkeypatch.setattr(measure, "_PackedCodec", forbidden)
+    mu = designed_relation_measure()
+    assert dict(mu.convolve(mu).items()) == brute_convolve(mu, mu)
+    cube = AtomicMeasure(brute_convolve(AtomicMeasure(brute_convolve(mu, mu)), mu))
+    assert list(mu.convolve_power(3).items()) == list(cube.items())
 
 
 def test_convolve_power_matches_iterated_convolve():
@@ -197,6 +209,21 @@ def test_relation_scan_keys_inverses_without_borrowing():
     assert rels == [Relation((a, b), (1, -1), CirclePoint(Fraction(2, 3)))]
 
 
+def test_relation_scan_decodes_constants_without_point_arithmetic(monkeypatch):
+    mu = designed_relation_measure()
+    x, third, half = CirclePoint.generator(0), CirclePoint(Fraction(1, 3)), CirclePoint(Fraction(1, 2))
+    measures = (mu, mu.translate(third), AtomicMeasure({x: 1, x * half: 1}))
+    expected = [relation_scan(m, 4) for m in measures]
+    assert all(expected)
+
+    def forbidden(*args):
+        raise AssertionError("the scan multiplied points")
+
+    monkeypatch.setattr(CirclePoint, "__mul__", forbidden)
+    monkeypatch.setattr(CirclePoint, "inverse", forbidden)
+    assert [relation_scan(m, 4) for m in measures] == expected
+
+
 def test_json_round_trip_is_byte_identical():
     mu = designed_relation_measure().translate(CirclePoint(Fraction(1, 3)))
     text = measure_to_json(mu)
@@ -251,22 +278,9 @@ def test_json_round_trip_property(mu):
     assert measure_from_json(measure_to_json(mu)) == mu
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_measures(), small_measures())
-def test_packed_fold_equals_validating_constructor(mu, nu):
-    # The fold hands its atoms to the trusted constructor; the public one,
-    # which sorts and validates, must find nothing to change.
-    for factors in ((mu,), (mu, nu), (mu, nu, mu)):
-        folded = _packed_fold(factors)
-        checked = AtomicMeasure(list(folded.items()))
-        assert folded == checked
-        assert list(folded.items()) == list(checked.items())
-        assert all(type(w) is Fraction and w > 0 for _, w in folded.items())
-
-
-def test_packed_fold_equals_validating_constructor_with_coprime_denominators():
+def test_convolve_power_cancels_generators_across_coprime_denominators():
+    # a * b carries no generator; the lcm of the denominators is about 10^12.
     a, b = CirclePoint(Fraction(1, 1000003), {0: -1}), CirclePoint(Fraction(1, 999983), {0: 1})
     mu = AtomicMeasure({a: Fraction(1, 3), b: Fraction(2, 3)})
-    folded = _packed_fold((mu, mu, mu))
-    assert list(folded.items()) == list(AtomicMeasure(list(folded.items())).items())
-    assert dict(folded.items()) == brute_convolve(AtomicMeasure(brute_convolve(mu, mu)), mu)
+    cube = AtomicMeasure(brute_convolve(AtomicMeasure(brute_convolve(mu, mu)), mu))
+    assert list(mu.convolve_power(3).items()) == list(cube.items())
