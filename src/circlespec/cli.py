@@ -37,7 +37,7 @@ from circlespec.suite import check_projections, check_round_trips, run_suite
 
 
 def _load_measure(args, default_atoms=None):
-    if args.measure:
+    if args.measure is not None:
         with open(args.measure, "r", encoding="utf-8") as fh:
             return measure_from_json(fh.read())
     d = args.atoms if args.atoms is not None else default_atoms
@@ -162,7 +162,7 @@ def _cmd_girsanov(args):
         source = "paired-relation"
     else:
         sigma = _load_measure(args)
-        source = "file" if args.measure else "generic"
+        source = "file" if args.measure is not None else "generic"
     rep = girsanov_step(sigma, args.n, args.tuple_cap)
     rep["measure_source"] = source
     return rep["satisfied"], rep, None

@@ -2,25 +2,12 @@
 
 `rank`, an independent verification route, eliminates sparse integer rows
 {column: nonzero int}: the rank route builds only such rows, each one ±1
-difference row.  The dense helpers take lists of rows: inclusion-exclusion
-calls `kron`, `mat_add` and `mat_sub` at run time, the tests compare against
-all of them, and `bench/spans.py` wraps `kron`, `mat_add` and `mat_mul` by
-name, so deleting one breaks its traced run.
+difference row.  Inclusion-exclusion calls the dense `kron`, `mat_add` and
+`mat_sub` on lists of rows; `bench/spans.py` wraps `kron`, `mat_add` and
+`mat_mul` by name, so deleting one breaks its traced run.
 """
 
 import math
-from fractions import Fraction
-
-
-def zeros(rows, cols):
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def identity(n):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
 
 
 def mat_add(a, b):

@@ -48,10 +48,6 @@ class AtomicMeasure(Immutable):
                 raise ValueError(f"weight of atom {p} must be positive, got {w}")
         object.__setattr__(self, "_atoms", dict(sorted(acc.items(), key=lambda kv: kv[0].sort_key())))
 
-    @classmethod
-    def delta(cls, point: CirclePoint, weight=1) -> "AtomicMeasure":
-        return cls(((point, Fraction(weight)),))
-
     def items(self):
         """(point, weight) pairs in canonical point order."""
         return self._atoms.items()
@@ -61,10 +57,6 @@ class AtomicMeasure(Immutable):
 
     def weight(self, point: CirclePoint) -> Fraction:
         return self._atoms.get(point, Fraction(0))
-
-    @property
-    def mass(self) -> Fraction:
-        return sum(self._atoms.values(), Fraction(0))
 
     def __len__(self) -> int:
         return len(self._atoms)
@@ -88,7 +80,7 @@ class AtomicMeasure(Immutable):
         return functools.reduce(AtomicMeasure.convolve, (self,) * k)
 
     def translate(self, a: CirclePoint) -> "AtomicMeasure":
-        """Same as convolving with delta(a); atoms shift, weights survive."""
+        """Same as convolving with the unit point mass at a; atoms shift, weights survive."""
         return AtomicMeasure(((p * a, w) for p, w in self.items()))
 
     def __add__(self, other: "AtomicMeasure") -> "AtomicMeasure":
@@ -176,24 +168,19 @@ def relation_scan(mu: AtomicMeasure, degree: int, tuple_cap: int = Caps.tuples) 
 # separators.  parse -> serialize is byte-identical on canonical input.
 
 
-def measure_to_json_obj(mu: AtomicMeasure) -> dict:
-    atoms = []
-    for p, w in mu.items():
-        atoms.append(
-            {
-                "weight": str(w),
-                "rational": str(p.rational),
-                "generic": {str(i): e for i, e in p.generic},
-            }
-        )
-    return {"atoms": atoms}
-
-
 def measure_to_json(mu: AtomicMeasure) -> str:
-    return json.dumps(measure_to_json_obj(mu), separators=(",", ":"))
+    atoms = [
+        {"weight": str(w), "rational": str(p.rational), "generic": {str(i): e for i, e in p.generic}}
+        for p, w in mu.items()
+    ]
+    return json.dumps({"atoms": atoms}, separators=(",", ":"))
 
 
-def measure_from_json_obj(obj) -> AtomicMeasure:
+def measure_from_json(text: str) -> AtomicMeasure:
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise MeasureFormatError(f"measure is not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or set(obj) != {"atoms"} or not isinstance(obj["atoms"], list):
         raise MeasureFormatError('measure JSON must be {"atoms": [...]}')
     pairs = []
@@ -223,11 +210,3 @@ def measure_from_json_obj(obj) -> AtomicMeasure:
         return AtomicMeasure(pairs)
     except ValueError as exc:
         raise MeasureFormatError(str(exc)) from None
-
-
-def measure_from_json(text: str) -> AtomicMeasure:
-    try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise MeasureFormatError(f"measure is not valid JSON: {exc}") from None
-    return measure_from_json_obj(obj)

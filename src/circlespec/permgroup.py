@@ -37,10 +37,6 @@ class Perm(Immutable):
         object.__setattr__(self, "images", images)
 
     @classmethod
-    def identity(cls, n: int) -> "Perm":
-        return cls(range(n))
-
-    @classmethod
     def from_cycle(cls, n: int, cycle: Sequence[int]) -> "Perm":
         images = list(range(n))
         for a, b in zip(cycle, cycle[1:] + type(cycle)([cycle[0]])):

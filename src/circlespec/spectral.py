@@ -603,9 +603,10 @@ def check_translate_singularity(
     Weights are positive, so the two are singular exactly when no product of
     m atoms and a is a product of n atoms.  One grouping call packs levels n
     and m with a as the extra point, and no key is decoded.
-    For a generic base measure this holds whenever n != m (the total-degree
-    strata are disjoint) or a is not the identity; it fails exactly for
-    n = m, a = identity, where the two measures coincide."""
+    For a generic base they are singular when a carries a generator the base
+    does not use, and for n != m when a is the identity; a shift in the group
+    the atoms generate can make them meet (over g0, ..., g3, a = g0 gives
+    g1 * a = g0 * g1 at n = 2, m = 1)."""
     require_positive(n=n, m=m)
     d, j = len(sigma), max(n, m)
     atoms = math.comb(d + j - 1, j)

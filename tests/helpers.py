@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 from circlespec import AtomicMeasure, CirclePoint
 
 
+def mass(mu: AtomicMeasure) -> Fraction:
+    """Total weight of a measure."""
+    return sum((w for _, w in mu.items()), Fraction(0))
+
+
 def designed_relation_measure() -> AtomicMeasure:
     """Four atoms x, y, z, x*y*z^-1 carrying exactly one product relation."""
     x, y, z = (CirclePoint.generator(i) for i in range(3))

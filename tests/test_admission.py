@@ -6,7 +6,6 @@ runs, one below it refuses with "<what> exceed the cap <limit>".
 
 import ast
 import dataclasses
-from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -267,18 +266,119 @@ def test_each_verdict_is_one_expression_over_its_report():
     assert sites == []
 
 
-# Functions that no `src` code names, each with the reason it stays.
-NAMED_ONLY_OUTSIDE_SRC = {
-    "circle.is_rational": "read by bench/workloads.py",
-    "linalg.mat_mul": "wrapped by name in bench/spans.py",
-    "measure.convolve_power": "public API that the tests use",
-    "measure.delta": "public API that the tests use",
-    "measure.mass": "public API that the tests use",
+# Functions that no run-time path reaches, each with the file outside `src`
+# that names it and the reason it stays.
+UNREACHED_AT_RUN_TIME = {
+    "circle.CirclePoint.is_rational": ("bench/workloads.py", "the relation-rank workload checks every constant with it"),
+    "linalg.mat_mul": ("bench/spans.py", "the linalg.product span wraps it by name"),
+    "measure.AtomicMeasure.convolve": ("bench/spans.py", "the measure.convolve span wraps it by name"),
+    "measure.AtomicMeasure.convolve_power": (
+        "tests/test_measure.py",
+        "the reference for the convolution powers that no engine builds",
+    ),
 }
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _definitions(trees):
+    """Every module function as `m.f` and every method as `m.C.f`, mapped to
+    its def node."""
+    defs = {}
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS):
+                defs[f"{stem}.{node.name}"] = node
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, FUNCTIONS):
+                        defs[f"{stem}.{node.name}.{item.name}"] = item
+    return defs
+
+
+def _module_level(tree):
+    """The code that runs at import: all but the function bodies, so class
+    bodies, decorators and default values are in."""
+
+    def header(fn):
+        return [*fn.decorator_list, *fn.args.defaults, *filter(None, fn.args.kw_defaults)]
+
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS):
+            yield from header(node)
+        elif isinstance(node, ast.ClassDef):
+            yield from (*node.bases, *node.keywords, *node.decorator_list)
+            for item in node.body:
+                yield from header(item) if isinstance(item, FUNCTIONS) else (item,)
+        else:
+            yield node
+
+
+def _unreached(trees):
+    """The non-dunder functions of `trees` that no run-time path names.
+
+    Module-level code is reached, and so is every dunder method, which runs
+    by syntax; a reached function reaches what its body names.  `m.f`, a bare
+    `f` inside module m and `from circlespec.m import f` name `m.f`; `C.f`
+    names method f of class C only; any other `x.f` names every method f."""
+    defs = _definitions(trees)
+    classes, methods = {}, {}
+    for name in defs:
+        if name.count(".") == 2:
+            cls, _, method = name.rpartition(".")
+            classes.setdefault(cls.partition(".")[2], set()).add(cls)
+            methods.setdefault(method, set()).add(name)
+    modules = {  # the `src` modules each module imports as names
+        stem: {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "circlespec"
+            for alias in node.names
+        }
+        for stem, tree in trees.items()
+    }
+
+    def names(stem, roots):
+        for root in roots:
+            for node in ast.walk(root):
+                if isinstance(node, ast.Name):
+                    yield f"{stem}.{node.id}"
+                elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("circlespec."):
+                    yield from (f"{node.module.partition('.')[2]}.{a.name}" for a in node.names)
+                elif isinstance(node, ast.Attribute):
+                    base = node.value
+                    owner = getattr(base, "id", getattr(base, "attr", None))
+                    if isinstance(base, ast.Name) and base.id in modules[stem]:
+                        yield f"{base.id}.{node.attr}"
+                    elif owner in classes:
+                        yield from (f"{cls}.{node.attr}" for cls in classes[owner])
+                    else:
+                        yield from methods.get(node.attr, ())
+
+    reached = {name for name, node in defs.items() if node.name.startswith("__") and node.name.endswith("__")}
+    for stem, tree in trees.items():
+        reached |= defs.keys() & set(names(stem, _module_level(tree)))
+    frontier = list(reached)
+    while frontier:
+        name = frontier.pop()
+        new = defs.keys() & set(names(name.partition(".")[0], [defs[name]])) - reached
+        reached |= new
+        frontier.extend(new)
+    return defs.keys() - reached
+
+
+def test_every_src_function_is_reached_at_run_time():
+    """A dead-code ratchet: every function in `src` is reached from module-level
+    code (an `__init__` re-export, the CLI table, the suite's criteria, a class
+    body) through the functions it names, or is on the list above."""
+    src = Path(circlespec.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    assert _unreached(trees) == set(UNREACHED_AT_RUN_TIME)
 
 
 def _named(tree):
-    """Every name that `tree` reads, takes as an attribute or imports."""
+    """Every name that `tree` reads, takes as an attribute, imports or spells
+    as a string."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
@@ -286,22 +386,16 @@ def _named(tree):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
 
 
-def test_every_src_function_is_named_elsewhere_in_src():
-    """A dead-code ratchet: every function defined in `src` is named in `src`
-    outside its own body (a call, an attribute read, a re-export in `__init__`,
-    an entry in the CLI table), or is on the list above with its reason.
-    Dunder methods run by syntax and are left out."""
-    src = Path(circlespec.__file__).parent
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
-    named = Counter(name for tree in trees.values() for name in _named(tree))
-    unnamed = {
-        f"{stem}.{node.name}"
-        for stem, tree in trees.items()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and named[node.name] == Counter(_named(node))[node.name]
-    }
-    assert unnamed == set(NAMED_ONLY_OUTSIDE_SRC)
+@pytest.mark.parametrize("name", sorted(UNREACHED_AT_RUN_TIME))
+def test_each_unreached_function_is_named_where_its_reason_says(name):
+    """A reason goes stale when its pin moves: the file it cites must be a
+    benchmark file or a test, and must still name the function."""
+    path, _ = UNREACHED_AT_RUN_TIME[name]
+    assert path in ("bench/workloads.py", "bench/spans.py") or path.startswith("tests/")
+    root = Path(circlespec.__file__).parents[2]
+    tree = ast.parse((root / path).read_text(encoding="utf-8"))
+    assert name.rpartition(".")[2] in set(_named(tree))

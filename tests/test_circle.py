@@ -45,7 +45,7 @@ def test_identity_and_generator_basics():
 HALVES = FiniteSpace(["a", "b"], [Fraction(1, 2), Fraction(1, 2)])
 VALUES = [
     CirclePoint.generator(0),
-    AtomicMeasure.delta(CirclePoint.identity()),
+    AtomicMeasure({CirclePoint.identity(): 1}),
     Perm([1, 0]),
     PermSubgroup.symmetric(2),
     HALVES,

@@ -1,7 +1,9 @@
 import argparse
+import errno
 import io
 import json
 import math
+import os
 import random
 import time
 from contextlib import redirect_stdout
@@ -134,6 +136,24 @@ def test_malformed_measure_is_exit_2(tmp_path, capsys):
 def test_missing_file_is_exit_2(tmp_path, capsys):
     assert main(["vproste", "--measure", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vproste", "--measure", ""],
+        ["girsanov", "--measure", "", "--n", "1"],
+        ["multiplicity", "--measure", "", "--power", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_empty_measure_path_is_a_missing_file(argv, capsys):
+    """An empty --measure is a path like any other: it names no file, so the
+    run exits 2 and says so, and never falls back to a default measure."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), '')}\n"
 
 
 def test_cap_error_is_exit_2(capsys):

@@ -355,10 +355,14 @@ def test_factor_structure_builds_its_spaces_once(monkeypatch):
     assert len(calls) == 2
 
 
+def dense_identity(n):
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
 def dense_inclusion_exclusion(probs):
     """Both sides of the identity as dense Fraction matrices."""
     n = len(probs)
-    eyes = [linalg.identity(len(p)) for p in probs]
+    eyes = [dense_identity(len(p)) for p in probs]
     means = [[list(p)] * len(p) for p in probs]
 
     def chain(factors):
@@ -368,8 +372,8 @@ def dense_inclusion_exclusion(probs):
         return out
 
     total = len(chain(eyes))
-    lhs = linalg.mat_sub(linalg.identity(total), chain([linalg.mat_sub(e, m) for e, m in zip(eyes, means)]))
-    rhs = linalg.zeros(total, total)
+    lhs = linalg.mat_sub(dense_identity(total), chain([linalg.mat_sub(e, m) for e, m in zip(eyes, means)]))
+    rhs = [[F(0)] * total for _ in range(total)]
     for k in range(n):
         for T in itertools.combinations(range(n), k):
             term = chain([eyes[i] if i in T else means[i] for i in range(n)])

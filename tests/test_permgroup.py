@@ -17,7 +17,7 @@ from circlespec import (
 def test_perm_basics():
     p = Perm([1, 0, 2])
     assert p.images[0] == 1 and p.images[2] == 2
-    assert p * p == Perm.identity(3)
+    assert p * p == Perm(range(3))
     assert Perm.from_cycle(4, (0, 1, 2)) == Perm([1, 2, 0, 3])
     assert p.serialize() == "[1,0,2]"
     with pytest.raises(ValueError):
@@ -52,7 +52,7 @@ def test_closure_and_standard_groups():
 @pytest.mark.parametrize("n", range(7))
 def test_closure_lists_every_permutation_in_order(n):
     # An identity generator adds nothing; for n < 2 it is the only one.
-    gens = [Perm.identity(n), *PermSubgroup.symmetric(n).generators]
+    gens = [Perm(range(n)), *PermSubgroup.symmetric(n).generators]
     expected = tuple(itertools.permutations(range(n)))
     found = closure(n, gens)
     assert found == expected
@@ -63,7 +63,7 @@ def test_closure_rejects_bad_degrees():
     with pytest.raises(ValueError, match="degree must be non-negative"):
         closure(-1, ())
     with pytest.raises(ValueError, match="generator degree 2 does not match 3"):
-        closure(3, [Perm.from_cycle(3, (0, 1, 2)), Perm.identity(2)])
+        closure(3, [Perm.from_cycle(3, (0, 1, 2)), Perm(range(2))])
 
 
 def test_lagrange_divisibility():

@@ -39,7 +39,7 @@ from circlespec import linalg, spectral
 from circlespec.circle import _PackedCodec
 from circlespec.spectral import _level_counts
 
-from tests.helpers import designed_relation_measure, point_strategy, small_measures
+from tests.helpers import designed_relation_measure, mass, point_strategy, small_measures
 
 
 @pytest.fixture
@@ -172,7 +172,7 @@ def redundant_generator_lists(G):
     with a generator repeated, and with each generator's inverse."""
     gens = list(G.generators)
     inverses = [Perm(sorted(range(G.degree), key=g.images.__getitem__)) for g in gens]
-    return [gens, [Perm.identity(G.degree), *gens], gens + gens[:1], gens + inverses]
+    return [gens, [Perm(range(G.degree)), *gens], gens + gens[:1], gens + inverses]
 
 
 @settings(max_examples=30, deadline=None)
@@ -958,9 +958,9 @@ def test_girsanov_matches_the_decoding_reference(mu, n):
 @pytest.mark.parametrize(
     "sigma",
     [
-        AtomicMeasure.delta(CirclePoint.identity()),  # one eigenvalue per level, packed key 0
-        AtomicMeasure.delta(CirclePoint.generator(0)),
-        AtomicMeasure.delta(CirclePoint.identity()) + AtomicMeasure.delta(CirclePoint.generator(0)),
+        AtomicMeasure({CirclePoint.identity(): 1}),  # one eigenvalue per level, packed key 0
+        AtomicMeasure({CirclePoint.generator(0): 1}),
+        AtomicMeasure({CirclePoint.identity(): 1}) + AtomicMeasure({CirclePoint.generator(0): 1}),
         AtomicMeasure({CirclePoint(0): 1, CirclePoint(Fraction(1, 2)): 1}),
         designed_relation_measure(),
         paired_relation_measure(),
@@ -982,7 +982,7 @@ def test_girsanov_decodes_only_what_it_prints(decodes):
 def test_paired_relation_measure_shape():
     mu = paired_relation_measure()
     assert len(mu) == 8
-    assert mu.mass == 1
+    assert mass(mu) == 1
 
 
 # -- counting without decoding -------------------------------------------------
@@ -1075,7 +1075,7 @@ def test_fock_level_check_fails_when_the_base_holds_the_identity(monkeypatch):
     """With the identity as an atom, sigma^{*2} already holds the atoms of
     sigma^{*1} times the identity, so the levels intersect."""
     monkeypatch.setattr(
-        spectral, "generic_measure", lambda d: generic_measure(d - 1) + AtomicMeasure.delta(CirclePoint.identity())
+        spectral, "generic_measure", lambda d: generic_measure(d - 1) + AtomicMeasure({CirclePoint.identity(): 1})
     )
     rep = fock_multiplicity_set(2, 2, 6)
     assert not rep["levels_pairwise_singular"] and not rep["passed"]
