@@ -38,6 +38,8 @@ from circlespec.suite import check_projections, check_round_trips, run_suite
 
 def _load_measure(args, default_atoms=None):
     if args.measure is not None:
+        if args.atoms is not None:
+            raise ValueError("give --measure FILE or --atoms D, not both")
         with open(args.measure, "r", encoding="utf-8") as fh:
             return measure_from_json(fh.read())
     d = args.atoms if args.atoms is not None else default_atoms
@@ -97,20 +99,17 @@ def _cmd_multiplicity(args):
     n = args.power
     require_positive(power=n)
     sigma = _load_measure(args)
-    if args.gens is not None:
-        try:
-            images = json.loads(args.gens)
-        except RecursionError:
-            raise ValueError("--gens is nested too deeply") from None
-        if not (isinstance(images, list) and images and all(isinstance(im, list) for im in images)):
-            raise ValueError("--gens must be a JSON list of image lists")
-        G = PermSubgroup(n, [Perm(im) for im in images])
-    elif args.group == "trivial":
-        G = PermSubgroup.trivial(n)
-    elif args.group == "cyclic":
-        G = PermSubgroup.cyclic(n)
+    named = {"trivial": PermSubgroup.trivial, "cyclic": PermSubgroup.cyclic, "symmetric": PermSubgroup.symmetric}
+    if args.group in named:
+        G = named[args.group](n)
     else:
-        G = PermSubgroup.symmetric(n)
+        try:
+            images = json.loads(args.group)
+        except (ValueError, RecursionError):
+            images = None
+        if not (isinstance(images, list) and images and all(isinstance(im, list) for im in images)):
+            raise ValueError(f"--group must be {', '.join(named)} or a JSON list of image lists")
+        G = PermSubgroup(n, [Perm(im) for im in images])
     rep = multiplicity(sigma, n, G, args.tuple_cap)
     return None, rep.to_json_obj(), rep.to_table()
 
@@ -252,8 +251,7 @@ COMMANDS = (
         _MEASURE,
         _int("--atoms", help_text="use a generic measure with this many atoms"),
         _required("--power"),
-        ("--group", {"choices": ("trivial", "cyclic", "symmetric"), "default": "symmetric"}),
-        ("--gens", {"help": 'JSON list of permutation image lists, e.g. "[[1,0,2]]"'}),
+        ("--group", {"default": "symmetric", "help": 'trivial, cyclic, symmetric or image lists, e.g. "[[1,0,2]]"'}),
     ), _cmd_multiplicity),
     (("krot",), "tensor-power multiplicity of a convolution power vs the closed form",
      _POWER_ARGS, _cmd_power),

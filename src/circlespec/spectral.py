@@ -76,16 +76,22 @@ class FiberClass:
 
 
 def _group_by_product(
-    sigma: AtomicMeasure, levels: Sequence[int], extra: tuple[CirclePoint, ...] = ()
+    sigma: AtomicMeasure, levels: Sequence[int], extra: tuple[CirclePoint, ...] = (), tuple_cap: int = Caps.tuples
 ) -> tuple[tuple[CirclePoint, ...], _PackedCodec, list[dict[int, list[tuple[int, ...]]]]]:
     """(atoms, codec, groups): groups[i] maps the packed key of each product of
     levels[i] atoms to its index multisets, in lexicographic order.  One codec,
     of power max(levels) + len(extra), packs every level, so keys compare across
     levels and may gain one point of `extra`.  Each level's C(d+n-1, n) key sums
-    are taken and reduced in C; nothing is sorted, decoded or admitted."""
+    are taken and reduced in C; nothing is sorted or decoded.  Before any of it,
+    the cap admits sum(levels), the atoms of one multiset per level, and then
+    the top level's multisets."""
     require_positive(power=min(levels))
     atoms = sigma.support()
-    codec = _PackedCodec((*atoms, *extra), max(levels) + len(extra))
+    top, length = max(levels), sum(levels)
+    admit(length, tuple_cap, f"{length} atoms of one multiset per level")
+    multisets = math.comb(len(atoms) + top - 1, top)
+    admit(multisets, tuple_cap, f"{multisets} level-{top} multisets of {len(atoms)} atoms")
+    codec = _PackedCodec((*atoms, *extra), top + len(extra))
     keys = [codec.key(p) for p in atoms]
     groups: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in levels]
     for n, by_key in zip(levels, groups):
@@ -102,7 +108,7 @@ def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> list[F
     keys and decodes each once.  The fibers stand for all d^n ordered
     tuples, and the cap counts those first.  Only the two multiplicity routes read them."""
     admit(len(sigma) ** n, tuple_cap, f"{len(sigma)}^{n} tuples")
-    _, codec, (by_key,) = _group_by_product(sigma, (n,))
+    _, codec, (by_key,) = _group_by_product(sigma, (n,), tuple_cap=tuple_cap)
     return [FiberClass(eig, tuple(mss)) for eig, mss in codec.ordered(by_key.items())]
 
 
@@ -329,7 +335,7 @@ def simple_spectrum(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) 
     of n atoms is achieved by exactly one atom multiset.  Admits the d^n
     tuples, counts multisets per packed key, decodes at most one witness."""
     admit(len(sigma) ** n, tuple_cap, f"{len(sigma)}^{n} tuples")
-    atoms, codec, (by_key,) = _group_by_product(sigma, (n,))
+    atoms, codec, (by_key,) = _group_by_product(sigma, (n,), tuple_cap=tuple_cap)
     return _first_nonsimple_fiber(atoms, codec, by_key) is None
 
 
@@ -344,7 +350,7 @@ def check_simplicity_levels(
     top level before any level runs."""
     require_positive(**{"max level": max_level})
     admit(len(sigma) ** max_level, tuple_cap, f"{len(sigma)}^{max_level} tuples")
-    atoms, codec, groups = _group_by_product(sigma, range(1, max_level + 1))
+    atoms, codec, groups = _group_by_product(sigma, range(1, max_level + 1), tuple_cap=tuple_cap)
     witnesses = [_first_nonsimple_fiber(atoms, codec, by_key) for by_key in groups]
     violations = [
         {"lower": j, "higher": k, "witness": low}
@@ -363,17 +369,18 @@ def check_simplicity_levels(
 
 
 def _level_counts(
-    sigma: AtomicMeasure, k: int, ms: Sequence[int], select
+    sigma: AtomicMeasure, k: int, ms: Sequence[int], select, tuple_cap: int = Caps.tuples
 ) -> tuple[_PackedCodec, list[dict[str, dict[int, int]]]]:
     """(codec, counts per m in ms): the selections `select(levels, m)` of level atoms,
     each the raw key sum of a k-multiset of base atoms, counted per raw total in C, and
     each distinct total reduced to its key, undecoded.  The totals of m are the level-km
     groups of one grouping call, as each km-multiset totals its sorted runs of k; one is
-    generic when its atoms are distinct.  A shared product means a non-generic base: a caller error, named by
-    its first repeat in lexicographic order at the top level (a repeat at level j
-    repeats above it), the one key decoded.  The caller admits the selections."""
-    atoms, codec, groups = _group_by_product(sigma, [k * m for m in ms])
-    top = groups[ms.index(max(ms))]
+    generic when its atoms are distinct; the ms run consecutively, so the engine admits one lazy range.
+    A shared product means a non-generic base: a caller error, named by its first repeat in
+    lexicographic order at the top level (a repeat at level j repeats above it), the one key
+    decoded.  The caller admits the selections."""
+    atoms, codec, groups = _group_by_product(sigma, range(k * ms[0], k * ms[-1] + 1, k), tuple_cap=tuple_cap)
+    top = groups[-1]
     shared = [(mss[1], key) for key, mss in top.items() if len(mss) > 1]
     if shared:
         b, key = min(shared)
@@ -412,7 +419,7 @@ def _power_report(k: int, m: int, d: int, select, formula: int, G: PermSubgroup,
     per eigenvalue, packed by the level counts' codec, against the partition
     counts of `select`, and compares the generic value with the closed form."""
     sigma = generic_measure(d)
-    codec, (counts,) = _level_counts(sigma, k, (m,), select)
+    codec, (counts,) = _level_counts(sigma, k, (m,), select, caps.tuples)
     n = k * m
     # Built per call, so that rebinding either route in this module reaches it.
     routes = (("orbit_route", multiplicity, caps.tuples), ("matrix_route", matrix_oracle, caps.matrix))
@@ -493,19 +500,17 @@ def fock_multiplicity_set(
     k-multisets and all weights are positive; one `_level_counts` call packs
     every level with one codec, so no key is decoded, and the levels are singular
     exactly when their key sets are disjoint.  Level m_max and its closed form, by
-    the digits of 2^((k-1)(m-1)) <= (m!)^(k-1) <= (mk)!/((k!)^m m!), then each
-    printed form exactly, are admitted before any level is counted.  Below km
-    atoms a level has no generic total: it fails."""
+    the digits of 2^((k-1)(m-1)) <= (m!)^(k-1) <= (mk)!/((k!)^m m!) and then exactly,
+    the largest printed, are admitted before any level is counted.  Below km atoms a
+    level has no generic total: a failed check (exit 1), not an input error."""
     require_positive(k=k, m_max=m_max, d=d)
     level_multisets = math.comb(math.comb(d + k - 1, k) + m_max - 1, m_max)
     admit(level_multisets, tuple_cap, f"{level_multisets} level multisets")
     _admit_digits(f"level {m_max} formula", bits=(k - 1) * (m_max - 1))
-    formulas = {}
-    for m in range(1, m_max + 1):
-        formulas[str(m)] = _symmetric_formula(k, m)
-        _admit_digits(f"level {m} formula", formulas[str(m)])
+    _admit_digits(f"level {m_max} formula", _symmetric_formula(k, m_max))
     select = itertools.combinations_with_replacement
-    _, per_m = _level_counts(generic_measure(d), k, range(1, m_max + 1), select)
+    _, per_m = _level_counts(generic_measure(d), k, range(1, m_max + 1), select, tuple_cap)
+    formulas = {str(m): _symmetric_formula(k, m) for m in range(1, m_max + 1)}
     per_level = {m: _generic_summary(counts["generic"].values())[0] for m, counts in zip(formulas, per_m)}
     levels = [counts["entries"].keys() for counts in per_m]
     disjoint = len(set().union(*levels)) == sum(map(len, levels))
@@ -608,10 +613,7 @@ def check_translate_singularity(
     the atoms generate can make them meet (over g0, ..., g3, a = g0 gives
     g1 * a = g0 * g1 at n = 2, m = 1)."""
     require_positive(n=n, m=m)
-    d, j = len(sigma), max(n, m)
-    atoms = math.comb(d + j - 1, j)
-    admit(atoms, tuple_cap, f"{atoms} atoms of convolution level {j} of a {d}-atom measure")
-    _, codec, (left, right) = _group_by_product(sigma, (n, m), (a,))
+    _, codec, (left, right) = _group_by_product(sigma, (n, m), (a,), tuple_cap)
     shift = codec.key(a)
     return {
         "n": n,
@@ -645,7 +647,7 @@ def nonsimple_counterexample(
     tau_shift = tau.translate(a)
     overlap = [p for p in tau.support() if tau_shift.weight(p) > 0]
     admit(len(tau) ** 2, tuple_cap, f"{len(tau)}^2 tuples")
-    atoms, codec, (by_key,) = _group_by_product(tau, (2,))
+    atoms, codec, (by_key,) = _group_by_product(tau, (2,), tuple_cap=tuple_cap)
     witness = _first_nonsimple_fiber(atoms, codec, by_key)
     return {
         "base_atoms": len(sigma),
@@ -681,7 +683,7 @@ def girsanov_step(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) ->
     if len(sigma) < 1:
         raise ValueError("measure must have at least one atom")
     admit(len(sigma) ** (2 * n), tuple_cap, f"{len(sigma)}^{2 * n} tuples")
-    atoms, codec, (level_1, level_n, level_2n) = _group_by_product(sigma, (1, n, 2 * n))
+    atoms, codec, (level_1, level_n, level_2n) = _group_by_product(sigma, (1, n, 2 * n), tuple_cap=tuple_cap)
 
     def top(by_key, skip=None):
         """The first key other than `skip` by (-count, eigenvalue order), or

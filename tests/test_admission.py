@@ -47,6 +47,8 @@ SITES = {
         lambda cap: nonsimple_counterexample(generic_measure(2), CirclePoint.generator(2), cap),
     ),
     "simplicity top level": (3**3, lambda cap: check_simplicity_levels(generic_measure(3), 3, cap)),
+    # one atom: 1^4 tuples; the grouping engine charges one multiset per level
+    "simplicity one atom": (1 + 2 + 3 + 4, lambda cap: check_simplicity_levels(generic_measure(1), 4, cap)),
     "girsanov level 2n": (2**4, lambda cap: girsanov_step(generic_measure(2), 2, cap)),
     "matrix oracle": (
         3**2,

@@ -48,6 +48,22 @@ def test_fock_set_small_case():
     assert env["report"]["set"] == [1, 3]
 
 
+# Below k*m atoms a level has no generic fiber.  That is a failed check (exit 1),
+# not an input error: the closed form claims a multiplicity no level shows.
+def test_fock_set_without_a_generic_top_level_is_a_failed_check():
+    code, env = run_json("fock-set --k 2 --max-m 4 --atoms 7".split())
+    assert code == 1 and env["passed"] is False
+    assert env["report"]["per_level"]["4"] is None
+    assert env["report"]["warning"] == "no generic fiber above level 3: d=7 < 8"
+
+
+def test_fock_set_of_one_atom_at_a_huge_convolution_power_fails_fast():
+    start = time.perf_counter()
+    code, env = run_json("fock-set --k 1000000 --max-m 1 --atoms 1".split())
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and env["report"]["per_level"] == {"1": None}
+
+
 def test_cs_criterion_failure_is_exit_1():
     code, env = run_json(["cs-criterion", "--k", "2", "--m", "2", "--n", "2"])
     assert code == 1
@@ -120,10 +136,30 @@ def test_multiplicity_reads_measure_file(tmp_path):
 
 def test_multiplicity_with_explicit_generators():
     code, env = run_json(
-        ["multiplicity", "--atoms", "3", "--power", "2", "--gens", "[[1,0]]"]
+        ["multiplicity", "--atoms", "3", "--power", "2", "--group", "[[1,0]]"]
     )
     assert code == 0
     assert env["report"]["group"]["order"] == 2
+
+
+# One source per input: the envelope's params name what ran.
+def test_group_takes_generators_and_gens_is_gone(capsys):
+    argv = ["multiplicity", "--power", "2", "--atoms", "2", "--gens", "[[1,0]]", "--group", "trivial"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and "unrecognized arguments: --gens" in capsys.readouterr().err
+    assert main(["multiplicity", "--power", "2", "--atoms", "2", "--group", "cycle"]) == 2
+    assert capsys.readouterr().err == (
+        "input error: --group must be trivial, cyclic, symmetric or a JSON list of image lists\n"
+    )
+
+
+def test_measure_and_atoms_together_are_exit_2(tmp_path, capsys):
+    path = tmp_path / "relation.json"
+    path.write_text(measure_to_json(designed_relation_measure()), encoding="utf-8")
+    argv = ["translate-singular", "--measure", str(path), "--atoms", "5", "--n", "1", "--m", "1"]
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == "input error: give --measure FILE or --atoms D, not both\n"
 
 
 def test_malformed_measure_is_exit_2(tmp_path, capsys):
@@ -257,6 +293,8 @@ def test_incl_excl_default_cap_rejects_large_products_fast(dims, capsys):
 
 # The top level's cap is checked before any level runs: the lower levels of
 # these inputs are admitted and would take seconds before the top one fails.
+# One atom makes every tuple count 1, so the grouping engine's own charge, the
+# atoms of one multiset per level, refuses the last four.
 @pytest.mark.parametrize(
     "argv, err",
     [
@@ -265,6 +303,11 @@ def test_incl_excl_default_cap_rejects_large_products_fast(dims, capsys):
         ("girsanov --atoms 300 --n 2", "300^4 tuples exceed the cap 10000000"),
         ("fock-set --k 200000 --max-m 2 --atoms 1", "at least 60206 digits of the level 2 formula exceed the cap 4300"),
         ("fock-set --k 20000 --max-m 2 --atoms 1", "at least 6021 digits of the level 2 formula exceed the cap 4300"),
+        ("vproste --atoms 1 --max-level 1000000", "500000500000 atoms of one multiset per level exceed the cap 10000000"),
+        ("fock-set --k 1 --max-m 6000 --atoms 1", "18003000 atoms of one multiset per level exceed the cap 10000000"),
+        ("translate-singular --atoms 1 --n 100000000 --m 1",
+         "100000001 atoms of one multiset per level exceed the cap 10000000"),
+        ("girsanov --atoms 1 --n 100000000", "300000001 atoms of one multiset per level exceed the cap 10000000"),
     ],
 )
 def test_level_caps_reject_before_any_level_runs(argv, err, capsys):
@@ -272,6 +315,18 @@ def test_level_caps_reject_before_any_level_runs(argv, err, capsys):
     assert run_cli(argv.split()) == (2, "")
     assert time.perf_counter() - start < 0.5
     assert capsys.readouterr().err == f"cap exceeded: {err}\n"
+
+
+def test_largest_one_atom_simplicity_run_finishes_and_the_next_is_refused(capsys):
+    # 4471 * 4472 / 2 <= 10^7 < 4472 * 4473 / 2
+    start = time.perf_counter()
+    code, env = run_json("vproste --atoms 1 --max-level 4471".split())
+    assert time.perf_counter() - start < 10.0
+    assert code == 0 and len(env["report"]["levels"]) == 4471
+    start = time.perf_counter()
+    assert run_cli("vproste --atoms 1 --max-level 4472".split()) == (2, "")
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err.startswith("cap exceeded: 10001628 atoms")
 
 
 # The reported integers must fit the int-to-str digit limit (4300 by default).
@@ -327,7 +382,7 @@ def test_table_format_renders():
 
 
 @pytest.mark.parametrize("power", ["0", "-1"])
-@pytest.mark.parametrize("group", [["--group", "symmetric"], ["--gens", "[[0]]"]])
+@pytest.mark.parametrize("group", [["--group", "symmetric"], ["--group", "[[0]]"]])
 def test_non_positive_power_is_exit_2_before_any_group_is_built(power, group, capsys):
     assert main(["multiplicity", "--atoms", "3", "--power", power, *group]) == 2
     assert f"power must be an int >= 1, got {power}" in capsys.readouterr().err
@@ -335,7 +390,7 @@ def test_non_positive_power_is_exit_2_before_any_group_is_built(power, group, ca
 
 @pytest.mark.parametrize("gens", ["[1]", '[["a",0]]', "[[1.0,0.0]]", "[[true,false]]"])
 def test_malformed_gens_is_exit_2(gens, capsys):
-    assert main(["multiplicity", "--atoms", "3", "--power", "2", "--gens", gens]) == 2
+    assert main(["multiplicity", "--atoms", "3", "--power", "2", "--group", gens]) == 2
     assert "input error" in capsys.readouterr().err
 
 
@@ -452,7 +507,7 @@ def test_fock_set_refuses_a_printed_formula_by_its_exact_digits(capsys):
 
 
 # One row per parser the CLI reaches, each given input it must refuse: the
-# point grammar and its fractions, the measure file, the --gens JSON and
+# point grammar and its fractions, the measure file, the --group JSON and
 # the dimension list.
 @pytest.mark.parametrize(
     "argv, measure_text",
@@ -464,7 +519,7 @@ def test_fock_set_refuses_a_printed_formula_by_its_exact_digits(capsys):
         (["vproste", "--measure"], '{"atoms": [{"weight": "1", "rational": "0", "generic": {"١": 1}}]}'),
         (["relations", "--measure"], '{"atoms": [{"weight": "1", "rational": "0", "generic": {"0": 0}}]}'),
         (["multiplicity", "--power", "2", "--measure"], DEEP_JSON),
-        (["multiplicity", "--atoms", "2", "--power", "2", "--gens", DEEP_JSON], None),
+        (["multiplicity", "--atoms", "2", "--power", "2", "--group", DEEP_JSON], None),
         (["markov", "incl-excl", "--dims", ","], None),
         (["markov", "incl-excl", "--dims", "2,,3"], None),
         (["markov", "incl-excl", "--dims", "2,"], None),
