@@ -18,15 +18,16 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections.abc import Iterable, Mapping  # the abc's isinstance is cached; typing's is not
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple, Union
 
 from circlespec.errors import Immutable, MeasureFormatError
 
-ExponentPairs = Union[Mapping[int, int], Iterable[Tuple[int, int]]]
+ExponentPairs = Mapping[int, int] | Iterable[tuple[int, int]]
 
 _GENERATOR_TOKEN = re.compile(r"^g(\d+)\^(-?\d+)$", re.ASCII)
 _FRACTION_TOKEN = re.compile(r"^\d+(?:/\d+)?$", re.ASCII)
+_ZERO = Fraction(0)  # built once for the points that pass it: sorts then compare it by identity
 _FRACTION_RE = re.compile(r"^-?\d+(?:/\d+)?$", re.ASCII)
 
 
@@ -74,8 +75,8 @@ class CirclePoint(Immutable):
 
     __slots__ = ("rational", "generic", "_hash")
 
-    def __init__(self, rational=0, generic: ExponentPairs = ()):
-        r = Fraction(rational) % 1
+    def __init__(self, rational=_ZERO, generic: ExponentPairs = ()):
+        r = rational if rational is _ZERO else Fraction(rational) % 1
         pairs = generic.items() if isinstance(generic, Mapping) else generic
         acc: dict[int, int] = {}
         for i, e in pairs:
@@ -104,7 +105,7 @@ class CirclePoint(Immutable):
 
     @classmethod
     def generator(cls, index: int, exponent: int = 1) -> "CirclePoint":
-        return cls(0, ((index, exponent),))
+        return cls(_ZERO, ((index, exponent),))
 
     @property
     def is_identity(self) -> bool:

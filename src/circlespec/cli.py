@@ -78,8 +78,6 @@ def _parse_dims(text: str) -> list[int]:
 def _render_lines(obj, indent=0) -> list[str]:
     """Rows "key: value" in a dict and "- value" in a list; nested ones go indented below their label."""
     pad = "  " * indent
-    if not isinstance(obj, (dict, list)):
-        return [f"{pad}{obj}"]
     labelled = [(f"{k}:", v) for k, v in obj.items()] if isinstance(obj, dict) else [("-", v) for v in obj]
     rows = []
     for label, v in labelled:

@@ -33,9 +33,11 @@ class Caps:
 
 
 def admit(asked: int, limit: int, what: str) -> None:
-    """Refuse work of size `asked` above `limit`; `what` names it, in the plural."""
+    """Refuse work of size `asked` above `limit`; `what` names it, in the plural, with `{}`
+    where the amount goes.  An amount too long to read, past 30 digits, shows as a bound."""
     if asked > limit:
-        raise EnumerationCapError(f"{what} exceed the cap {limit}")
+        shown = str(asked) if asked < 10**30 else f"2^{asked.bit_length() - 1} or more"
+        raise EnumerationCapError(f"{what.format(shown)} exceed the cap {limit}")
 
 
 def require_positive(**values) -> None:

@@ -425,7 +425,7 @@ def inclusion_exclusion_identity(
     n = len(dims)
     total = math.prod(dims)
     entries = (2**n - 1) * n * total**2
-    admit(entries, 256 * matrix_cap, f"{entries} dense entries")
+    admit(entries, 256 * matrix_cap, "{} dense entries")
     probs = [[Fraction(1, d)] * d for d in dims] if probs is None else probs
     if len(probs) != n:
         raise ValueError("probs shape does not match dims")

@@ -42,7 +42,7 @@ class AtomicMeasure(Immutable):
             if not isinstance(p, CirclePoint):
                 raise ValueError(f"atom must be a CirclePoint, got {p!r}")
             w = Fraction(w)
-            acc[p] = acc.get(p, Fraction(0)) + w
+            acc[p] = acc[p] + w if p in acc else w
         for p, w in acc.items():
             if w <= 0:
                 raise ValueError(f"weight of atom {p} must be positive, got {w}")
@@ -142,7 +142,7 @@ def relation_scan(mu: AtomicMeasure, degree: int, tuple_cap: int = Caps.tuples) 
     atoms = mu.support()
     d = len(atoms)
     total = sum(math.comb(d, L) * 2 ** (L - 1) for L in range(1, min(degree, d) + 1))
-    admit(total, tuple_cap, f"relation scan: {total} sign tuples")
+    admit(total, tuple_cap, "relation scan: {} sign tuples")
     codec = _PackedCodec(atoms, degree)
     keys = [(key, -key % codec.modulus) for key in map(codec.key, atoms)]  # exponent +1, -1
     found = []

@@ -79,7 +79,7 @@ def closure(n: int, generators: Iterable[Perm]) -> tuple[tuple[int, ...], ...]:
     skipped (for n < 2 it is the only permutation)."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    admit(n, DEFAULT_DEGREE_CAP, f"{n} permuted points")
+    admit(n, DEFAULT_DEGREE_CAP, "{} permuted points")
     gens = list(generators)
     for g in gens:
         if g.degree != n:
@@ -153,7 +153,7 @@ def orbit_count_free(G: PermSubgroup, tuple_cap: int = Caps.tuples) -> int:
     """
     n = G.degree
     n_fact = math.factorial(n)
-    admit(n_fact * G.order, tuple_cap, f"orbit enumeration: {n_fact * G.order} steps")
+    admit(n_fact * G.order, tuple_cap, "orbit enumeration: {} steps")
     if n_fact % G.order:
         raise RuntimeError(f"Lagrange violation: {G.order} does not divide {n}!")
     formula = n_fact // G.order
@@ -185,7 +185,7 @@ def contiguous_block_group(block_size: int, blocks: int) -> PermSubgroup:
     if block_size < 1 or blocks < 1:
         raise ValueError("block_size and blocks must be >= 1")
     degree = block_size * blocks
-    admit(degree, DEFAULT_DEGREE_CAP, f"{degree} permuted points")
+    admit(degree, DEFAULT_DEGREE_CAP, "{} permuted points")
     gens = []
     for j in range(blocks):
         block = list(range(block_size * j, block_size * (j + 1)))

@@ -83,15 +83,15 @@ def _group_by_product(
     of power max(levels) + len(extra), packs every level, so keys compare across
     levels and may gain one point of `extra`.  Each level's C(d+n-1, n) key sums
     are taken and reduced in C; nothing is sorted or decoded.  Before any of it,
-    the cap admits sum(levels), the atoms of one multiset per level, and then
-    the top level's multisets."""
-    require_positive(power=min(levels))
+    the cap admits the atom indices the groups store, n * C(d+n-1, n) for level
+    n, as a running sum that refuses at the first level past the cap."""
     atoms = sigma.support()
-    top, length = max(levels), sum(levels)
-    admit(length, tuple_cap, f"{length} atoms of one multiset per level")
-    multisets = math.comb(len(atoms) + top - 1, top)
-    admit(multisets, tuple_cap, f"{multisets} level-{top} multisets of {len(atoms)} atoms")
-    codec = _PackedCodec((*atoms, *extra), top + len(extra))
+    stored = 0
+    for n in levels:
+        require_positive(power=n)
+        stored += n * math.comb(len(atoms) + n - 1, n)
+        admit(stored, tuple_cap, f"{{}} atoms in the multisets up to level {n} of {len(atoms)} atoms")
+    codec = _PackedCodec((*atoms, *extra), max(levels) + len(extra))
     keys = [codec.key(p) for p in atoms]
     groups: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in levels]
     for n, by_key in zip(levels, groups):
@@ -105,8 +105,8 @@ def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> list[F
     """Group the n-multisets of atoms by their product, eigenvalue-sorted.
 
     The grouping is `_group_by_product`'s; the codec then sorts the packed
-    keys and decodes each once.  The fibers stand for all d^n ordered
-    tuples, and the cap counts those first.  Only the two multiplicity routes read them."""
+    keys and decodes each once.  The two multiplicity routes, its only readers, count or
+    arrange all d^n ordered tuples, so the cap counts those before the grouping's atoms."""
     admit(len(sigma) ** n, tuple_cap, f"{len(sigma)}^{n} tuples")
     _, codec, (by_key,) = _group_by_product(sigma, (n,), tuple_cap=tuple_cap)
     return [FiberClass(eig, tuple(mss)) for eig, mss in codec.ordered(by_key.items())]
@@ -308,13 +308,13 @@ def matrix_oracle(
     if G.degree != n:
         raise ValueError(f"group degree {G.degree} does not match power {n}")
     d = len(sigma.support())
-    # `fibers` admits the same d^n, but refused there it leaves a traced span without the counts bench/spans.py reads.
+    # The rank route's own admission, and the only one that marks it as not run: `fibers` runs on the tuple cap.
     admit(d**n, matrix_cap, f"{d}^{n} matrix rows")
     identity = tuple(range(n))
     getters = [operator.itemgetter(*s.images) for s in G.generators if s.images != identity]
     templates: dict[tuple[int, ...], tuple[int, list[tuple[int, int]]]] = {}
     classified = []
-    for fc in fibers(sigma, n, tuple_cap=matrix_cap):
+    for fc in fibers(sigma, n):
         rows, size = [], 0
         for ms in fc.index_multisets:
             shape = tuple(map(ms.index, ms))
@@ -332,9 +332,8 @@ def matrix_oracle(
 
 def simple_spectrum(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> bool:
     """True when the n-th symmetric power is multiplicity-free: every product
-    of n atoms is achieved by exactly one atom multiset.  Admits the d^n
-    tuples, counts multisets per packed key, decodes at most one witness."""
-    admit(len(sigma) ** n, tuple_cap, f"{len(sigma)}^{n} tuples")
+    of n atoms is achieved by exactly one atom multiset.  The grouping admits its
+    atoms; multisets are counted per packed key, and at most one witness decoded."""
     atoms, codec, (by_key,) = _group_by_product(sigma, (n,), tuple_cap=tuple_cap)
     return _first_nonsimple_fiber(atoms, codec, by_key) is None
 
@@ -346,10 +345,9 @@ def check_simplicity_levels(
     a simple level k forces simplicity at every level below it.  One grouping
     call packs levels 1..max_level, and each level's witness is built once
     (`_first_nonsimple_fiber`): a level is simple when it has none, and a
-    violation prints the lower level's witness.  The cap is checked for the
-    top level before any level runs."""
+    violation prints the lower level's witness.  The grouping admits the atoms
+    of every level, level by level, before any level runs."""
     require_positive(**{"max level": max_level})
-    admit(len(sigma) ** max_level, tuple_cap, f"{len(sigma)}^{max_level} tuples")
     atoms, codec, groups = _group_by_product(sigma, range(1, max_level + 1), tuple_cap=tuple_cap)
     witnesses = [_first_nonsimple_fiber(atoms, codec, by_key) for by_key in groups]
     violations = [
@@ -464,9 +462,8 @@ def check_tensor_power(k: int, m: int, d: int, caps: Caps = Caps()) -> dict:
     exact matrix rank.  All present routes must agree on every eigenvalue.
     """
     require_positive(k=k, m=m, d=d)
-    T = math.comb(d + k - 1, k)
-    admit(T**m, caps.tuples, f"{T}^{m} level tuples")
-    G = contiguous_block_group(k, m)
+    G = contiguous_block_group(k, m)  # first: its degree km is capped, so the power below is cheap
+    admit(math.comb(d + k - 1, k) ** m, caps.tuples, "{} level tuples")
     report = _power_report(
         k, m, d, lambda levels, m: itertools.product(levels, repeat=m), _tensor_formula(k, m), G, caps
     )
@@ -478,9 +475,8 @@ def check_symmetric_power(k: int, m: int, d: int, caps: Caps = Caps()) -> dict:
     m-multisets of k-multisets, closed form (mk)!/((k!)^m m!), cross-checked
     against the wreath subgroup (within-block permutations plus block swaps)."""
     require_positive(k=k, m=m, d=d)
-    level_multisets = math.comb(math.comb(d + k - 1, k) + m - 1, m)
-    admit(level_multisets, caps.tuples, f"{level_multisets} level multisets")
-    G = wreath_block_group(k, m)
+    G = wreath_block_group(k, m)  # first: its degree km is capped, so the count below is cheap
+    admit(math.comb(math.comb(d + k - 1, k) + m - 1, m), caps.tuples, "{} level multisets")
     report = _power_report(k, m, d, itertools.combinations_with_replacement, _symmetric_formula(k, m), G, caps)
     return {"conv_power": k, "symmetric_power": m, **report}
 
@@ -499,13 +495,18 @@ def fock_multiplicity_set(
     level-m counts, since every km-multiset of atoms splits into m
     k-multisets and all weights are positive; one `_level_counts` call packs
     every level with one codec, so no key is decoded, and the levels are singular
-    exactly when their key sets are disjoint.  Level m_max and its closed form, by
-    the digits of 2^((k-1)(m-1)) <= (m!)^(k-1) <= (mk)!/((k!)^m m!) and then exactly,
-    the largest printed, are admitted before any level is counted.  Below km atoms a
-    level has no generic total: a failed check (exit 1), not an input error."""
+    exactly when their key sets are disjoint.  Before any level is counted, every level's
+    selections are admitted, then level m_max's closed form, the largest printed, by the digits
+    of 2^((k-1)(m-1)) <= (m!)^(k-1) <= (mk)!/((k!)^m m!) and exactly.  Below km atoms a level
+    has no generic total: a failed check (exit 1), not an input error."""
     require_positive(k=k, m_max=m_max, d=d)
-    level_multisets = math.comb(math.comb(d + k - 1, k) + m_max - 1, m_max)
-    admit(level_multisets, tuple_cap, f"{level_multisets} level multisets")
+    # The m-multisets of T = C(d+k-1, k) level atoms, m <= m_max, number C(T+m_max, m_max) - 1 >= T.
+    # By C(a+b, b) >= 2^min(a, b), with the exponent held just past the cap, each is refused first.
+    what, past = f"{{}} level multisets up to level {m_max}", tuple_cap.bit_length() + 1
+    admit(2 ** min(d - 1, k, past), tuple_cap, "at least " + what)
+    T = math.comb(d + k - 1, k)
+    admit(2 ** min(T, m_max, past) - 1, tuple_cap, "at least " + what)
+    admit(math.comb(T + m_max, m_max) - 1, tuple_cap, what)
     _admit_digits(f"level {m_max} formula", bits=(k - 1) * (m_max - 1))
     _admit_digits(f"level {m_max} formula", _symmetric_formula(k, m_max))
     select = itertools.combinations_with_replacement
@@ -646,7 +647,6 @@ def nonsimple_counterexample(
     tau = sigma + shifted
     tau_shift = tau.translate(a)
     overlap = [p for p in tau.support() if tau_shift.weight(p) > 0]
-    admit(len(tau) ** 2, tuple_cap, f"{len(tau)}^2 tuples")
     atoms, codec, (by_key,) = _group_by_product(tau, (2,), tuple_cap=tuple_cap)
     witness = _first_nonsimple_fiber(atoms, codec, by_key)
     return {
@@ -675,14 +675,12 @@ def girsanov_step(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) ->
     yields a level-2n eigenvalue realized by at least q^2 multisets.  The
     search tries the product of the two highest-multiplicity level-n
     eigenvalues first (the construction's own witness) before scanning all
-    level-2n fibers.  q = 1 makes the claim trivially true.  The cap is
-    checked for level 2n before any level runs.  One grouping call packs
-    levels 1, n and 2n, so the candidate's key is its factors' key sum; keys
-    rank by (-count, eigenvalue order); only printed eigenvalues decode."""
+    level-2n fibers.  q = 1 makes the claim trivially true.  One grouping call, which
+    admits its atoms first, packs levels 1, n and 2n, so the candidate's key is its
+    factors' key sum; keys rank by (-count, eigenvalue order); only printed ones decode."""
     require_positive(power=n)
     if len(sigma) < 1:
         raise ValueError("measure must have at least one atom")
-    admit(len(sigma) ** (2 * n), tuple_cap, f"{len(sigma)}^{2 * n} tuples")
     atoms, codec, (level_1, level_n, level_2n) = _group_by_product(sigma, (1, n, 2 * n), tuple_cap=tuple_cap)
 
     def top(by_key, skip=None):

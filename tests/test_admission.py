@@ -6,13 +6,14 @@ runs, one below it refuses with "<what> exceed the cap <limit>".
 
 import ast
 import dataclasses
+import math
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 import circlespec
-from circlespec import permgroup
+from circlespec import permgroup, spectral
 from circlespec.circle import CirclePoint
 from circlespec.errors import Caps, EnumerationCapError
 from circlespec.markov import inclusion_exclusion_identity
@@ -37,28 +38,46 @@ def _closure_up_to(degree_cap):
         return closure(3, ())
 
 
-# site -> (amount it charges, call with the limit)
+# site -> (amount it charges, call with the limit).  The grouping engine charges
+# the atom indices it stores, n * C(d+n-1, n) summed over its levels; at these
+# small inputs that charge binds for every caller of it but the selection rows.
 SITES = {
-    "fibers": (3**2, lambda cap: fibers(generic_measure(3), 2, tuple_cap=cap)),
-    "simple spectrum": (3**2, lambda cap: simple_spectrum(generic_measure(3), 2, cap)),
+    # 2 * C(4, 2) stored atoms bind over the 3^2 tuples that `fibers` charges first
+    "fibers": (2 * 6, lambda cap: fibers(generic_measure(3), 2, tuple_cap=cap)),
+    "simple spectrum": (2 * 6, lambda cap: simple_spectrum(generic_measure(3), 2, cap)),
     # tau has 4 atoms; the relation scan of the 2-atom base charges 2 + 1 * 2
     "nonsimple tau level 2": (
-        4**2,
+        2 * 10,
         lambda cap: nonsimple_counterexample(generic_measure(2), CirclePoint.generator(2), cap),
     ),
-    "simplicity top level": (3**3, lambda cap: check_simplicity_levels(generic_measure(3), 3, cap)),
-    # one atom: 1^4 tuples; the grouping engine charges one multiset per level
+    "simplicity top level": (1 * 3 + 2 * 6 + 3 * 10, lambda cap: check_simplicity_levels(generic_measure(3), 3, cap)),
+    # one atom: one multiset of n atoms per level n
     "simplicity one atom": (1 + 2 + 3 + 4, lambda cap: check_simplicity_levels(generic_measure(1), 4, cap)),
-    "girsanov level 2n": (2**4, lambda cap: girsanov_step(generic_measure(2), 2, cap)),
+    # levels 1, 2 and 4 of 2 atoms
+    "girsanov level 2n": (1 * 2 + 2 * 3 + 4 * 5, lambda cap: girsanov_step(generic_measure(2), 2, cap)),
+    # the rank route's own 3^2 rows: its fibers run on the tuple cap
     "matrix oracle": (
         3**2,
         lambda cap: matrix_oracle(generic_measure(3), 2, PermSubgroup.symmetric(2), matrix_cap=cap),
     ),
-    "tensor level tuples": (4**2, lambda cap: check_tensor_power(1, 2, 4, Caps(tuples=cap))),
-    "symmetric level multisets": (10, lambda cap: check_symmetric_power(1, 2, 4, Caps(tuples=cap))),
-    "fock top level multisets": (10, lambda cap: fock_multiplicity_set(1, 2, 4, cap)),
+    # level 2 of 4 atoms, 2 * C(5, 2), over the 4^2 level tuples and the C(5, 2) level multisets
+    "tensor level tuples": (2 * 10, lambda cap: check_tensor_power(1, 2, 4, Caps(tuples=cap))),
+    "symmetric level multisets": (2 * 10, lambda cap: check_symmetric_power(1, 2, 4, Caps(tuples=cap))),
+    # levels 1 and 2 of 4 atoms, over the C(4+2, 2) - 1 = 14 selections
+    "fock top level multisets": (1 * 4 + 2 * 10, lambda cap: fock_multiplicity_set(1, 2, 4, cap)),
+    # k = 2, m = 3: T = C(d+1, 2) level atoms, so the selections bind over the level-6 atoms
+    "tensor selections": (36**3, lambda cap: check_tensor_power(2, 3, 8, Caps(tuples=cap))),  # 6 * C(13, 6) = 10296
+    "symmetric selections": (
+        math.comb(80, 3),  # 6 * C(17, 6) = 74256
+        lambda cap: check_symmetric_power(2, 3, 12, Caps(tuples=cap)),
+    ),
+    "fock selections": (
+        math.comb(81, 3) - 1,  # 2 * C(13, 2) + 4 * C(15, 4) + 6 * C(17, 6) = 79872
+        lambda cap: fock_multiplicity_set(2, 3, 12, cap),
+    ),
+    # levels 2 and 1 of 3 atoms
     "convolution atoms": (
-        6,
+        2 * 6 + 1 * 3,
         lambda cap: check_translate_singularity(generic_measure(3), 2, 1, CirclePoint.identity(), cap),
     ),
     "relation scan": (3 + 3 * 2, lambda cap: relation_scan(generic_measure(3), 2, cap)),
@@ -75,6 +94,47 @@ def test_site_runs_at_its_amount_and_refuses_one_below(site):
         run(asked - 1)
 
 
+class _Admitted(Exception):
+    """Raised in place of the grouping engine's codec: the admission passed."""
+
+
+# Boundaries of the default cap, 10^7: each first call is admitted and the
+# second, one step past it, refused.  The engine's running sum binds at 2 atoms
+# (2m * (2m+1) summed over m <= 194: 9848770), for translate and vproste
+# (d^2 + 2d), and for vproste and girsanov at 5 levels; the selections
+# C(6+m, m) - 1 bind fock-set at 3 atoms (9366818 at m = 40).
+BOUNDARIES = {
+    "fock-set, 2 atoms, m 194": (lambda: fock_multiplicity_set(2, 194, 2), lambda: fock_multiplicity_set(2, 195, 2)),
+    "fock-set, 3 atoms, m 40": (lambda: fock_multiplicity_set(2, 40, 3), lambda: fock_multiplicity_set(2, 41, 3)),
+    "translate 3161 atoms": (
+        lambda: check_translate_singularity(generic_measure(3161), 2, 1, CirclePoint.identity()),
+        lambda: check_translate_singularity(generic_measure(3162), 2, 1, CirclePoint.identity()),
+    ),
+    "simplicity 3161 atoms": (
+        lambda: check_simplicity_levels(generic_measure(3161), 2),
+        lambda: check_simplicity_levels(generic_measure(3162), 2),
+    ),
+    "simplicity 44 atoms, 5 levels": (
+        lambda: check_simplicity_levels(generic_measure(44), 5),  # 9322544
+        lambda: check_simplicity_levels(generic_measure(45), 5),
+    ),
+    "girsanov 14 atoms, n 4": (
+        lambda: girsanov_step(generic_measure(14), 4),  # 14 + 4 * C(17, 4) + 8 * C(21, 8) = 1637454
+        lambda: girsanov_step(generic_measure(14), 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_default_cap_admits_up_to_its_boundary_and_refuses_past_it(boundary):
+    admitted, refused = BOUNDARIES[boundary]
+    with mock.patch.object(spectral, "_PackedCodec", side_effect=_Admitted):
+        with pytest.raises(_Admitted):
+            admitted()
+        with pytest.raises(EnumerationCapError):
+            refused()
+
+
 def test_incl_excl_charges_256_times_the_matrix_cap():
     # dims [16]: (2^1 - 1) * 1 * 16^2 = 256 dense entries
     assert inclusion_exclusion_identity([16], None, 1)["passed"]
@@ -88,6 +148,18 @@ def test_power_routes_are_marked_by_their_own_admission():
     # k = 2, m = 2, d = 4: 10^2 level tuples, 4^4 tuples for the orbit route
     assert check_tensor_power(2, 2, 4, Caps(tuples=255))["orbit_route"] == {"ran": False}
     assert check_tensor_power(2, 2, 4, Caps(tuples=256))["orbit_route"]["ran"] is True
+
+
+def test_grouping_callers_leave_admission_to_the_engine():
+    """The reports that read only key counts and a few decoded keys charge
+    nothing of their own: `_group_by_product` admits the atoms it stores."""
+    tree = ast.parse((Path(circlespec.__file__).parent / "spectral.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    callers = ("simple_spectrum", "check_simplicity_levels", "nonsimple_counterexample", "girsanov_step",
+               "check_translate_singularity")
+    named = {name: {getattr(node, "id", None) for node in ast.walk(functions[name])} & {"admit"} for name in callers}
+    assert named == dict.fromkeys(callers, set())
+    assert "admit" in {getattr(node, "id", None) for node in ast.walk(functions["_group_by_product"])}
 
 
 def test_caps_are_the_two_user_set_limits():

@@ -169,6 +169,48 @@ def test_malformed_measure_is_exit_2(tmp_path, capsys):
     assert "measure format" in capsys.readouterr().err
 
 
+RELATED_PAIR = (  # g0 and 1/2 * g0: g0 * (1/2 * g0)^-1 = 1/2 is a degree-2 relation
+    '{"atoms": [{"weight": "1/2", "rational": "0", "generic": {"0": 1}},'
+    ' {"weight": "1/2", "rational": "1/2", "generic": {"0": 1}}]}'
+)
+
+
+# Input checks, each with its exit code and its one stderr line.
+@pytest.mark.parametrize(
+    "argv, measure_text, err",
+    [
+        (["nonsimple", "--measure"], RELATED_PAIR,
+         "input error: base measure must be generic (relation scan up to degree 2 failed)"),
+        (["nonsimple", "--atoms", "2", "--shift", "g0^-1 * g1^1"], None,
+         "input error: shift collides with the base measure; pick a relation-free shift"),
+        (["nonsimple", "--measure"], '{"atoms": []}', "input error: base measure must have at least one atom"),
+        (["girsanov", "--measure"], '{"atoms": []}', "input error: measure must have at least one atom"),
+        (["markov", "lm-kk", "--n", "4"], None, "input error: --n must be between 1 and 3"),
+        (["multiplicity", "--power", "2"], None, "input error: provide --measure FILE or --atoms D"),
+        (["vproste", "--measure"], '{"atoms": [{"weight": "1", "rational": "0", "generic": [0, 1]}]}',
+         "measure format error: atom 0 generic part must be an object"),
+    ],
+    ids=["non-generic-base", "colliding-shift", "empty-nonsimple", "empty-girsanov", "lm-kk-n-4",
+         "no-measure-no-atoms", "generic-not-an-object"],
+)
+def test_input_check_is_exit_2_with_one_message(argv, measure_text, err, tmp_path, capsys):
+    if measure_text is not None:
+        path = tmp_path / "measure.json"
+        path.write_text(measure_text, encoding="utf-8")
+        argv = [*argv, str(path)]
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == f"{err}\n"
+
+
+def test_an_engine_cross_check_that_trips_is_exit_1(monkeypatch, capsys):
+    def tripped(*args):
+        raise RuntimeError("Burnside sum 7 for pattern (2,) is not a multiple of |G| = 2")
+
+    monkeypatch.setattr("circlespec.cli.check_simplicity_levels", tripped)
+    assert run_cli(["vproste"]) == (1, "")
+    assert capsys.readouterr().err == "check failed: Burnside sum 7 for pattern (2,) is not a multiple of |G| = 2\n"
+
+
 def test_missing_file_is_exit_2(tmp_path, capsys):
     assert main(["vproste", "--measure", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()
@@ -291,23 +333,45 @@ def test_incl_excl_default_cap_rejects_large_products_fast(dims, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
-# The top level's cap is checked before any level runs: the lower levels of
-# these inputs are admitted and would take seconds before the top one fails.
-# One atom makes every tuple count 1, so the grouping engine's own charge, the
-# atoms of one multiset per level, refuses the last four.
+# Each level's work is admitted before any level runs: the grouping engine
+# charges the atoms its level multisets store, n * C(d+n-1, n) for level n,
+# as a running sum that refuses at the first level past the cap, and fock-set
+# charges its selections, C(T+m, m) - 1 for T level atoms, refused first by
+# the bound 2^min(a, b) <= C(a+b, b) where computing them would be slow.
+# Each of the last nine rows once ran, or took seconds before it refused.
 @pytest.mark.parametrize(
     "argv, err",
     [
-        ("fock-set --k 2 --max-m 4 --atoms 20", "83369265 level multisets exceed the cap 10000000"),
-        ("vproste --atoms 30 --max-level 5", "30^5 tuples exceed the cap 10000000"),
-        ("girsanov --atoms 300 --n 2", "300^4 tuples exceed the cap 10000000"),
+        ("fock-set --k 2 --max-m 4 --atoms 20", "84957250 level multisets up to level 4 exceed the cap 10000000"),
+        ("vproste --atoms 3162 --max-level 2",
+         "10004568 atoms in the multisets up to level 2 of 3162 atoms exceed the cap 10000000"),
+        ("girsanov --atoms 300 --n 2",
+         "1377255900 atoms in the multisets up to level 4 of 300 atoms exceed the cap 10000000"),
         ("fock-set --k 200000 --max-m 2 --atoms 1", "at least 60206 digits of the level 2 formula exceed the cap 4300"),
         ("fock-set --k 20000 --max-m 2 --atoms 1", "at least 6021 digits of the level 2 formula exceed the cap 4300"),
-        ("vproste --atoms 1 --max-level 1000000", "500000500000 atoms of one multiset per level exceed the cap 10000000"),
-        ("fock-set --k 1 --max-m 6000 --atoms 1", "18003000 atoms of one multiset per level exceed the cap 10000000"),
+        ("vproste --atoms 1 --max-level 1000000",
+         "10001628 atoms in the multisets up to level 4472 of 1 atoms exceed the cap 10000000"),
+        ("fock-set --k 1 --max-m 6000 --atoms 1",
+         "10001628 atoms in the multisets up to level 4472 of 1 atoms exceed the cap 10000000"),
         ("translate-singular --atoms 1 --n 100000000 --m 1",
-         "100000001 atoms of one multiset per level exceed the cap 10000000"),
-        ("girsanov --atoms 1 --n 100000000", "300000001 atoms of one multiset per level exceed the cap 10000000"),
+         "100000000 atoms in the multisets up to level 100000000 of 1 atoms exceed the cap 10000000"),
+        ("girsanov --atoms 1 --n 100000000",
+         "100000001 atoms in the multisets up to level 100000000 of 1 atoms exceed the cap 10000000"),
+        ("vproste --atoms 3 --max-level 10000000",
+         "10394520 atoms in the multisets up to level 94 of 3 atoms exceed the cap 10000000"),
+        ("vproste --atoms 1 --max-level 100000000",
+         "10001628 atoms in the multisets up to level 4472 of 1 atoms exceed the cap 10000000"),
+        ("girsanov --atoms 3 --n 5000000",
+         "62500037500005000003 atoms in the multisets up to level 5000000 of 3 atoms exceed the cap 10000000"),
+        ("fock-set --k 2 --max-m 240 --atoms 2",
+         "10000900 atoms in the multisets up to level 390 of 2 atoms exceed the cap 10000000"),
+        ("fock-set --k 2 --max-m 56 --atoms 3", "61474518 level multisets up to level 56 exceed the cap 10000000"),
+        ("translate-singular --atoms 4000 --n 2 --m 1",
+         "16004000 atoms in the multisets up to level 2 of 4000 atoms exceed the cap 10000000"),
+        ("krot --k 1 --m 10000000 --atoms 3", "10000000 permuted points exceed the cap 8"),
+        ("krot --k 200000 --m 1 --atoms 200000", "200000 permuted points exceed the cap 8"),
+        ("fock-set --k 2 --max-m 1000000 --atoms 1000",
+         "at least 33554431 level multisets up to level 1000000 exceed the cap 10000000"),
     ],
 )
 def test_level_caps_reject_before_any_level_runs(argv, err, capsys):
@@ -315,6 +379,32 @@ def test_level_caps_reject_before_any_level_runs(argv, err, capsys):
     assert run_cli(argv.split()) == (2, "")
     assert time.perf_counter() - start < 0.5
     assert capsys.readouterr().err == f"cap exceeded: {err}\n"
+
+
+# A refused amount too long to read shows as the power of two below it.  Written
+# out whole, these would pass the int-to-str digit limit and raise ValueError,
+# reported as "input error:" instead of a refusal.
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ("translate-singular --atoms 8000 --n 8000 --m 1".split(),
+         "2^16004 or more atoms in the multisets up to level 8000 of 8000 atoms exceed the cap 10000000"),
+        (["markov", "incl-excl", "--dims", ",".join(["1"] * 15000)],
+         "2^15013 or more dense entries exceed the cap 1048576"),
+    ],
+    ids=["translate-singular", "incl-excl"],
+)
+def test_a_refused_amount_past_the_digit_limit_shows_as_a_bound(argv, err, capsys):
+    start = time.perf_counter()
+    assert run_cli(argv) == (2, "")
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == f"cap exceeded: {err}\n"
+
+
+def test_the_engine_charge_admits_what_the_tuple_charge_refused():
+    # 30 + 2 * 465 + 3 * 4960 + 4 * 40920 + 5 * 278256 = 1570800 stored atoms; 30^5 tuples were refused
+    code, env = run_json("vproste --atoms 30 --max-level 5".split())
+    assert code == 0 and env["report"]["levels"] == dict.fromkeys(map(str, range(1, 6)), True)
 
 
 def test_largest_one_atom_simplicity_run_finishes_and_the_next_is_refused(capsys):
