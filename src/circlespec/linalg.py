@@ -2,9 +2,9 @@
 
 `rank`, an independent verification route, eliminates sparse integer rows
 {column: nonzero int}: the rank route builds only such rows, each one ±1
-difference row.  Inclusion-exclusion calls the dense `kron`, `mat_add` and
-`mat_sub` on lists of rows; `bench/spans.py` wraps `kron`, `mat_add` and
-`mat_mul` by name, so deleting one breaks its traced run.
+difference row.  Inclusion-exclusion calls the dense `kron` and `mat_add` on
+lists of rows; `bench/spans.py` wraps `kron`, `mat_add` and `mat_mul` by name,
+so deleting one breaks its traced run.
 """
 
 import math
@@ -12,10 +12,6 @@ import math
 
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_mul(a, b):

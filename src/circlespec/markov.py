@@ -313,10 +313,11 @@ def rel_indep_extension(lam: Coupling, factor: FactorStructure) -> Coupling:
 
 
 def _expectation_nums(factor: FactorStructure, den: int) -> list[list[int]]:
-    """The conditional expectation as dense integer rows over `den`, a multiple of the `columns` denominator."""
+    """The conditional expectation as dense integer rows over `den`, a signed multiple of the
+    `columns` denominator; full points with one sub-product point share its row, never changed."""
     sub, weight, columns_den = factor.columns
     rows = {r: [w * (den // columns_den) if s == r else 0 for s, w in zip(sub, weight)] for r in set(sub)}
-    return [rows[r][:] for r in sub]  # one row per sub-product point, copied per full point
+    return [rows[r] for r in sub]
 
 
 def conditional_expectation_matrix(factor: FactorStructure) -> list[list[Fraction]]:
@@ -405,20 +406,22 @@ def inclusion_exclusion_identity(
     matrix_cap: int = Caps.matrix,
 ) -> dict:
     """Check, entry by entry, that the projection onto functions depending on
-    all coordinates complements the sub-product projections with alternating
-    signs, and check the dimension count it forces.
+    all coordinates is the signed sum of all the sub-product projections, and
+    check the dimension count it forces.
 
     With q_i the mean projection on component i and p_T the projection onto
-    functions of the coordinates in T (p_empty = projection onto constants):
+    functions of the coordinates in T (p_empty = projection onto constants,
+    p_T = Id when T holds every component):
 
-        Id - tensor_i (Id - q_i) = sum_{k=0}^{n-1} (-1)^(n-k-1) sum_{|T|=k} p_T
+        tensor_i (Id - q_i) = sum_{k=0}^{n} (-1)^(n-k) sum_{|T|=k} p_T
 
     and on dimensions:  prod d_i - 1 = sum over non-empty S of prod_{i in S} (d_i - 1).
 
     Each probability row is validated as a `FiniteSpace`.  Both sides are
     integer matrices over the product D of the components' denominators D_i:
-    a Kronecker chain of the factors D_i·Id - D_i·q_i on the left, each p_T
-    read off `FactorStructure(spaces, T).columns` on the right.  The cap
+    a Kronecker chain of the factors D_i·Id - D_i·q_i on the left; on the
+    right, all 2^n terms, each p_T read off `FactorStructure(spaces, T).columns`
+    over the signed (-1)^(n-|T|)·D and added by `linalg.mat_add`.  The cap
     bounds their work by (2^n - 1)·n·total² entries against 256·matrix_cap.
     """
     dims = _checked_dims(dims)
@@ -433,13 +436,11 @@ def inclusion_exclusion_identity(
     den = math.prod(c.den for c in spaces)
     factors = [[[(c.den if r == s else 0) - w for s, w in enumerate(c.nums)] for r in range(c.size)] for c in spaces]
     chain = reduce(linalg.kron, factors)  # tensor_i (D_i·Id - D_i·q_i)
-    lhs = [[(den if r == s else 0) - x for s, x in enumerate(row)] for r, row in enumerate(chain)]
     rhs = [[0] * total for _ in range(total)]
-    for k in range(n):
-        accumulate = linalg.mat_add if (n - k) % 2 else linalg.mat_sub  # sign (-1)^(n-k-1)
+    for k in range(n + 1):
         for T in itertools.combinations(range(n), k):
-            rhs = accumulate(rhs, _expectation_nums(FactorStructure(spaces, T), den))
-    matrix_identity = lhs == rhs
+            rhs = linalg.mat_add(rhs, _expectation_nums(FactorStructure(spaces, T), (-1) ** (n - k) * den))
+    matrix_identity = chain == rhs
 
     dim_report = dimension_identity(dims)
     return {

@@ -272,6 +272,23 @@ def test_markov_scales_to_integers_in_one_helper():
     assert sum(map(is_lcm, ast.walk(tree))) == 1
 
 
+def test_markov_reaches_linalg_only_through_kron_and_mat_add():
+    """Inclusion-exclusion adds every signed term with `mat_add`: `markov`
+    names no other `linalg` function and imports none by name, and `linalg`
+    defines no `mat_sub`."""
+    src = Path(circlespec.__file__).parent
+    tree = ast.parse((src / "markov.py").read_text(encoding="utf-8"))
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "linalg"
+    }
+    assert used == {"kron", "mat_add"}
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "circlespec.linalg"]
+    linalg_tree = ast.parse((src / "linalg.py").read_text(encoding="utf-8"))
+    assert "mat_sub" not in {node.name for node in ast.walk(linalg_tree) if isinstance(node, ast.FunctionDef)}
+
+
 def test_rank_takes_integer_rows_as_they_are():
     """`linalg.rank` scales no row into integers and divides out no content:
     it names neither `Fraction` nor `lcm`, and each `gcd` it takes is of

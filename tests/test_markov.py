@@ -359,8 +359,19 @@ def dense_identity(n):
     return [[F(int(i == j)) for j in range(n)] for i in range(n)]
 
 
+def dense_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def dense_combine(a, b, sign):
+    """a + sign·b, entry by entry."""
+    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def dense_inclusion_exclusion(probs):
-    """Both sides of the identity as dense Fraction matrices."""
+    """Both sides of the two-sided form Id - ⊗(Id - q_i) = Σ_{|T|<n} (-1)^(n-|T|-1)·p_T
+    as dense Fraction matrices, with Kronecker products, differences and sums
+    built here, so that the reference shares no kernel with `linalg`."""
     n = len(probs)
     eyes = [dense_identity(len(p)) for p in probs]
     means = [[list(p)] * len(p) for p in probs]
@@ -368,17 +379,16 @@ def dense_inclusion_exclusion(probs):
     def chain(factors):
         out = [[F(1)]]
         for f in factors:
-            out = linalg.kron(out, f)
+            out = dense_kron(out, f)
         return out
 
     total = len(chain(eyes))
-    lhs = linalg.mat_sub(dense_identity(total), chain([linalg.mat_sub(e, m) for e, m in zip(eyes, means)]))
+    lhs = dense_combine(dense_identity(total), chain([dense_combine(e, m, -1) for e, m in zip(eyes, means)]), -1)
     rhs = [[F(0)] * total for _ in range(total)]
     for k in range(n):
         for T in itertools.combinations(range(n), k):
             term = chain([eyes[i] if i in T else means[i] for i in range(n)])
-            sign = (-1) ** (n - k - 1)
-            rhs = linalg.mat_add(rhs, [[sign * x for x in row] for row in term])
+            rhs = dense_combine(rhs, term, (-1) ** (n - k - 1))
     return lhs, rhs
 
 
@@ -388,6 +398,23 @@ def test_inclusion_exclusion_with_coprime_large_denominators():
     assert lhs == rhs
     rep = inclusion_exclusion_identity([2, 3, 2], probs)
     assert rep["matrix_identity"] and rep["passed"]
+
+
+@st.composite
+def weighted_components(draw):
+    """Dims and probability rows of 1-4 components of 1-3 points, each row
+    drawn as positive integer weights over their sum."""
+    weights = draw(st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=3), min_size=1, max_size=4))
+    return [len(w) for w in weights], [[F(x, sum(w)) for x in w] for w in weights]
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_components())
+def test_inclusion_exclusion_holds_on_drawn_components(case):
+    dims, probs = case
+    assert inclusion_exclusion_identity(dims, probs)["matrix_identity"]
+    lhs, rhs = dense_inclusion_exclusion(probs)
+    assert lhs == rhs
 
 
 def test_inclusion_exclusion_check_is_live(monkeypatch):

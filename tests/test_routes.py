@@ -103,6 +103,12 @@ def _double_modulus(self, *args, init=_PackedCodec.__init__):
     self.modulus *= 2
 
 
+def _full_product_left_out(factor, den, original=markov._expectation_nums):
+    """The expectation rows, but all zero for the term that selects every component (p_T = Id)."""
+    rows = original(factor, den)
+    return rows if len(factor.selected) < len(factor.components) else [[0] * len(row) for row in rows]
+
+
 # (criterion, fault) -> the patch that injects the fault.  `suite` imports its
 # engines by name, so a fault in a criterion's own call is patched on `suite`.
 CAUGHT = {
@@ -133,6 +139,7 @@ CAUGHT = {
     ("markov-identities", "linalg.kron blocks in the wrong order"): (
         linalg, "kron", lambda a, b, kron=linalg.kron: kron(b, a)
     ),
+    ("markov-identities", "the full-product term left out"): (markov, "_expectation_nums", _full_product_left_out),
 }
 
 # (criterion, fault) -> (the patch, why no criterion catches it)
