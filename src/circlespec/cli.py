@@ -105,7 +105,7 @@ def _cmd_multiplicity(args):
             images = json.loads(args.group)
         except (ValueError, RecursionError):
             images = None
-        if not (isinstance(images, list) and images and all(isinstance(im, list) for im in images)):
+        if not (isinstance(images, list) and all(isinstance(im, list) for im in images)):
             raise ValueError(f"--group must be {', '.join(named)} or a JSON list of image lists")
         G = PermSubgroup(n, [Perm(im) for im in images])
     rep = multiplicity(sigma, n, G, args.tuple_cap)
@@ -130,13 +130,8 @@ def _cmd_cs_criterion(args):
 
 
 def _cmd_cs_min_m(args):
-    rep = minimal_m_for_cs(args.k, args.m_cap)
-    if not rep["found"]:
-        raise EnumerationCapError(
-            f"no level m <= {args.m_cap} satisfies the criterion for k={args.k}; "
-            f"sequence so far: {', '.join(rep['sequence'])}"
-        )
-    return True, rep, None
+    """The search ends at the least m, or exits 2 at the first term past the digit limit."""
+    return True, minimal_m_for_cs(args.k), None
 
 
 def _cmd_translate_singular(args):
@@ -260,7 +255,7 @@ COMMANDS = (
     (("cs-criterion",), "group order vs tensor multiplicity inequality",
      (_required("--k"), _required("--m"), _required("--n")), _cmd_cs_criterion),
     (("cs-min-m",), "least level m with (m!)^(k+1) (k!)^m > (mk)!",
-     (_required("--k"), _int("--m-cap", 64)), _cmd_cs_min_m),
+     (_required("--k"),), _cmd_cs_min_m),
     (("translate-singular",), "singularity of a convolution power against a translated one", (
         _TUPLE_CAP,
         _MEASURE,

@@ -572,26 +572,20 @@ def cs_criterion(k: int, m: int, n: int) -> dict:
     }
 
 
-def minimal_m_for_cs(k: int, m_cap: int = 64) -> dict:
+def minimal_m_for_cs(k: int) -> dict:
     """Smallest m with a_m = (m!)^(k+1) (k!)^m / (mk)! > 1, with the full
     exact sequence of a_m values computed along the way.  a_m is the ratio
-    of the two integers of `cs_criterion(k, m, k + 1)`, which admits them."""
-    require_positive(k=k, m_cap=m_cap)
-    sequence: list[Fraction] = []
-    found = None
-    for m in range(1, m_cap + 1):
+    of the two integers of `cs_criterion(k, m, k + 1)`, whose digit admission
+    is the search's only other end.  log a_m grows like m log m, so the search
+    ends for every k: under the default limit of 4300 digits, k <= 6 is found
+    (m = 156 at k = 6) and every k >= 7 is refused."""
+    require_positive(k=k)
+    sequence: list[str] = []
+    for m in itertools.count(1):
         rep = cs_criterion(k, m, k + 1)
-        sequence.append(Fraction(rep["group_order"], rep["tensor_multiplicity"]))
+        sequence.append(str(Fraction(rep["group_order"], rep["tensor_multiplicity"])))
         if rep["holds"]:
-            found = m
-            break
-    return {
-        "conv_power": k,
-        "m": found,
-        "found": found is not None,
-        "m_cap": m_cap,
-        "sequence": [str(a) for a in sequence],
-    }
+            return {"conv_power": k, "m": m, "sequence": sequence}
 
 
 # -- translate singularity and the non-simple construction ---------------------

@@ -5,11 +5,14 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 
 import pytest
 
+import circlespec
 from circlespec import markov, measure_to_json, suite
 from circlespec.cli import _params, build_parser, main
 
@@ -77,9 +80,29 @@ def test_cs_min_m_reference_output():
     assert env["report"]["sequence"] == ["1", "2"]
 
 
-def test_cs_min_m_cap_is_exit_2(capsys):
-    assert main(["cs-min-m", "--k", "3", "--m-cap", "3"]) == 2
-    assert "cap" in capsys.readouterr().err
+def test_cs_min_m_finds_m_156_at_k_6():
+    code, env = run_json(["cs-min-m", "--k", "6"])
+    assert code == 0
+    assert env["report"]["m"] == 156 and len(env["report"]["sequence"]) == 156
+
+
+# The digit admission is the search's only end besides the least m.
+def test_cs_min_m_has_no_m_cap_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cs-min-m", "--k", "3", "--m-cap", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --m-cap" in capsys.readouterr().err
+
+
+def test_cs_min_m_at_k_7_exits_2_with_one_line_fast():
+    start = time.perf_counter()
+    src = os.path.dirname(os.path.dirname(circlespec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "circlespec.cli", "cs-min-m", "--k", "7"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 0.5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "cap exceeded: 4317 digits of the tensor multiplicity (mk)!/(k!)^m exceed the cap 4300\n"
 
 
 def test_translate_singular_identity_same_level_fails():
@@ -478,7 +501,13 @@ def test_non_positive_power_is_exit_2_before_any_group_is_built(power, group, ca
     assert f"power must be an int >= 1, got {power}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("gens", ["[1]", '[["a",0]]', "[[1.0,0.0]]", "[[true,false]]"])
+def test_empty_generator_list_is_the_trivial_group():
+    reports = [run_json(["multiplicity", "--atoms", "3", "--power", "2", "--group", g]) for g in ("[]", "trivial")]
+    assert reports[0][0] == reports[1][0] == 0
+    assert reports[0][1]["report"] == reports[1][1]["report"]
+
+
+@pytest.mark.parametrize("gens", ["[1]", '[["a",0]]', "[[1.0,0.0]]", "[[true,false]]", "[[]]", "{}"])
 def test_malformed_gens_is_exit_2(gens, capsys):
     assert main(["multiplicity", "--atoms", "3", "--power", "2", "--group", gens]) == 2
     assert "input error" in capsys.readouterr().err
@@ -496,7 +525,7 @@ MATRIX_CAP = {"matrix_cap": 4096}
         (["sym-krot"], ["--k", "1", "--m", "2"], {**TUPLE_CAP, **MATRIX_CAP, "k": 1, "m": 2}),
         (["fock-set"], [], {**TUPLE_CAP, "atoms": 8, "k": 2, "max_m": 4}),
         (["cs-criterion"], ["--k", "1", "--m", "2", "--n", "2"], {"k": 1, "m": 2, "n": 2}),
-        (["cs-min-m"], ["--k", "1"], {"k": 1, "m_cap": 64}),
+        (["cs-min-m"], ["--k", "1"], {"k": 1}),
         (["translate-singular"], ["--n", "1", "--m", "2"], {**TUPLE_CAP, "m": 2, "n": 1, "shift": "fresh"}),
         (["nonsimple"], [], {**TUPLE_CAP, "shift": "fresh"}),
         (["girsanov"], [], {**TUPLE_CAP, "n": 2}),

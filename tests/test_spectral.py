@@ -823,16 +823,23 @@ def test_cs_criterion_examples():
 
 def test_minimal_m_for_cs_reference_values():
     for k, want in ((1, 2), (2, 2), (3, 5)):
-        rep = minimal_m_for_cs(k)
-        assert rep["found"] and rep["m"] == want
+        assert minimal_m_for_cs(k)["m"] == want
     assert minimal_m_for_cs(2)["sequence"][1] == "4/3"
     assert minimal_m_for_cs(1)["sequence"] == ["1", "2"]
 
 
-def test_minimal_m_for_cs_respects_cap():
-    rep = minimal_m_for_cs(3, m_cap=3)
-    assert not rep["found"]
-    assert len(rep["sequence"]) == 3
+# The search ends at the least m or at the first term past the digit limit.
+@pytest.mark.parametrize("k", range(1, 13))
+def test_minimal_m_for_cs_matches_a_plain_integer_search_or_refuses(k):
+    try:
+        m = minimal_m_for_cs(k)["m"]
+    except EnumerationCapError:
+        m = None
+    plain = next(
+        (j for j in range(1, 201) if math.factorial(j) ** (k + 1) * math.factorial(k) ** j > math.factorial(j * k)),
+        None,
+    )
+    assert m == plain
 
 
 def test_translate_singularity_matrix():
