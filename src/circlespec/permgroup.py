@@ -125,6 +125,7 @@ class PermSubgroup(Immutable):
 
     @classmethod
     def cyclic(cls, n: int) -> "PermSubgroup":
+        admit(n, DEFAULT_DEGREE_CAP, "{} permuted points")  # first: the n-cycle takes n images
         if n < 2:
             return cls.trivial(n)
         return cls(n, [Perm.from_cycle(n, list(range(n)))])

@@ -113,13 +113,15 @@ def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> list[F
 
 
 def _first_nonsimple_fiber(atoms, codec: _PackedCodec, by_key) -> dict | None:
-    """The witness, as reports print it, that one level of `_group_by_product` is
-    not simple: {"eigenvalue", "multisets" as atom names} of its eigenvalue-first
-    product of two or more multisets, or None.  Only the witness's key is decoded."""
+    """The one witness, as every report prints it, that a level of `_group_by_product`
+    is not simple: {"eigenvalue", "multiplicity", "multisets" as atom names}, in that
+    order, of its eigenvalue-first product of two or more multisets, or None.  The only
+    search for a shared product; one pass over the level, and only the witness's key decoded."""
     key = min((key for key, mss in by_key.items() if len(mss) > 1), key=codec.sort_key, default=None)
     if key is None:
         return None
-    return {"eigenvalue": str(codec.point(*codec.sort_key(key))), "multisets": _names(atoms, by_key[key])}
+    eigenvalue, mss = str(codec.point(*codec.sort_key(key))), by_key[key]
+    return {"eigenvalue": eigenvalue, "multiplicity": len(mss), "multisets": _names(atoms, mss)}
 
 
 def _names(atoms, multisets) -> list[list[str]]:
@@ -344,9 +346,9 @@ def check_simplicity_levels(
     """Simplicity level by level, with the downward-monotonicity check:
     a simple level k forces simplicity at every level below it.  One grouping
     call packs levels 1..max_level, and each level's witness is built once
-    (`_first_nonsimple_fiber`): a level is simple when it has none, and a
-    violation prints the lower level's witness.  The grouping admits the atoms
-    of every level, level by level, before any level runs."""
+    (`_first_nonsimple_fiber`): a level is simple when it has none, and a violation
+    carries the lower level's witness as it comes back.  The grouping admits the
+    atoms of every level, level by level, before any level runs."""
     require_positive(**{"max level": max_level})
     atoms, codec, groups = _group_by_product(sigma, range(1, max_level + 1), tuple_cap=tuple_cap)
     witnesses = [_first_nonsimple_fiber(atoms, codec, by_key) for by_key in groups]
@@ -374,18 +376,12 @@ def _level_counts(
     each distinct total reduced to its key, undecoded.  The totals of m are the level-km
     groups of one grouping call, as each km-multiset totals its sorted runs of k; one is
     generic when its atoms are distinct; the ms run consecutively, so the engine admits one lazy range.
-    A shared product means a non-generic base: a caller error, named by its first repeat in
-    lexicographic order at the top level (a repeat at level j repeats above it), the one key
-    decoded.  The caller admits the selections."""
+    A shared product means a non-generic base: a caller error, named by the top level's witness
+    (`_first_nonsimple_fiber`; a repeat at level j repeats above it).  The caller admits the selections."""
     atoms, codec, groups = _group_by_product(sigma, range(k * ms[0], k * ms[-1] + 1, k), tuple_cap=tuple_cap)
-    top = groups[-1]
-    shared = [(mss[1], key) for key, mss in top.items() if len(mss) > 1]
-    if shared:
-        b, key = min(shared)
-        raise RuntimeError(
-            f"base measure is not generic: totals {top[key][0]} and {b} share product "
-            f"{codec.point(*codec.sort_key(key))}"
-        )
+    if witness := _first_nonsimple_fiber(atoms, codec, groups[-1]):
+        message = "base measure is not generic: {multiplicity} multisets {multisets} share product {eigenvalue}"
+        raise RuntimeError(message.format(**witness))
     levels = [sum(c) for c in itertools.combinations_with_replacement(map(codec.key, atoms), k)]
     out = []
     for m, by_key in zip(ms, groups):
@@ -628,7 +624,8 @@ def nonsimple_counterexample(
     are far from singular, and any two base atoms x, y give one eigenvalue
     x*y*a realized by the two distinct multisets {x, y*a} and {x*a, y}.
     With a single base atom x there is no such pair, and the symmetric square
-    is simple unless a^2 = 1, when {x, x} and {x*a, x*a} share x^2."""
+    is simple unless a^2 = 1, when {x, x} and {x*a, x*a} share x^2.  The witness
+    is level 2's `_first_nonsimple_fiber`, printed as it comes back."""
     if len(sigma) < 1:
         raise ValueError("base measure must have at least one atom")
     if a.is_identity:
@@ -650,9 +647,7 @@ def nonsimple_counterexample(
         "overlap": [str(p) for p in overlap],
         "translate_not_singular": bool(overlap),
         "simple_level_2": witness is None,
-        "witness": witness and {  # keys in the order the table prints them
-            "eigenvalue": witness["eigenvalue"], "multiplicity": len(witness["multisets"]), **witness
-        },
+        "witness": witness,
         "note": None if witness else "needs at least 2 base atoms for a second multiset",
         "found": bool(overlap) and witness is not None,
     }

@@ -162,6 +162,29 @@ def test_grouping_callers_leave_admission_to_the_engine():
     assert "admit" in {getattr(node, "id", None) for node in ast.walk(functions["_group_by_product"])}
 
 
+def test_one_search_for_a_shared_product():
+    """`_first_nonsimple_fiber` is the only code in spectral.py that looks for a product of
+    two or more multisets, a `len(...) > 1` comparison, and the level counts' guard calls it."""
+    tree = ast.parse((Path(circlespec.__file__).parent / "spectral.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def shared_product_tests(owner):
+        return [
+            node
+            for node in ast.walk(owner)
+            if isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Call)
+            and getattr(node.left.func, "id", None) == "len"
+            and [type(op) for op in node.ops] == [ast.Gt]
+            and getattr(node.comparators[0], "value", None) == 1
+        ]
+
+    everywhere = shared_product_tests(tree)
+    assert len(everywhere) == 1 and everywhere == shared_product_tests(functions["_first_nonsimple_fiber"])
+    calls = {getattr(node.func, "id", None) for node in ast.walk(functions["_level_counts"]) if isinstance(node, ast.Call)}
+    assert "_first_nonsimple_fiber" in calls
+
+
 def test_caps_are_the_two_user_set_limits():
     assert [(f.name, f.default) for f in dataclasses.fields(Caps)] == [("tuples", 10**7), ("matrix", 4096)]
 

@@ -361,7 +361,8 @@ def test_incl_excl_default_cap_rejects_large_products_fast(dims, capsys):
 # as a running sum that refuses at the first level past the cap, and fock-set
 # charges its selections, C(T+m, m) - 1 for T level atoms, refused first by
 # the bound 2^min(a, b) <= C(a+b, b) where computing them would be slow.
-# Each of the last nine rows once ran, or took seconds before it refused.
+# Every named group admits its degree before it builds a generator.
+# Each of the last ten rows once ran, or took seconds before it refused.
 @pytest.mark.parametrize(
     "argv, err",
     [
@@ -380,6 +381,8 @@ def test_incl_excl_default_cap_rejects_large_products_fast(dims, capsys):
          "100000000 atoms in the multisets up to level 100000000 of 1 atoms exceed the cap 10000000"),
         ("girsanov --atoms 1 --n 100000000",
          "100000001 atoms in the multisets up to level 100000000 of 1 atoms exceed the cap 10000000"),
+        ("multiplicity --atoms 1 --power 30000000 --group trivial", "30000000 permuted points exceed the cap 8"),
+        ("multiplicity --atoms 1 --power 30000000 --group symmetric", "30000000 permuted points exceed the cap 8"),
         ("vproste --atoms 3 --max-level 10000000",
          "10394520 atoms in the multisets up to level 94 of 3 atoms exceed the cap 10000000"),
         ("vproste --atoms 1 --max-level 100000000",
@@ -395,6 +398,7 @@ def test_incl_excl_default_cap_rejects_large_products_fast(dims, capsys):
         ("krot --k 200000 --m 1 --atoms 200000", "200000 permuted points exceed the cap 8"),
         ("fock-set --k 2 --max-m 1000000 --atoms 1000",
          "at least 33554431 level multisets up to level 1000000 exceed the cap 10000000"),
+        ("multiplicity --atoms 1 --power 30000000 --group cyclic", "30000000 permuted points exceed the cap 8"),
     ],
 )
 def test_level_caps_reject_before_any_level_runs(argv, err, capsys):

@@ -126,7 +126,11 @@ def test_block_groups_reject_empty_blocks(block_group, block_size, blocks):
         block_group(block_size, blocks)
 
 
-@pytest.mark.parametrize("block_group", [contiguous_block_group, wreath_block_group])
+@pytest.mark.parametrize(
+    "block_group",
+    [contiguous_block_group, wreath_block_group, lambda size, blocks: PermSubgroup.cyclic(size * blocks)],
+    ids=["contiguous_block_group", "wreath_block_group", "cyclic"],
+)
 def test_block_groups_admit_the_degree_before_building_generators(block_group, monkeypatch):
     def forbidden(*args):
         raise AssertionError("a generator was built before the degree was admitted")

@@ -656,26 +656,28 @@ def test_level_counts_guard_fires_exactly_on_shared_products(route, select, mu, 
 def reference_level_counts(sigma, k, m, select):
     """An independent level count: each total base multiset is a count vector
     with one base-(km+1) digit per atom, unpacked into a digit list per total.
-    Its guard reports the first repeated product met in lexicographic order."""
+    Its guard names the shared product that sorts first, with the atoms of its
+    totals in lexicographic index order."""
     atoms = sigma.support()
     radix = k * m + 1
     powers = [radix**i for i in range(len(atoms))]
     codec = _PackedCodec(atoms, k * m)
     base = [codec.key(p) for p in atoms]
     vectors = [sum(c) for c in itertools.combinations_with_replacement(powers, k)]
-    by_key = {}  # product key -> (count, digits of the total)
+    by_key = {}  # product key -> [(count, digits of the total)]
     for total, count in Counter(map(sum, select(vectors, m))).items():
         digits = [total // p % radix for p in powers]
-        key = codec.product(map(operator.mul, digits, base))
-        if key in by_key:
-            a, b = (tuple(i for i, c in enumerate(ds) for _ in range(c)) for ds in (by_key[key][1], digits))
-            raise RuntimeError(
-                f"base measure is not generic: totals {a} and {b} share product "
-                f"{codec.point(*codec.sort_key(key))}"
-            )
-        by_key[key] = (count, digits)
+        by_key.setdefault(codec.product(map(operator.mul, digits, base)), []).append((count, digits))
+    shared = sorted(codec.sort_key(key) + (key,) for key, totals in by_key.items() if len(totals) > 1)
+    if shared:
+        r, pairs, key = shared[0]
+        totals = sorted(tuple(i for i, c in enumerate(ds) for _ in range(c)) for _, ds in by_key[key])
+        names = [[str(atoms[i]) for i in ms] for ms in totals]
+        raise RuntimeError(
+            f"base measure is not generic: {len(totals)} multisets {names} share product {codec.point(r, pairs)}"
+        )
     out = {"entries": {}, "generic": {}, "degenerate": {}}
-    for eig, (count, digits) in codec.ordered(by_key.items()):
+    for eig, [(count, digits)] in codec.ordered(by_key.items()):
         out["entries"][eig] = count
         out["generic" if max(digits) <= 1 else "degenerate"][eig] = count
     return out
@@ -704,12 +706,12 @@ def test_level_counts_match_the_count_vector_reference(select, mu, k, m):
 
 
 @pytest.mark.parametrize("route, select", LEVEL_ROUTES)
-def test_level_count_guard_names_the_first_repeat_in_lexicographic_order(route, select):
-    # support order 1, g1, 1/2, 1/2 g1: 1*1 = (1/2)*(1/2) holds the first multiset,
-    # but 1 * (1/2 g1) = g1 * (1/2) repeats first, as (1, 2) < (2, 2)
+def test_level_count_guard_names_the_eigenvalue_first_witness(route, select):
+    # support order 1, g1, 1/2, 1/2 g1: 1 * (1/2 g1) = g1 * (1/2) repeats first in
+    # lexicographic order, but 1*1 = (1/2)*(1/2) is the product that sorts first
     half, g1 = CirclePoint(Fraction(1, 2)), CirclePoint.generator(1)
     mu = AtomicMeasure({p: 1 for p in (CirclePoint(), g1, half, half * g1)})
-    message = r"^base measure is not generic: totals \(0, 3\) and \(1, 2\) share product 1/2 \* g1\^1$"
+    message = r"^base measure is not generic: 2 multisets \[\['1', '1'\], \['1/2', '1/2'\]\] share product 1$"
     with pytest.raises(RuntimeError, match=message):
         reference_level_counts(mu, 1, 2, select)
     with pytest.raises(RuntimeError, match=message):
@@ -721,9 +723,12 @@ def test_level_counts_reject_non_generic_base(route):
     g0, g1 = CirclePoint.generator(0), CirclePoint.generator(1)
     # support order g0, g0^2 g1^-1, g1: the level atoms g0*g0 and g1*(g0^2 g1^-1) collide
     mu = AtomicMeasure({g0: 1, g1: 1, g0 * g0 * g1.inverse(): 1})
-    for m in (1, 2):
-        with pytest.raises(RuntimeError, match=r"totals \(0, 0(, 0, 0)?\) and \((0, 0, )?1, 2\)"):
+    # level 2: g0^2 is reached by [g0^1, g0^1] and [g0^2 * g1^-1, g1^1]; level 4: g0^2 * g1^2 sorts first
+    for m, eig in ((1, r"g0\^2"), (2, r"g0\^2 \* g1\^2")):
+        with pytest.raises(RuntimeError, match=rf"^base measure is not generic: 2 multisets .* share product {eig}$"):
             route(mu, 2, m)
+    with pytest.raises(RuntimeError, match=r"\[\['g0\^1', 'g0\^1'\], \['g0\^2 \* g1\^-1', 'g1\^1'\]\]"):
+        route(mu, 2, 1)
     # x*y = z*w
     with pytest.raises(RuntimeError, match="not generic"):
         route(designed_relation_measure(), 1, 2)
@@ -740,7 +745,8 @@ def test_level_counts_of_several_levels_are_each_level_alone(select):
         assert decoded == decoded_level_counts(sigma, 2, m, select)
     g0, g1 = CirclePoint.generator(0), CirclePoint.generator(1)
     mu = AtomicMeasure({g0: 1, g1: 1, g0 * g0 * g1.inverse(): 1})  # g0*g0 = g1*(g0^2 g1^-1) at level 1
-    with pytest.raises(RuntimeError, match=r"totals \(0, 0, 0, 0\) and \(0, 0, 1, 2\)"):
+    top = r"\[\['g0\^1', 'g0\^1', 'g1\^1', 'g1\^1'\], \['g0\^2 \* g1\^-1', 'g1\^1', 'g1\^1', 'g1\^1'\]\]"
+    with pytest.raises(RuntimeError, match=rf"^base measure is not generic: 2 multisets {top} share product g0\^2 \* g1\^2"):
         _level_counts(mu, 2, (1, 2), select)
 
 
@@ -1006,6 +1012,7 @@ def reference_simplicity_levels(mu, max_level):
         if bad:
             witnesses[j] = {
                 "eigenvalue": str(bad[0].eigenvalue),
+                "multiplicity": len(bad[0].index_multisets),
                 "multisets": [[str(mu.support()[i]) for i in ms] for ms in bad[0].index_multisets],
             }
     violations = [
