@@ -105,7 +105,9 @@ class CirclePoint(Immutable):
 
     @classmethod
     def generator(cls, index: int, exponent: int = 1) -> "CirclePoint":
-        return cls(_ZERO, ((index, exponent),))
+        if type(index) is int and index >= 0 and type(exponent) is int:  # bool is no int here
+            return cls._canonical(_ZERO, ((index, exponent),) if exponent else ())
+        return cls(_ZERO, ((index, exponent),))  # the constructor names the bad value
 
     @property
     def is_identity(self) -> bool:
@@ -189,7 +191,8 @@ class _PackedCodec:
     of up to n points has its generic part inside (-M/2, M/2), M = 2^(w*g + 17)
     for g generators, below the rotation digit: equal products have equal keys,
     and a negated key is the inverse's key.  `sort_key` takes one step per
-    nonzero digit; `ordered` sorts on integer keys and decodes each once."""
+    nonzero digit; `ordered` sorts on integer keys and decodes each once.  Two
+    codecs are equal when they pack alike: same L, digit width w and generators."""
 
     __slots__ = ("L", "M", "modulus", "w", "gens", "step", "inverse", "digit", "fractions")
 
@@ -205,6 +208,11 @@ class _PackedCodec:
         self.inverse = [pow(u, -1, 1 << self.w) for u in odd]
         self.digit = dict(zip(self.gens, self.step))
         self.fractions: dict[int, Fraction] = {}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _PackedCodec):
+            return NotImplemented
+        return (self.L, self.w, self.gens) == (other.L, other.w, other.gens)
 
     def key(self, p: CirclePoint) -> int:
         scaled = p.rational.numerator * (self.L // p.rational.denominator)

@@ -1,7 +1,5 @@
-"""Shared exception types, the immutable value base, the enumeration caps
+"""Shared exception types, the immutable value bases, the enumeration caps
 and their admission rule, and the positive-int check."""
-
-from dataclasses import dataclass
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -24,12 +22,41 @@ class Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-@dataclass(frozen=True)
-class Caps:
-    """The two user-set limits: enumerated tuples and the rank route's matrix dimension."""
+class Record(Immutable):
+    """Base of the immutable records: a record equals one of its own class
+    whose `_fields` are equal, and hashes and shows as those fields."""
 
-    tuples: int = 10**7
-    matrix: int = 4096
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+
+class Caps(Record):
+    """The two user-set limits: enumerated tuples and the rank route's matrix
+    dimension.  The class attributes are the defaults, which default arguments
+    read as `Caps.tuples` and `Caps.matrix`."""
+
+    _fields = ("tuples", "matrix")
+    tuples = 10**7
+    matrix = 4096
+
+    def __init__(self, tuples: int = tuples, matrix: int = matrix):
+        object.__setattr__(self, "tuples", tuples)
+        object.__setattr__(self, "matrix", matrix)
 
 
 def admit(asked: int, limit: int, what: str) -> None:

@@ -37,13 +37,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from circlespec import linalg
-from circlespec.errors import Caps, Immutable, admit
+from circlespec.errors import Caps, Immutable, Record, admit
 
 
 def _fractions(values: Iterable) -> tuple[Fraction, ...]:
@@ -240,24 +239,24 @@ def coupling_from_markov(phi: MarkovOp) -> Coupling:
     return Coupling._canonical(phi.source, phi.target, nums, phi.den * phi.target.den)
 
 
-@dataclass(frozen=True)
-class FactorStructure:
+class FactorStructure(Record):
     """A product of component spaces with a chosen sub-product: the selected
     component indices, strictly increasing.  The empty selection is the
     trivial factor: its sub-product is the product of no spaces, one point.
     `columns` holds (indices, numerators, denominator): per full point, in
     product order, its sub-product index and its unselected probabilities' product."""
 
-    components: tuple[FiniteSpace, ...]
-    selected: tuple[int, ...]
+    _fields = ("components", "selected")
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components: tuple[FiniteSpace, ...], selected: tuple[int, ...]):
+        if not components:
             raise ValueError("factor structure needs at least one component")
-        if list(self.selected) != sorted(set(self.selected)):
+        if list(selected) != sorted(set(selected)):
             raise ValueError("selected indices must be strictly increasing")
-        if any(not 0 <= i < len(self.components) for i in self.selected):
+        if any(not 0 <= i < len(components) for i in selected):
             raise ValueError("selected index out of range")
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "selected", selected)
 
     @cached_property
     def full_space(self) -> FiniteSpace:

@@ -16,12 +16,11 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
 from circlespec.circle import CirclePoint, GeneratorAllocator, _PackedCodec, parse_fraction
-from circlespec.errors import Caps, Immutable, MeasureFormatError, admit, require_positive
+from circlespec.errors import Caps, Immutable, MeasureFormatError, Record, admit, require_positive
 
 WeightPairs = Union[Mapping[CirclePoint, Fraction], Iterable[Tuple[CirclePoint, Fraction]]]
 
@@ -41,7 +40,7 @@ class AtomicMeasure(Immutable):
         for p, w in pairs:
             if not isinstance(p, CirclePoint):
                 raise ValueError(f"atom must be a CirclePoint, got {p!r}")
-            w = Fraction(w)
+            w = w if type(w) is Fraction else Fraction(w)
             acc[p] = acc[p] + w if p in acc else w
         for p, w in acc.items():
             if w <= 0:
@@ -104,14 +103,16 @@ def generic_measure(d: int, allocator: GeneratorAllocator | None = None) -> Atom
     return AtomicMeasure(((allocator.fresh_point(), w) for _ in range(d)))
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """A multiplicative relation among distinct atoms: prod atoms[i]^exponents[i]
     equals `constant`, a point with empty generic part."""
 
-    atoms: tuple[CirclePoint, ...]
-    exponents: tuple[int, ...]
-    constant: CirclePoint
+    __slots__ = _fields = ("atoms", "exponents", "constant")
+
+    def __init__(self, atoms: tuple[CirclePoint, ...], exponents: tuple[int, ...], constant: CirclePoint):
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "constant", constant)
 
     def __str__(self) -> str:
         lhs = " * ".join(f"({a})^{e}" for a, e in zip(self.atoms, self.exponents))

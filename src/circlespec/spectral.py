@@ -26,14 +26,13 @@ import itertools
 import math
 import operator
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from circlespec import linalg
 from circlespec.circle import CirclePoint, GeneratorAllocator, _PackedCodec
-from circlespec.errors import Caps, EnumerationCapError, admit, require_positive
+from circlespec.errors import Caps, EnumerationCapError, Immutable, admit, require_positive
 from circlespec.measure import AtomicMeasure, generic_measure, relation_scan
 from circlespec.permgroup import (
     PermSubgroup,
@@ -52,18 +51,17 @@ def _arrangements(pattern: tuple[int, ...]) -> int:
     return math.factorial(sum(pattern)) // math.prod(map(math.factorial, pattern))
 
 
-@dataclass(frozen=True)
-class FiberClass:
+class FiberClass(namedtuple("FiberClass", ("key", "index_multisets"))):
     """The atom multisets over one eigenvalue of the coordinate product.
 
-    `index_multisets` holds the distinct multisets whose product is the
-    eigenvalue, as sorted tuples of indices into `sigma.support()` (canonical
-    order), lexicographically sorted.  The fiber's ordered tuples are their
-    arrangements; `size` counts them by multinomial coefficients.
+    `key` is the eigenvalue's packed key under the codec of the `fibers` call
+    that built the class.  `index_multisets` holds the distinct multisets whose
+    product is the eigenvalue, as sorted tuples of indices into `sigma.support()`
+    (canonical order), lexicographically sorted.  The fiber's ordered tuples are
+    their arrangements; `size` counts them by multinomial coefficients.
     """
 
-    eigenvalue: CirclePoint
-    index_multisets: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -101,15 +99,24 @@ def _group_by_product(
     return atoms, codec, groups
 
 
-def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> list[FiberClass]:
-    """Group the n-multisets of atoms by their product, eigenvalue-sorted.
+class Fibers(list):
+    """The `FiberClass`es of one `fibers` call, with the `codec` that packed their keys."""
 
-    The grouping is `_group_by_product`'s; the codec then sorts the packed
-    keys and decodes each once.  The two multiplicity routes, its only readers, count or
+    __slots__ = ("codec",)
+
+
+def fibers(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> Fibers:
+    """Group the n-multisets of atoms by their product, in grouping order.
+
+    The grouping is `_group_by_product`'s: each class is one packed key and its
+    index multisets, under the engine's codec, which the list carries; nothing is
+    sorted or decoded.  The two multiplicity routes, its only readers, count or
     arrange all d^n ordered tuples, so the cap counts those before the grouping's atoms."""
     admit(len(sigma) ** n, tuple_cap, f"{len(sigma)}^{n} tuples")
     _, codec, (by_key,) = _group_by_product(sigma, (n,), tuple_cap=tuple_cap)
-    return [FiberClass(eig, tuple(mss)) for eig, mss in codec.ordered(by_key.items())]
+    fcs = Fibers(map(FiberClass, by_key, map(tuple, by_key.values())))
+    fcs.codec = codec
+    return fcs
 
 
 def _first_nonsimple_fiber(atoms, codec: _PackedCodec, by_key) -> dict | None:
@@ -129,19 +136,55 @@ def _names(atoms, multisets) -> list[list[str]]:
     return [[str(atoms[i]) for i in ms] for ms in multisets]
 
 
-@dataclass
-class MultiplicityReport:
+class MultiplicityReport(Immutable):
     """Per-eigenvalue multiplicities of a tensor power restricted to the
-    G-invariant subspace, with the generic/degenerate split made explicit."""
+    G-invariant subspace, with the generic/degenerate split made explicit.
 
-    power: int
-    group: dict
-    entries: dict[CirclePoint, int]
-    generic_value: int | None
-    degenerate: list[tuple[CirclePoint, int]]
-    homogeneous_on_generic: bool
-    generic_fiber_count: int
-    total_tuples: int
+    Built from the fibers of one route call and, per fiber, (multiplicity,
+    tuples), tuples being its ordered tuple count as the route counted it (they
+    total d^n).  `counts` holds each multiplicity by the packed key of its
+    eigenvalue under `codec`, in the fibers' grouping order, and the routes are
+    compared on it.  `entries` ({eigenvalue: multiplicity}) and `degenerate`
+    ([(eigenvalue, multiplicity)] of the non-generic fibers) are views, sorted
+    by eigenvalue and decoded on first read; `to_json_obj` and `to_table` print them."""
+
+    __slots__ = (
+        "power", "group", "codec", "counts", "generic_value", "homogeneous_on_generic",
+        "generic_fiber_count", "total_tuples", "_degenerate_keys", "_views",
+    )
+
+    def __init__(self, power: int, group: PermSubgroup, fcs: Fibers, classified):
+        counts, degenerate, generic_values, total = {}, set(), [], 0
+        for fc, (mult, tuples) in zip(fcs, classified):
+            counts[fc.key] = mult
+            total += tuples
+            if fc.is_generic:
+                generic_values.append(mult)
+            else:
+                degenerate.add(fc.key)
+        generic_value, homogeneous = _generic_summary(generic_values)
+        fields = (
+            power, group.describe(), fcs.codec, counts, generic_value, homogeneous, len(generic_values), total,
+            degenerate, None,
+        )
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _decoded(self) -> tuple[dict[CirclePoint, int], list[tuple[CirclePoint, int]]]:
+        if self._views is None:
+            decoded = self.codec.ordered((key, key) for key in self.counts)  # (eigenvalue, key), eigenvalue-sorted
+            entries = {eig: self.counts[key] for eig, key in decoded}
+            degenerate = [(eig, self.counts[key]) for eig, key in decoded if key in self._degenerate_keys]
+            object.__setattr__(self, "_views", (entries, degenerate))
+        return self._views
+
+    @property
+    def entries(self) -> dict[CirclePoint, int]:
+        return self._decoded()[0]
+
+    @property
+    def degenerate(self) -> list[tuple[CirclePoint, int]]:
+        return self._decoded()[1]
 
     def to_json_obj(self) -> dict:
         return {
@@ -178,33 +221,6 @@ def _generic_summary(values) -> tuple[int | None, bool]:
     if len(values) == 1:
         return values.pop(), True
     return None, False
-
-
-def _build_report(power: int, group: PermSubgroup, classified) -> MultiplicityReport:
-    """classified: list of (fiber, multiplicity, tuples), tuples being the
-    fiber's ordered tuple count as the route counted it (they total d^n)."""
-    entries: dict[CirclePoint, int] = {}
-    degenerate = []
-    generic_values = []
-    total = 0
-    for fc, mult, tuples in classified:
-        entries[fc.eigenvalue] = mult
-        total += tuples
-        if fc.is_generic:
-            generic_values.append(mult)
-        else:
-            degenerate.append((fc.eigenvalue, mult))
-    generic_value, homogeneous = _generic_summary(generic_values)
-    return MultiplicityReport(
-        power=power,
-        group=group.describe(),
-        entries=entries,
-        generic_value=generic_value,
-        degenerate=degenerate,
-        homogeneous_on_generic=homogeneous,
-        generic_fiber_count=len(generic_values),
-        total_tuples=total,
-    )
 
 
 def _cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -280,8 +296,7 @@ def multiplicity(
     patterns = [[_pattern(ms) for ms in fc.index_multisets] for fc in fcs]
     orbits = _orbit_counts(G.elements, {p for ps in patterns for p in ps})
     tuples = {p: _arrangements(p) for p in orbits}
-    classified = [(fc, sum(map(orbits.get, ps)), sum(map(tuples.get, ps))) for fc, ps in zip(fcs, patterns)]
-    return _build_report(n, G, classified)
+    return MultiplicityReport(n, G, fcs, [(sum(map(orbits.get, ps)), sum(map(tuples.get, ps))) for ps in patterns])
 
 
 def matrix_oracle(
@@ -315,8 +330,8 @@ def matrix_oracle(
     identity = tuple(range(n))
     getters = [operator.itemgetter(*s.images) for s in G.generators if s.images != identity]
     templates: dict[tuple[int, ...], tuple[int, list[tuple[int, int]]]] = {}
-    classified = []
-    for fc in fibers(sigma, n):
+    fcs, classified = fibers(sigma, n), []
+    for fc in fcs:
         rows, size = [], 0
         for ms in fc.index_multisets:
             shape = tuple(map(ms.index, ms))
@@ -328,8 +343,8 @@ def matrix_oracle(
             count, pairs = templates[shape]
             rows += [{i + size: 1, j + size: -1} for i, j in pairs]
             size += count
-        classified.append((fc, size - linalg.rank(rows), size))
-    return _build_report(n, G, classified)
+        classified.append((size - linalg.rank(rows), size))
+    return MultiplicityReport(n, G, fcs, classified)
 
 
 def simple_spectrum(sigma: AtomicMeasure, n: int, tuple_cap: int = Caps.tuples) -> bool:
@@ -409,9 +424,11 @@ def _histogram(values) -> dict[str, int]:
 def _power_report(k: int, m: int, d: int, select, formula: int, G: PermSubgroup, caps: Caps) -> dict:
     """The report fields that the tensor and the symmetric power checks share,
     from "atoms" on, for a generic d-atom measure.  Runs the subgroup-orbit and
-    matrix-rank routes unless their own admission refuses them, compares them
-    per eigenvalue, packed by the level counts' codec, against the partition
-    counts of `select`, and compares the generic value with the closed form."""
+    matrix-rank routes unless their own admission refuses them, and compares
+    each route's packed-key counts with the partition counts of `select` as they
+    are, once the route's codec is shown to pack as the level counts' does (a
+    RuntimeError if not): no key is decoded.  Then compares the generic value
+    with the closed form."""
     sigma = generic_measure(d)
     codec, (counts,) = _level_counts(sigma, k, (m,), select, caps.tuples)
     n = k * m
@@ -424,7 +441,9 @@ def _power_report(k: int, m: int, d: int, select, formula: int, G: PermSubgroup,
         except EnumerationCapError:
             route_reports[name] = {"ran": False}
             continue
-        matches = {codec.key(eig): mult for eig, mult in rep.entries.items()} == counts["entries"]
+        if rep.codec != codec:
+            raise RuntimeError(f"the {name} packs its keys unlike the level counts")
+        matches = rep.counts == counts["entries"]
         route_reports[name] = {
             "ran": True,
             "generic_value": rep.generic_value,

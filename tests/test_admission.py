@@ -5,7 +5,7 @@ runs, one below it refuses with "<what> exceed the cap <limit>".
 """
 
 import ast
-import dataclasses
+import inspect
 import math
 from pathlib import Path
 from unittest import mock
@@ -186,7 +186,26 @@ def test_one_search_for_a_shared_product():
 
 
 def test_caps_are_the_two_user_set_limits():
-    assert [(f.name, f.default) for f in dataclasses.fields(Caps)] == [("tuples", 10**7), ("matrix", 4096)]
+    parameters = inspect.signature(Caps).parameters.values()
+    assert [(p.name, p.default) for p in parameters] == [("tuples", 10**7), ("matrix", 4096)]
+    assert [(name, getattr(Caps, name)) for name in Caps._fields] == [("tuples", 10**7), ("matrix", 4096)]
+    assert vars(Caps(5)) == {"tuples": 5, "matrix": 4096}
+    with pytest.raises(AttributeError, match="^Caps is immutable$"):
+        Caps().tuples = 1
+
+
+def test_no_src_module_imports_dataclasses():
+    """`dataclasses` alone imports `inspect`, `ast`, `dis` and `tokenize`: the
+    records are built on `errors.Record` instead, so no process pays for them."""
+    src = Path(circlespec.__file__).parent
+    imports = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "dataclasses"
+    ]
+    assert imports == []
 
 
 def test_the_cli_cap_flags_are_the_two_caps_fields():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from circlespec import (
     MeasureFormatError,
     Perm,
     PermSubgroup,
+    Relation,
+    multiplicity,
 )
 from circlespec.circle import _PackedCodec
 
@@ -51,6 +54,8 @@ VALUES = [
     HALVES,
     Coupling(HALVES, HALVES, [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]),
     MarkovOp.mean(HALVES, HALVES),
+    Relation((CirclePoint.generator(0),), (1,), CirclePoint.identity()),
+    multiplicity(AtomicMeasure({CirclePoint.generator(0): 1}), 2, PermSubgroup.symmetric(2)),
 ]
 
 
@@ -100,6 +105,27 @@ def test_constructor_rejects_bad_generators():
         CirclePoint(0, {-1: 2})
     with pytest.raises(ValueError):
         CirclePoint(0, {1: Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("index, exponent", [(0, 1), (7, -3), (2, 0), (2**70, 5)])
+def test_generator_is_the_constructed_point(index, exponent):
+    g, built = CirclePoint.generator(index, exponent), CirclePoint(0, {index: exponent})
+    assert (g.rational, g.generic, hash(g)) == (built.rational, built.generic, hash(built))
+
+
+@pytest.mark.parametrize(
+    "index, exponent, message",
+    [
+        (-1, 1, "generator index must be a non-negative int, got -1"),
+        (True, 1, "generator index must be a non-negative int, got True"),
+        (1.0, 1, "generator index must be a non-negative int, got 1.0"),
+        (0, False, "exponent must be an int, got False"),
+        (0, Fraction(1, 2), "exponent must be an int, got Fraction(1, 2)"),
+    ],
+)
+def test_generator_rejects_what_the_constructor_rejects(index, exponent, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CirclePoint.generator(index, exponent)
 
 
 def test_allocator_produces_distinct_indices():

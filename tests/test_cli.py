@@ -1,5 +1,6 @@
 import argparse
 import errno
+import hashlib
 import io
 import json
 import math
@@ -496,6 +497,59 @@ def test_table_format_renders():
     )
     assert code == 0
     assert "eigenvalue" in out and "generic value" in out
+
+
+# sha256 of `multiplicity` stdout as printed from fully decoded, eigenvalue-sorted
+# fibers.  Reports hold packed keys and decode `entries` and `degenerate` on first
+# read, sorted by eigenvalue, so what they print must not move.
+ROTATIONS = (
+    '{"atoms":[{"weight":"1/4","rational":"0","generic":{}},{"weight":"1/4","rational":"1/2","generic":{}},'
+    '{"weight":"1/4","rational":"3/4","generic":{}},{"weight":"1/4","rational":"1/3","generic":{"0":1}}]}'
+)
+MULTIPLICITY_STDOUT = {
+    ("--atoms 4 --power 3 --group symmetric", "json"): (
+        "72d891ae6f8f49d89a62ff4cd1cc5b758391734b43b0bb611308e60f37693f3f"
+    ),
+    ("--atoms 4 --power 3 --group symmetric", "table"): (
+        "a67975997d8bc8cff268c647339c633a3aab8285bab9f94368a5315e957ac3a4"
+    ),
+    ("--atoms 4 --power 3 --group cyclic", "json"): (
+        "419491441586d0aa25a1269d0f8d606eaa8158571c71afbbc4d4c9f16f34e03f"
+    ),
+    ("--atoms 4 --power 3 --group cyclic", "table"): (
+        "c5ea5a55b2ab87f5f85854d54df15931d193a8e81ce7abfad5f7e797f911b835"
+    ),
+    ("--measure relation.json --power 2 --group symmetric", "json"): (
+        "c233851f2cf2a48d8866a7290087f1ce28a1420a6a5460328648a9f3ff4c1abe"
+    ),
+    ("--measure relation.json --power 2 --group symmetric", "table"): (
+        "a1a05a2a16ed9589ceef90cb922822e9c85fb5fadcde24b05243d49279d6ea00"
+    ),
+    ("--measure relation.json --power 3 --group cyclic", "json"): (
+        "a7d5a25029a096eb8b6812e4ba3b483443c5d5709af7700918bb94c72381556c"
+    ),
+    ("--measure relation.json --power 3 --group cyclic", "table"): (
+        "de338c540f684d1d8e28419371b2a753e96064c4c9831a2774fd513f8ff39b4e"
+    ),
+    ("--measure rotations.json --power 3 --group symmetric", "json"): (
+        "5fa6f107c92ecb5add32065e0853cab17e94c1340750f0cd0d7ef54ce76bfca7"
+    ),
+    ("--measure rotations.json --power 3 --group symmetric", "table"): (
+        "06ea4eb3ede42fd5a980f5e907511feed61d39e48e5e029baf1c9465cb054ddc"
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(MULTIPLICITY_STDOUT), ids=" ".join)
+def test_multiplicity_stdout_is_byte_identical_to_the_decoded_reference(row, tmp_path, monkeypatch):
+    # relation.json has a doubled fiber and squares; rotations.json meets modulo 1.
+    args, fmt = row
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "relation.json").write_text(measure_to_json(designed_relation_measure()), encoding="utf-8")
+    (tmp_path / "rotations.json").write_text(ROTATIONS, encoding="utf-8")
+    code, out = run_cli(["multiplicity", *args.split(), "--format", fmt])
+    assert code == 0 and "degenerate" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == MULTIPLICITY_STDOUT[args, fmt]
 
 
 @pytest.mark.parametrize("power", ["0", "-1"])

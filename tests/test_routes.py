@@ -18,7 +18,7 @@ import pytest
 
 import circlespec
 from circlespec import linalg, markov, spectral, suite
-from circlespec.circle import _PackedCodec
+from circlespec.circle import CirclePoint, _PackedCodec
 from circlespec.errors import Caps
 from circlespec.markov import Coupling
 from circlespec.measure import AtomicMeasure, generic_measure
@@ -103,6 +103,17 @@ def _double_modulus(self, *args, init=_PackedCodec.__init__):
     self.modulus *= 2
 
 
+def _orbit_route_packed_one_higher(sigma, n, G, cap, route=spectral.multiplicity):
+    """The orbit route with its fibers grouped under a codec of power n + 1: one
+    more point, the identity, packed beside the atoms."""
+    group = spectral._group_by_product
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_group_by_product", lambda s, levels, extra=(), tuple_cap=Caps.tuples: group(
+            s, levels, (*extra, CirclePoint()), tuple_cap
+        ))
+        return route(sigma, n, G, cap)
+
+
 def _full_product_left_out(factor, den, original=markov._expectation_nums):
     """The expectation rows, but all zero for the term that selects every component (p_T = Id)."""
     rows = original(factor, den)
@@ -128,6 +139,9 @@ CAUGHT = {
     ("tensor-power-multiplicity", "one level count +1"): _bump_first("entries"),
     ("tensor-power-multiplicity", "last generator dropped"): _group_with("generators", lambda gs: gs[:-1]),
     ("tensor-power-multiplicity", "last group element dropped"): _group_with("elements", lambda es: es[:-1] or es),
+    ("tensor-power-multiplicity", "orbit route's fibers packed by a codec of power n + 1"): (
+        spectral, "multiplicity", _orbit_route_packed_one_higher
+    ),
     ("fock-multiplicity-set", "one generic level count +1"): _bump_first("generic"),
     ("nonsimple-symmetric-square", "every level simple"): (spectral, "_first_nonsimple_fiber", lambda *a: None),
     ("simplicity-monotone", "every level simple"): (spectral, "_first_nonsimple_fiber", lambda *a: None),
@@ -174,6 +188,14 @@ def test_each_fault_is_caught_by_its_criterion(row, monkeypatch):
     assert _run(row[0]) is False
 
 
+def test_routes_packed_unlike_the_level_counts_are_refused_by_name(monkeypatch):
+    """The routes are compared with the level counts on packed keys, so a codec
+    that packs otherwise is an engine error, not a silent mismatch."""
+    monkeypatch.setattr(spectral, "multiplicity", _orbit_route_packed_one_higher)
+    with pytest.raises(RuntimeError, match="^the orbit_route packs its keys unlike the level counts$"):
+        spectral.check_tensor_power(1, 3, 5)
+
+
 @pytest.mark.parametrize("row", sorted(MISSED), ids=" / ".join)
 def test_each_allowed_fault_is_still_missed(row, monkeypatch):
     patch, reason = MISSED[row]
@@ -198,19 +220,14 @@ SHARED_BY_ALL_ROUTES = {
 SHARED = {
     ("level", "orbit"): SHARED_BY_ALL_ROUTES,
     ("level", "rank"): SHARED_BY_ALL_ROUTES,
-    # both read `fibers`, and `_build_report` decodes, hashes and labels them
+    # both read `fibers`, and their reports label its packed keys; nothing decodes them
     ("orbit", "rank"): SHARED_BY_ALL_ROUTES | {
-        "circle.CirclePoint.__hash__",
-        "circle.CirclePoint._canonical",
-        "circle._PackedCodec.ordered",
-        "circle._PackedCodec.point",
-        "circle._PackedCodec.sort_key",
         "measure.AtomicMeasure.__len__",
         "permgroup.Perm.serialize",
         "permgroup.PermSubgroup.describe",
         "permgroup.PermSubgroup.order",
         "spectral.FiberClass.is_generic",
-        "spectral._build_report",
+        "spectral.MultiplicityReport.__init__",
         "spectral._generic_summary",
         "spectral.fibers",
     },

@@ -60,6 +60,18 @@ def brute_fibers(mu, n):
     return sorted(groups.items(), key=lambda kv: kv[0].sort_key())
 
 
+def decode(fcs, fc):
+    """The eigenvalue of `fc`, decoded from its key by the codec of the `fibers` call `fcs`."""
+    return fcs.codec.point(*fcs.codec.sort_key(fc.key))
+
+
+def decoded_fibers(mu, n):
+    """(eigenvalue, fiber) for each fiber of `fibers(mu, n)`, sorted by eigenvalue:
+    `fibers` itself returns its fibers in grouping order, undecoded."""
+    fcs = fibers(mu, n)
+    return sorted(((decode(fcs, fc), fc) for fc in fcs), key=lambda pair: pair[0].sort_key())
+
+
 def ordered_tuples(fc):
     """The fiber's ordered tuples, the arrangements of its multisets, sorted."""
     return sorted(t for ms in fc.index_multisets for t in set(itertools.permutations(ms)))
@@ -78,8 +90,7 @@ def test_fibers_partition_all_tuples():
     fcs = fibers(mu, 2)
     assert sum(fc.size for fc in fcs) == 9
     assert len(fcs) == 6  # 3 squares + 3 cross products
-    eigs = [fc.eigenvalue for fc in fcs]
-    assert eigs == sorted(eigs)
+    assert [eig for eig, _ in decoded_fibers(mu, 2)] == [eig for eig, _ in brute_fibers(mu, 2)]
     generic = [fc for fc in fcs if fc.is_generic]
     squares = [fc for fc in fcs if not fc.is_generic]
     assert len(generic) == 3 and all(fc.size == 2 for fc in generic)
@@ -105,7 +116,7 @@ def test_designed_relation_doubles_a_fiber():
     assert fc.size == 4
     # the fiber eigenvalue is x*y = z*w
     x, y = CirclePoint.generator(0), CirclePoint.generator(1)
-    assert fc.eigenvalue == x * y
+    assert decode(fcs, fc) == x * y
 
 
 def test_fibers_cap():
@@ -116,10 +127,10 @@ def test_fibers_cap():
 @settings(max_examples=40, deadline=None)
 @given(small_measures(), st.integers(min_value=1, max_value=4))
 def test_fibers_match_tuple_grouping(mu, n):
-    fcs = fibers(mu, n)
+    decoded = decoded_fibers(mu, n)
     brute = brute_fibers(mu, n)
-    assert [fc.eigenvalue for fc in fcs] == [eig for eig, _ in brute]
-    for fc, (_, ts) in zip(fcs, brute):
+    assert [eig for eig, _ in decoded] == [eig for eig, _ in brute]
+    for (_, fc), (_, ts) in zip(decoded, brute):
         assert fc.size == len(ts)
         assert ordered_tuples(fc) == ts
         assert list(fc.index_multisets) == sorted({tuple(sorted(t)) for t in ts})
@@ -129,15 +140,14 @@ def test_fibers_meet_mod_one_and_wide_exponents():
     # 3/4 * 3/4 meets 1 * 1/2 only modulo 1; g0^50 * g0^-50 cancels exactly.
     zero, half, three_quarters = (CirclePoint(Fraction(r, 4)) for r in (0, 2, 3))
     rational = AtomicMeasure({p: Fraction(1, 3) for p in (zero, half, three_quarters)})
-    fc = next(fc for fc in fibers(rational, 2) if fc.eigenvalue == half)
+    fc = next(fc for eig, fc in decoded_fibers(rational, 2) if eig == half)
     assert fc.index_multisets == ((0, 1), (2, 2)) and fc.size == 3
     up, down = CirclePoint.generator(0, 50), CirclePoint.generator(0, -50)
     wide = AtomicMeasure({up: 1, down: 1, CirclePoint(Fraction(1, 3), {0: 1, 1: -50}): 1})
-    assert [fc.eigenvalue for fc in fibers(wide, 2)][:2] == [CirclePoint(), down * down]
+    assert [eig for eig, _ in decoded_fibers(wide, 2)][:2] == [CirclePoint(), down * down]
     for mu in (rational, wide):
         for n in (2, 3):
-            fcs = fibers(mu, n)
-            assert [(fc.eigenvalue, ordered_tuples(fc)) for fc in fcs] == brute_fibers(mu, n)
+            assert [(eig, ordered_tuples(fc)) for eig, fc in decoded_fibers(mu, n)] == brute_fibers(mu, n)
 
 
 def test_fibers_with_large_coprime_denominators():
@@ -147,8 +157,7 @@ def test_fibers_with_large_coprime_denominators():
     lone = AtomicMeasure({CirclePoint(Fraction(1, 100000007)): 1})
     for mu in (AtomicMeasure({a: 1, b: 2, a * b: 1}), lone):
         for n in (1, 2, 3):
-            fcs = fibers(mu, n)
-            assert [(fc.eigenvalue, ordered_tuples(fc)) for fc in fcs] == brute_fibers(mu, n)
+            assert [(eig, ordered_tuples(fc)) for eig, fc in decoded_fibers(mu, n)] == brute_fibers(mu, n)
             G = PermSubgroup.symmetric(n)
             assert multiplicity(mu, n, G).entries == brute_orbit_counts(mu, n, G)
 
@@ -287,12 +296,12 @@ def test_shape_template_rows_are_the_per_multiset_rows(mu, n):
     for G in group_kinds(n):
         rep, calls = recorded_rank_calls(matrix_oracle, mu, n, G)
         fcs = fibers(mu, n)
-        assert len(calls) == len(fcs)
-        for fc, rows, mult in zip(fcs, calls, rep.entries.values()):
+        assert len(calls) == len(fcs) == len(rep.entries)
+        for fc, rows in zip(fcs, calls):  # one rank call per fiber, in grouping order
             columns, reference = per_multiset_rows(fc, G)
             assert len(rows) == len(reference)
             assert {frozenset(row.items()) for row in rows} == {frozenset(row.items()) for row in reference}
-            assert mult == columns - linalg.rank(reference) == columns - linalg.rank(rows)
+            assert rep.entries[decode(fcs, fc)] == columns - linalg.rank(reference) == columns - linalg.rank(rows)
 
 
 def partitions(n, largest=None):
@@ -915,7 +924,7 @@ def reference_girsanov_step(sigma, n):
     """girsanov_step as it was before it counted per packed key: every level
     decoded into fibers, eigenvalues ranked by `max` in eigenvalue order."""
     level_1, level_n, level_2n = (
-        {fc.eigenvalue: fc.index_multisets for fc in fibers(sigma, j)} for j in (1, n, 2 * n)
+        {eig: fc.index_multisets for eig, fc in decoded_fibers(sigma, j)} for j in (1, n, 2 * n)
     )
 
     def top(counts, skip=None):
@@ -1007,13 +1016,14 @@ def reference_simplicity_levels(mu, max_level):
     such fiber in eigenvalue order."""
     levels, witnesses = {}, {}
     for j in range(1, max_level + 1):
-        bad = [fc for fc in fibers(mu, j) if len(fc.index_multisets) > 1]
+        bad = [(eig, fc) for eig, fc in decoded_fibers(mu, j) if len(fc.index_multisets) > 1]
         levels[j] = not bad
         if bad:
+            eig, fc = bad[0]
             witnesses[j] = {
-                "eigenvalue": str(bad[0].eigenvalue),
-                "multiplicity": len(bad[0].index_multisets),
-                "multisets": [[str(mu.support()[i]) for i in ms] for ms in bad[0].index_multisets],
+                "eigenvalue": str(eig),
+                "multiplicity": len(fc.index_multisets),
+                "multisets": [[str(mu.support()[i]) for i in ms] for ms in fc.index_multisets],
             }
     violations = [
         {"lower": j, "higher": k, "witness": witnesses[j]}
@@ -1074,6 +1084,36 @@ def test_simplicity_decodes_only_its_witnesses(decodes):
     assert all(rep["levels"].values()) and decodes == []
     rep = check_simplicity_levels(rotation_twisted(abc_measure()), 4)
     assert len(decodes) == list(rep["levels"].values()).count(False) == 3
+
+
+@pytest.fixture
+def sort_keys(monkeypatch):
+    """The keys whose sort key was taken so far, one entry per `_PackedCodec.sort_key` call."""
+    calls = []
+    original = _PackedCodec.sort_key
+    monkeypatch.setattr(_PackedCodec, "sort_key", lambda self, key: calls.append(key) or original(self, key))
+    return calls
+
+
+def test_power_checks_decode_no_key(decodes, sort_keys):
+    """The routes are compared with the level counts on packed keys (8^6 tuples
+    exceed the default matrix cap, so only the symmetric check runs the rank route)."""
+    tensor, symmetric = check_tensor_power(2, 3, 8), check_symmetric_power(2, 2, 6)
+    assert tensor["passed"] and tensor["orbit_route"]["ran"]
+    assert symmetric["passed"] and symmetric["orbit_route"]["ran"] and symmetric["matrix_route"]["ran"]
+    assert decodes == [] and sort_keys == []
+
+
+def test_report_decodes_each_key_once_on_first_read(decodes):
+    mu, n = designed_relation_measure(), 3
+    reference = decoded_fibers(mu, n)
+    decodes.clear()
+    rep = multiplicity(mu, n, PermSubgroup.cyclic(n))
+    assert decodes == []
+    assert list(rep.entries) == [eig for eig, _ in reference]
+    assert rep.degenerate == [(eig, rep.entries[eig]) for eig, fc in reference if not fc.is_generic]
+    rep.to_table(), rep.to_json_obj()
+    assert len(decodes) == len(rep.counts) == len(reference)
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
