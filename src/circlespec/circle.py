@@ -67,10 +67,11 @@ class CirclePoint(Immutable):
 
     `rational` is a Fraction reduced into [0, 1); `generic` is a sorted tuple
     of (generator index, non-zero exponent) pairs.  Instances are immutable
-    and hashable.  The group operation is `*`; `**` raises to an integer
-    power; `inverse()` inverts.  `sort_key()`, lexicographic on (rational,
-    generic), defines the total order every canonical sort keys on;
-    `__lt__` compares it and `total_ordering` derives the rest.
+    and hashable, but no `Record`: `==`, hot wherever reports compare `entries`,
+    is written out, and the hash is computed once.  The group operation is `*`;
+    `**` raises to an integer power; `inverse()` inverts.  `sort_key()`,
+    lexicographic on (rational, generic), defines the total order every
+    canonical sort keys on; `__lt__` compares it and `total_ordering` derives the rest.
     """
 
     __slots__ = ("rational", "generic", "_hash")
@@ -191,8 +192,8 @@ class _PackedCodec:
     of up to n points has its generic part inside (-M/2, M/2), M = 2^(w*g + 17)
     for g generators, below the rotation digit: equal products have equal keys,
     and a negated key is the inverse's key.  `sort_key` takes one step per
-    nonzero digit; `ordered` sorts on integer keys and decodes each once.  Two
-    codecs are equal when they pack alike: same L, digit width w and generators."""
+    nonzero digit; `ordered` sorts on integer keys and decodes each once.  Codecs are equal
+    when they pack alike (same L, w and generators), whatever their decode cache holds: no `Record`."""
 
     __slots__ = ("L", "M", "modulus", "w", "gens", "step", "inverse", "digit", "fractions")
 

@@ -61,11 +61,15 @@ def _parse_shift(text: str, sigma) -> CirclePoint:
     return CirclePoint.parse(text)
 
 
-def integer(text: str) -> int:
+def integer(text: str, digits: str = "-?[0-9]+") -> int:
     """An ASCII decimal, named for argparse's "invalid integer value"; `int` also reads "1_0", "٣"."""
-    if not re.fullmatch(r"-?[0-9]+", text, re.ASCII):
+    if not re.fullmatch(digits, text, re.ASCII):
         raise ValueError(f"not an integer in ASCII digits: {text!r}")
     return int(text)
+
+
+def cap(text: str) -> int:  # no sign, so 0 or more; argparse reports "invalid cap value"
+    return integer(text, "[0-9]+")
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -218,13 +222,13 @@ def _required(flag):
     return flag, {"type": integer, "required": True}
 
 
-def _int(flag, default=None, help_text=None):
-    return flag, {"type": integer, "default": default, "help": help_text}
+def _int(flag, default=None, help_text=None, kind=integer):
+    return flag, {"type": kind, "default": default, "help": help_text}
 
 
 _MEASURE = ("--measure", {"help": "measure JSON file"})
-_TUPLE_CAP = _int("--tuple-cap", Caps.tuples)
-_MATRIX_CAP = _int("--matrix-cap", Caps.matrix)
+_TUPLE_CAP = _int("--tuple-cap", Caps.tuples, kind=cap)
+_MATRIX_CAP = _int("--matrix-cap", Caps.matrix, kind=cap)
 _SEED = _int("--seed", 0)
 _POWER_ARGS = (
     _TUPLE_CAP,

@@ -14,7 +14,7 @@ class MeasureFormatError(ValueError):
 
 class Immutable:
     """Base of the slotted value types: assigning any attribute raises.
-    Constructors set their slots through `object.__setattr__`."""
+    Constructors set slots through `object.__setattr__`; a `Record` sets its fields in `__init__`."""
 
     __slots__ = ()
 
@@ -23,11 +23,16 @@ class Immutable:
 
 
 class Record(Immutable):
-    """Base of the immutable records: a record equals one of its own class
-    whose `_fields` are equal, and hashes and shows as those fields."""
+    """Base of the values compared by field: a record equals one of its exact class whose `_fields`
+    are equal, and hashes and shows as those fields, which `__init__` sets in order.  A cached or
+    derived slot is no field; a record with a mutable field sets `__hash__ = None`."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -55,8 +60,7 @@ class Caps(Record):
     matrix = 4096
 
     def __init__(self, tuples: int = tuples, matrix: int = matrix):
-        object.__setattr__(self, "tuples", tuples)
-        object.__setattr__(self, "matrix", matrix)
+        super().__init__(tuples, matrix)
 
 
 def admit(asked: int, limit: int, what: str) -> None:

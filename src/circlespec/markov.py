@@ -37,12 +37,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from circlespec import linalg
-from circlespec.errors import Caps, Immutable, Record, admit
+from circlespec.errors import Caps, Record, admit
 
 
 def _fractions(values: Iterable) -> tuple[Fraction, ...]:
@@ -73,12 +73,13 @@ def _check_sums(lines, weights, den: int, targets: FiniteSpace | None, error: st
             raise ValueError(error.format(i, Fraction(total, den), Fraction(num, target_den)))
 
 
-class FiniteSpace(Immutable):
-    """A finite probability space: point labels plus strictly positive
-    rational probabilities summing to one, also held as integer numerators
-    `nums` over their least common denominator `den`."""
+class FiniteSpace(Record):
+    """A finite probability space: point labels plus strictly positive rational
+    probabilities `probs` summing to one, also held as integer numerators `nums`
+    over their least common denominator `den`: `==` and `hash` read labels and those."""
 
     __slots__ = ("labels", "probs", "nums", "den")
+    _fields = ("labels", "den", "nums")
 
     def __init__(self, labels: Iterable[str], probs: Iterable[Fraction]):
         labels = tuple(labels)
@@ -91,20 +92,12 @@ class FiniteSpace(Immutable):
             raise ValueError("probabilities must be strictly positive")
         nums, den = _scaled(probs)
         _check_sums([nums], None, den, None, "probabilities sum to {1}, not 1")
-        for name, value in zip(self.__slots__, (labels, probs, tuple(nums), den)):
-            object.__setattr__(self, name, value)
+        super().__init__(labels, den, tuple(nums))
+        object.__setattr__(self, "probs", probs)
 
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiniteSpace):
-            return NotImplemented
-        return self is other or (self.labels == other.labels and self.den == other.den and self.nums == other.nums)
-
-    def __hash__(self):
-        return hash((self.labels, self.probs))
 
     def __repr__(self) -> str:
         return f"FiniteSpace({list(self.labels)})"
@@ -123,18 +116,15 @@ def product_space(components: Sequence[FiniteSpace]) -> FiniteSpace:
     return FiniteSpace(labels, probs)
 
 
-class _IntegerRows(Immutable):
+class _IntegerRows(Record):
     """Entries between two spaces as integer numerator rows `nums` over one
     denominator `den` > 0, in lowest terms: a unique form, equal exactly when
-    the Fraction entries are.  A subclass names its two spaces in `__slots__`;
-    its `_validated` runs its constructor's checks and returns the object."""
+    the Fraction entries are, and never a dict key, so unhashable.  A subclass's
+    `_fields` are its two spaces, `den` and `nums` (`_rows` caches the Fraction
+    view); its `_validated` runs its constructor's checks and returns the object."""
 
     __slots__ = ("nums", "den", "_rows")
-
-    def _store(self, first, second, nums, den: int, rows=None):
-        for name, value in zip(type(self).__slots__ + _IntegerRows.__slots__, (first, second, nums, den, rows)):
-            object.__setattr__(self, name, value)
-        return self
+    __hash__ = None
 
     @classmethod
     def _canonical(cls, first, second, nums, den: int):
@@ -142,7 +132,9 @@ class _IntegerRows(Immutable):
         the class's constraints, stored in lowest terms."""
         g = math.gcd(den, *itertools.chain.from_iterable(nums))
         nums = tuple(tuple([n // g for n in row]) for row in nums)  # tuple(generator) reallocs and fragments
-        return object.__new__(cls)._store(first, second, nums, den // g)
+        made = object.__new__(cls)
+        Record.__init__(made, first, second, den // g, nums)
+        return made
 
     def _from_fractions(self, first, second, rows, height: int, width: int, name: str) -> None:
         """Validate and store `rows` of entries, which stay as the Fraction view."""
@@ -150,19 +142,15 @@ class _IntegerRows(Immutable):
         if len(rows) != height or any(len(row) != width for row in rows):
             raise ValueError(f"{name} must be {height}x{width}")
         flat, den = _scaled([x for row in rows for x in row])
-        self._store(first, second, tuple(tuple(flat[k:k + width]) for k in range(0, len(flat), width)), den, rows)
+        super().__init__(first, second, den, tuple(tuple(flat[k:k + width]) for k in range(0, len(flat), width)))
+        object.__setattr__(self, "_rows", rows)
         self._validated()
 
     def _fraction_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._rows is None:
+        if getattr(self, "_rows", None) is None:  # unset until read when built by `_canonical`
             rows = tuple(tuple(Fraction(n, self.den) for n in row) for row in self.nums)
             object.__setattr__(self, "_rows", rows)
         return self._rows
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in type(self).__slots__ + ("den", "nums"))
 
 
 class Coupling(_IntegerRows):
@@ -173,6 +161,7 @@ class Coupling(_IntegerRows):
     couplings this module derives from valid ones (see the module notes)."""
 
     __slots__ = ("left", "right")
+    _fields = (*__slots__, "den", "nums")
 
     def __init__(self, left: FiniteSpace, right: FiniteSpace, joint: Sequence[Sequence[Fraction]]):
         self._from_fractions(left, right, joint, left.size, right.size, "joint")
@@ -201,6 +190,7 @@ class MarkovOp(_IntegerRows):
     pushes Σ_t w_t·m_ts, on the numerators of w and of the matrix."""
 
     __slots__ = ("source", "target")
+    _fields = (*__slots__, "den", "nums")
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace, matrix: Sequence[Sequence[Fraction]]):
         self._from_fractions(source, target, matrix, target.size, source.size, "matrix")
@@ -255,8 +245,7 @@ class FactorStructure(Record):
             raise ValueError("selected indices must be strictly increasing")
         if any(not 0 <= i < len(components) for i in selected):
             raise ValueError("selected index out of range")
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "selected", selected)
+        super().__init__(components, selected)
 
     @cached_property
     def full_space(self) -> FiniteSpace:

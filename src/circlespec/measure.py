@@ -16,23 +16,25 @@ import functools
 import itertools
 import json
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple, Union
 
 from circlespec.circle import CirclePoint, GeneratorAllocator, _PackedCodec, parse_fraction
-from circlespec.errors import Caps, Immutable, MeasureFormatError, Record, admit, require_positive
+from circlespec.errors import Caps, MeasureFormatError, Record, admit, require_positive
 
-WeightPairs = Union[Mapping[CirclePoint, Fraction], Iterable[Tuple[CirclePoint, Fraction]]]
+WeightPairs = Mapping[CirclePoint, Fraction] | Iterable[tuple[CirclePoint, Fraction]]
 
 
-class AtomicMeasure(Immutable):
+class AtomicMeasure(Record):
     """Finite positive measure: CirclePoint -> positive rational weight.
 
     Atoms are kept in canonical point order.  Measures are not normalized.
     The empty measure is allowed (mass zero) so that `add` has a unit.
+    Measures are equal when their atom dicts are; a dict is mutable, so no hash.
     """
 
-    __slots__ = ("_atoms",)
+    __slots__ = _fields = ("_atoms",)
+    __hash__ = None
 
     def __init__(self, atoms: WeightPairs = ()):
         pairs = atoms.items() if isinstance(atoms, Mapping) else atoms
@@ -45,7 +47,7 @@ class AtomicMeasure(Immutable):
         for p, w in acc.items():
             if w <= 0:
                 raise ValueError(f"weight of atom {p} must be positive, got {w}")
-        object.__setattr__(self, "_atoms", dict(sorted(acc.items(), key=lambda kv: kv[0].sort_key())))
+        super().__init__(dict(sorted(acc.items(), key=lambda kv: kv[0].sort_key())))
 
     def items(self):
         """(point, weight) pairs in canonical point order."""
@@ -59,11 +61,6 @@ class AtomicMeasure(Immutable):
 
     def __len__(self) -> int:
         return len(self._atoms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AtomicMeasure):
-            return NotImplemented
-        return self._atoms == other._atoms
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{p}: {w}" for p, w in self.items())
@@ -108,11 +105,6 @@ class Relation(Record):
     equals `constant`, a point with empty generic part."""
 
     __slots__ = _fields = ("atoms", "exponents", "constant")
-
-    def __init__(self, atoms: tuple[CirclePoint, ...], exponents: tuple[int, ...], constant: CirclePoint):
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "constant", constant)
 
     def __str__(self) -> str:
         lhs = " * ".join(f"({a})^{e}" for a, e in zip(self.atoms, self.exponents))

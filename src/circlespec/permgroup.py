@@ -18,15 +18,15 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
-from circlespec.errors import DEFAULT_DEGREE_CAP, Caps, Immutable, admit
+from circlespec.errors import DEFAULT_DEGREE_CAP, Caps, Immutable, Record, admit
 
 
-class Perm(Immutable):
+class Perm(Record):
     """A permutation of {0..n-1} stored as its image tuple."""
 
-    __slots__ = ("images",)
+    __slots__ = _fields = ("images",)
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
@@ -34,7 +34,7 @@ class Perm(Immutable):
             raise ValueError(f"permutation images must be ints, got {images!r}")
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
-        object.__setattr__(self, "images", images)
+        super().__init__(images)
 
     @classmethod
     def from_cycle(cls, n: int, cycle: Sequence[int]) -> "Perm":
@@ -55,19 +55,8 @@ class Perm(Immutable):
         # (self * other)(i) = self(other(i))
         return Perm(self.images[j] for j in other.images)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Perm):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
     def serialize(self) -> str:
         return "[" + ",".join(map(str, self.images)) + "]"
-
-    def __repr__(self) -> str:
-        return f"Perm({list(self.images)})"
 
 
 def closure(n: int, generators: Iterable[Perm]) -> tuple[tuple[int, ...], ...]:
@@ -101,8 +90,8 @@ def closure(n: int, generators: Iterable[Perm]) -> tuple[tuple[int, ...], ...]:
 
 
 class PermSubgroup(Immutable):
-    """A subgroup of S(degree) held as its generators, `Perm`s, plus its full
-    element set, the image tuples of `closure`."""
+    """A subgroup of S(degree) held as its generators, `Perm`s, plus its full element
+    set, the image tuples of `closure`; nothing compares subgroups, so it is no `Record`."""
 
     __slots__ = ("degree", "generators", "elements")
 

@@ -146,7 +146,8 @@ class MultiplicityReport(Immutable):
     eigenvalue under `codec`, in the fibers' grouping order, and the routes are
     compared on it.  `entries` ({eigenvalue: multiplicity}) and `degenerate`
     ([(eigenvalue, multiplicity)] of the non-generic fibers) are views, sorted
-    by eigenvalue and decoded on first read; `to_json_obj` and `to_table` print them."""
+    by eigenvalue and decoded on first read; `to_json_obj` and `to_table` print them.
+    Only `counts` are compared, so a report is no `Record`."""
 
     __slots__ = (
         "power", "group", "codec", "counts", "generic_value", "homogeneous_on_generic",

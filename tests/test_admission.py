@@ -208,6 +208,40 @@ def test_no_src_module_imports_dataclasses():
     assert imports == []
 
 
+def _class_body_names(cls):
+    """Names a class body defines or assigns, except the ones it assigns None."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            if not (isinstance(node.value, ast.Constant) and node.value.value is None):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                yield from (getattr(t, "id", None) for t in targets)
+
+
+def test_value_equality_is_written_once():
+    """`errors.Record` alone writes `==` and `hash` for the value types.  Only
+    `CirclePoint` (a hot `==`, a hash computed once) and `_PackedCodec` (equal
+    by layout, not by its decode cache) write their own; an unhashable record
+    assigns `__hash__ = None`."""
+    src = Path(circlespec.__file__).parent
+    written = sorted(
+        (name, f"{path.stem}.{cls.name}")
+        for path in sorted(src.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for name in _class_body_names(cls)
+        if name in ("__eq__", "__hash__")
+    )
+    assert written == [
+        ("__eq__", "circle.CirclePoint"),
+        ("__eq__", "circle._PackedCodec"),
+        ("__eq__", "errors.Record"),
+        ("__hash__", "circle.CirclePoint"),
+        ("__hash__", "errors.Record"),
+    ]
+
+
 def test_the_cli_cap_flags_are_the_two_caps_fields():
     flags = {flag for _, _, arguments, _ in cli.COMMANDS for flag, _ in arguments if flag.endswith("-cap")}
     assert flags == {"--tuple-cap", "--matrix-cap"}

@@ -8,8 +8,10 @@ from hypothesis import example, given, strategies as st
 
 from circlespec import (
     AtomicMeasure,
+    Caps,
     CirclePoint,
     Coupling,
+    FactorStructure,
     FiniteSpace,
     GeneratorAllocator,
     MarkovOp,
@@ -69,6 +71,46 @@ def test_value_types_refuse_every_assignment(value, name):
     with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
         setattr(value, attr, 0)
     assert getattr(value, attr, None) is before
+
+
+G0, ONE_POINT = CirclePoint.generator(0), FiniteSpace(["x"], [1])
+# (build, a build that differs in one field): each `errors.Record` equals and
+# hashes as a fresh build of itself and differs from the other.
+RECORDS = {
+    "Perm": (lambda: Perm([1, 0, 2]), lambda: Perm([0, 2, 1])),
+    "Relation": (lambda: Relation((G0,), (1,), CirclePoint(Fraction(1, 2))),
+                 lambda: Relation((G0,), (-1,), CirclePoint(Fraction(1, 2)))),
+    "Caps": (lambda: Caps(5), lambda: Caps(5, 4095)),
+    "FactorStructure": (lambda: FactorStructure((HALVES, ONE_POINT), (0,)),
+                        lambda: FactorStructure((HALVES, ONE_POINT), (1,))),
+    "FiniteSpace": (lambda: FiniteSpace(["a", "b"], [Fraction(1, 2)] * 2), lambda: FiniteSpace(["a", "c"], ["1/2"] * 2)),
+}
+
+
+@pytest.mark.parametrize("build, variant", RECORDS.values(), ids=RECORDS)
+def test_records_built_twice_are_equal_and_hash_equal(build, variant):
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != variant() and not a == variant()
+
+
+def test_finite_spaces_from_fractions_and_strings_are_equal_and_hash_equal():
+    a, b = FiniteSpace(["a", "b"], [Fraction(1, 2)] * 2), FiniteSpace(["a", "b"], ["1/2"] * 2)
+    assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("value", [VALUES[1], VALUES[5], VALUES[6]], ids=lambda v: type(v).__name__)
+def test_measures_couplings_and_operators_are_unhashable(value):
+    with pytest.raises(TypeError, match="unhashable type"):
+        hash(value)
+
+
+def test_a_coupling_never_equals_an_operator():
+    """On one point, the coupling [[1]] and the operator [[1]] have the same
+    spaces, `den` and `nums`; records of different classes are still unequal."""
+    c, m = Coupling(ONE_POINT, ONE_POINT, [[1]]), MarkovOp(ONE_POINT, ONE_POINT, [[1]])
+    assert (c.left, c.right, c.den, c.nums) == (m.source, m.target, m.den, m.nums)
+    assert c != m and m != c and not c == m
 
 
 def test_rational_part_reduced_modulo_one():

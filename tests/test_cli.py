@@ -716,6 +716,31 @@ def test_malformed_input_is_exit_2_without_traceback(argv, measure_text, tmp_pat
     assert err.strip() and "Traceback" not in err
 
 
+# A cap counts what may run: 0 refuses everything, a negative value is no cap.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "krot --k 1 --m 2 --matrix-cap -5",
+        "markov incl-excl --matrix-cap -1",
+        "multiplicity --atoms 3 --power 2 --tuple-cap -1",
+        "suite --tuple-cap -1",
+    ],
+)
+def test_a_negative_cap_is_an_input_error_naming_its_flag(argv, capsys):
+    flag = next(token for token in argv.split() if token.endswith("-cap"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert f"argument {flag}: invalid cap value" in err
+
+
+def test_a_zero_cap_is_a_cap():
+    code, env = run_json("krot --k 1 --m 2 --matrix-cap 0".split())
+    assert code == 0 and env["params"]["matrix_cap"] == 0 and env["report"]["matrix_route"] == {"ran": False}
+
+
 # int() reads "1_0" as 10 and the digits of other scripts ("٣", "２") as
 # their values; integer flags and the dimension list take ASCII digits only.
 @pytest.mark.parametrize(
