@@ -112,7 +112,7 @@ class CirclePoint(Immutable):
 
     @property
     def is_identity(self) -> bool:
-        return self.rational == 0 and not self.generic
+        return self.is_rational and self.rational == 0
 
     @property
     def is_rational(self) -> bool:
@@ -126,7 +126,7 @@ class CirclePoint(Immutable):
         return CirclePoint(self.rational + other.rational, self.generic + other.generic)
 
     def inverse(self) -> "CirclePoint":
-        return CirclePoint(-self.rational, tuple((i, -e) for i, e in self.generic))
+        return self ** -1
 
     def __pow__(self, k: int) -> "CirclePoint":
         if not isinstance(k, int) or isinstance(k, bool):

@@ -112,7 +112,7 @@ def _cmd_multiplicity(args):
         if not (isinstance(images, list) and all(isinstance(im, list) for im in images)):
             raise ValueError(f"--group must be {', '.join(named)} or a JSON list of image lists")
         G = PermSubgroup(n, [Perm(im) for im in images])
-    rep = multiplicity(sigma, n, G, args.tuple_cap)
+    rep = multiplicity(sigma, n, G, Caps(args.tuple_cap))
     return None, rep.to_json_obj(), rep.to_table()
 
 

@@ -99,9 +99,6 @@ class FiniteSpace(Record):
     def size(self) -> int:
         return len(self.labels)
 
-    def __repr__(self) -> str:
-        return f"FiniteSpace({list(self.labels)})"
-
 
 def product_space(components: Sequence[FiniteSpace]) -> FiniteSpace:
     """Product probability space; points are label tuples joined with commas,
@@ -176,9 +173,6 @@ class Coupling(_IntegerRows):
 
     joint = property(_IntegerRows._fraction_rows)
 
-    def __repr__(self) -> str:
-        return f"Coupling({self.left.size}x{self.right.size})"
-
 
 class MarkovOp(_IntegerRows):
     """A measure-preserving Markov operator from functions on `source` to
@@ -209,9 +203,6 @@ class MarkovOp(_IntegerRows):
     def mean(cls, source: FiniteSpace, target: FiniteSpace) -> "MarkovOp":
         """The rank-one operator sending every function to its mean."""
         return cls._canonical(source, target, [source.nums] * target.size, source.den)._validated()
-
-    def __repr__(self) -> str:
-        return f"MarkovOp({self.target.size}x{self.source.size})"
 
 
 def markov_from_coupling(c: Coupling) -> MarkovOp:

@@ -1,8 +1,9 @@
 """Finite atomic measures on the circle with exact rational weights.
 
 A measure is a finite map from circle points to strictly positive weights.
-Convolution multiplies atoms pairwise and adds weights; singularity is
-support disjointness, which is the whole story for purely atomic measures.
+Convolution multiplies atoms pairwise and adds weights, and translation is
+convolution with a unit point mass; singularity is support disjointness,
+which is the whole story for purely atomic measures.
 `generic_measure` builds the model of "d points drawn from a continuous
 measure": d fresh generators, equal weight, no multiplicative relations.
 `relation_scan` only searches exponents +-1 on distinct atoms, summing
@@ -62,10 +63,6 @@ class AtomicMeasure(Record):
     def __len__(self) -> int:
         return len(self._atoms)
 
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{p}: {w}" for p, w in self.items())
-        return f"AtomicMeasure({{{inner}}})"
-
     def convolve(self, other: "AtomicMeasure") -> "AtomicMeasure":
         """Pushforward of the product measure under multiplication: every pair
         of atoms is multiplied, and the constructor adds equal products' weights."""
@@ -76,8 +73,8 @@ class AtomicMeasure(Record):
         return functools.reduce(AtomicMeasure.convolve, (self,) * k)
 
     def translate(self, a: CirclePoint) -> "AtomicMeasure":
-        """Same as convolving with the unit point mass at a; atoms shift, weights survive."""
-        return AtomicMeasure(((p * a, w) for p, w in self.items()))
+        """Convolution with the unit point mass at a: atoms shift, weights survive."""
+        return self.convolve(AtomicMeasure({a: 1}))
 
     def __add__(self, other: "AtomicMeasure") -> "AtomicMeasure":
         if not isinstance(other, AtomicMeasure):
@@ -87,8 +84,7 @@ class AtomicMeasure(Record):
 
     def is_singular_to(self, other: "AtomicMeasure") -> bool:
         """Mutual singularity: the supports are disjoint."""
-        small, large = (self, other) if len(self) <= len(other) else (other, self)
-        return not any(p in large._atoms for p in small._atoms)
+        return self._atoms.keys().isdisjoint(other._atoms.keys())
 
 
 def generic_measure(d: int, allocator: GeneratorAllocator | None = None) -> AtomicMeasure:
@@ -105,10 +101,6 @@ class Relation(Record):
     equals `constant`, a point with empty generic part."""
 
     __slots__ = _fields = ("atoms", "exponents", "constant")
-
-    def __str__(self) -> str:
-        lhs = " * ".join(f"({a})^{e}" for a, e in zip(self.atoms, self.exponents))
-        return f"{lhs} = {self.constant}"
 
     def to_json_obj(self):
         return {

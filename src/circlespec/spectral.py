@@ -279,7 +279,7 @@ def multiplicity(
     sigma: AtomicMeasure,
     n: int,
     G: PermSubgroup,
-    tuple_cap: int = Caps.tuples,
+    caps: Caps = Caps(),
 ) -> MultiplicityReport:
     """Orbit-count route: multiplicity at z = number of G-orbits on the fiber.
 
@@ -293,7 +293,7 @@ def multiplicity(
     """
     if G.degree != n:
         raise ValueError(f"group degree {G.degree} does not match power {n}")
-    fcs = fibers(sigma, n, tuple_cap)
+    fcs = fibers(sigma, n, caps.tuples)
     patterns = [[_pattern(ms) for ms in fc.index_multisets] for fc in fcs]
     orbits = _orbit_counts(G.elements, {p for ps in patterns for p in ps})
     tuples = {p: _arrangements(p) for p in orbits}
@@ -304,7 +304,7 @@ def matrix_oracle(
     sigma: AtomicMeasure,
     n: int,
     G: PermSubgroup,
-    matrix_cap: int = Caps.matrix,
+    caps: Caps = Caps(),
 ) -> MultiplicityReport:
     """Rank route: multiplicity at z = N - rank of the stacked U_s - I over
     the fiber's N ordered tuples, s running over `G.generators`.
@@ -326,12 +326,12 @@ def matrix_oracle(
     if G.degree != n:
         raise ValueError(f"group degree {G.degree} does not match power {n}")
     d = len(sigma.support())
-    # The rank route's own admission, and the only one that marks it as not run: `fibers` runs on the tuple cap.
-    admit(d**n, matrix_cap, f"{d}^{n} matrix rows")
+    # The rank route's own admission; `fibers` then admits the tuples on the caller's tuple cap.
+    admit(d**n, caps.matrix, f"{d}^{n} matrix rows")
     identity = tuple(range(n))
     getters = [operator.itemgetter(*s.images) for s in G.generators if s.images != identity]
     templates: dict[tuple[int, ...], tuple[int, list[tuple[int, int]]]] = {}
-    fcs, classified = fibers(sigma, n), []
+    fcs, classified = fibers(sigma, n, caps.tuples), []
     for fc in fcs:
         rows, size = [], 0
         for ms in fc.index_multisets:
@@ -434,11 +434,11 @@ def _power_report(k: int, m: int, d: int, select, formula: int, G: PermSubgroup,
     codec, (counts,) = _level_counts(sigma, k, (m,), select, caps.tuples)
     n = k * m
     # Built per call, so that rebinding either route in this module reaches it.
-    routes = (("orbit_route", multiplicity, caps.tuples), ("matrix_route", matrix_oracle, caps.matrix))
+    routes = (("orbit_route", multiplicity), ("matrix_route", matrix_oracle))
     route_reports: dict[str, dict] = {}
-    for name, route, cap in routes:
+    for name, route in routes:
         try:
-            rep = route(sigma, n, G, cap)
+            rep = route(sigma, n, G, caps)
         except EnumerationCapError:
             route_reports[name] = {"ran": False}
             continue
@@ -650,15 +650,15 @@ def nonsimple_counterexample(
         raise ValueError("base measure must have at least one atom")
     if a.is_identity:
         raise ValueError("shift must not be the identity")
+    shifted = sigma.translate(a)
+    tau = sigma + shifted
+    atoms, codec, (by_key,) = _group_by_product(tau, (2,), tuple_cap=tuple_cap)  # admits tau before the scan
     if relation_scan(sigma, 2, tuple_cap):
         raise ValueError("base measure must be generic (relation scan up to degree 2 failed)")
-    shifted = sigma.translate(a)
     if not sigma.is_singular_to(shifted):
         raise ValueError("shift collides with the base measure; pick a relation-free shift")
-    tau = sigma + shifted
     tau_shift = tau.translate(a)
     overlap = [p for p in tau.support() if tau_shift.weight(p) > 0]
-    atoms, codec, (by_key,) = _group_by_product(tau, (2,), tuple_cap=tuple_cap)
     witness = _first_nonsimple_fiber(atoms, codec, by_key)
     return {
         "base_atoms": len(sigma),

@@ -58,7 +58,7 @@ SITES = {
     # the rank route's own 3^2 rows: its fibers run on the tuple cap
     "matrix oracle": (
         3**2,
-        lambda cap: matrix_oracle(generic_measure(3), 2, PermSubgroup.symmetric(2), matrix_cap=cap),
+        lambda cap: matrix_oracle(generic_measure(3), 2, PermSubgroup.symmetric(2), Caps(matrix=cap)),
     ),
     # level 2 of 4 atoms, 2 * C(5, 2), over the 4^2 level tuples and the C(5, 2) level multisets
     "tensor level tuples": (2 * 10, lambda cap: check_tensor_power(1, 2, 4, Caps(tuples=cap))),
@@ -150,6 +150,29 @@ def test_power_routes_are_marked_by_their_own_admission():
     assert check_tensor_power(2, 2, 4, Caps(tuples=256))["orbit_route"]["ran"] is True
 
 
+def test_power_routes_group_on_the_callers_tuple_cap():
+    # k = 2, m = 2, d = 8: 36^2 level tuples and 4 * C(11, 4) level atoms pass, 8^4 route tuples do not
+    report = check_tensor_power(2, 2, 8, Caps(tuples=2000))
+    assert report["orbit_route"] == report["matrix_route"] == {"ran": False}
+
+
+def test_nonsimple_admits_tau_before_it_scans_the_base():
+    """The level-2 grouping of tau's 4 atoms charges 2 * C(5, 2) = 20, so a cap of
+    19 refuses before the relation scan, which the cap would admit, reads an atom."""
+    scans = []
+
+    def recording_scan(*args):
+        scans.append(args)
+        return relation_scan(*args)
+
+    with mock.patch.object(spectral, "relation_scan", recording_scan):
+        with pytest.raises(EnumerationCapError, match=r"^20 atoms in the multisets up to level 2 of 4 atoms"):
+            nonsimple_counterexample(generic_measure(2), CirclePoint.generator(2), 19)
+        assert scans == []
+        assert nonsimple_counterexample(generic_measure(2), CirclePoint.generator(2), 20)["found"]
+        assert len(scans) == 1
+
+
 def test_grouping_callers_leave_admission_to_the_engine():
     """The reports that read only key counts and a few decoded keys charge
     nothing of their own: `_group_by_product` admits the atoms it stores."""
@@ -239,6 +262,27 @@ def test_value_equality_is_written_once():
         ("__eq__", "errors.Record"),
         ("__hash__", "circle.CirclePoint"),
         ("__hash__", "errors.Record"),
+    ]
+
+
+def test_value_repr_is_written_once():
+    """`errors.Record` alone writes `repr` for the value types, from their fields.
+    `CirclePoint` writes the `str` that the JSON reports print and a `repr` of it;
+    `PermSubgroup`, no record, writes its own."""
+    src = Path(circlespec.__file__).parent
+    written = sorted(
+        (name, f"{path.stem}.{cls.name}")
+        for path in sorted(src.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for name in _class_body_names(cls)
+        if name in ("__repr__", "__str__")
+    )
+    assert written == [
+        ("__repr__", "circle.CirclePoint"),
+        ("__repr__", "errors.Record"),
+        ("__repr__", "permgroup.PermSubgroup"),
+        ("__str__", "circle.CirclePoint"),
     ]
 
 
@@ -440,9 +484,7 @@ def test_each_verdict_is_one_expression_over_its_report():
 # Functions that no run-time path reaches, each with the file outside `src`
 # that names it and the reason it stays.
 UNREACHED_AT_RUN_TIME = {
-    "circle.CirclePoint.is_rational": ("bench/workloads.py", "the relation-rank workload checks every constant with it"),
     "linalg.mat_mul": ("bench/spans.py", "the linalg.product span wraps it by name"),
-    "measure.AtomicMeasure.convolve": ("bench/spans.py", "the measure.convolve span wraps it by name"),
     "measure.AtomicMeasure.convolve_power": (
         "tests/test_measure.py",
         "the reference for the convolution powers that no engine builds",

@@ -12,6 +12,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from circlespec import (
     AtomicMeasure,
+    Caps,
     CirclePoint,
     EnumerationCapError,
     GeneratorAllocator,
@@ -457,7 +458,7 @@ def test_matrix_oracle_total_rank_counts_invariants():
 
 def test_matrix_oracle_cap():
     with pytest.raises(EnumerationCapError):
-        matrix_oracle(generic_measure(10), 4, PermSubgroup.symmetric(4), matrix_cap=100)
+        matrix_oracle(generic_measure(10), 4, PermSubgroup.symmetric(4), Caps(matrix=100))
 
 
 def test_simple_spectrum_and_levels():
