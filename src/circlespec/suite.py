@@ -187,22 +187,19 @@ def criterion_nonsimple(seed, caps) -> dict:
     return {"passed": ok, "report": rep}
 
 
+# The rational rotations that twist a designed relation of `random_relation_measure`.
+RELATION_ROTATIONS = (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4))
+
+
 def random_relation_measure(rng: random.Random, allocator: GeneratorAllocator) -> AtomicMeasure:
     """Up to 6 atoms: a generic core plus 0-2 designed product relations,
     optionally twisted by a rational rotation."""
     atoms = [allocator.fresh_point() for _ in range(rng.randint(1, 4))]
-    rationals = (
-        Fraction(0),
-        Fraction(1, 2),
-        Fraction(1, 3),
-        Fraction(2, 3),
-        Fraction(1, 4),
-    )
     for _ in range(rng.randint(0, 2)):
         if len(atoms) < 2 or len(atoms) >= 6:
             break
         chosen = rng.sample(atoms, rng.randint(2, min(3, len(atoms))))
-        point = CirclePoint(rng.choice(rationals))
+        point = CirclePoint(rng.choice(RELATION_ROTATIONS))
         for q in chosen:
             point = point * (q if rng.choice((True, False)) else q.inverse())
         if all(point != p for p in atoms):

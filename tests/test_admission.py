@@ -456,6 +456,20 @@ def test_each_multiplicity_route_names_none_of_the_other_routes_inputs():
     assert {"generators", "linalg"} <= names("matrix_oracle") and {"_pattern", "elements"} <= names("multiplicity")
 
 
+def test_no_level_count_enumerates_ordered_selections():
+    """The ordered level totals are folded one level at a time: `spectral.py`
+    names `itertools.product` nowhere, so no route goes back to summing one
+    tuple per ordered selection of level atoms."""
+    tree = ast.parse((Path(circlespec.__file__).parent / "spectral.py").read_text(encoding="utf-8"))
+    uses = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "itertools" and node.attr == "product"
+        or isinstance(node, ast.ImportFrom) and node.module == "itertools" and "product" in {a.name for a in node.names}
+    ]
+    assert uses == []
+
+
 def _accumulators(tree):
     """Lines of `x = x and ...`: a verdict restated in a second variable."""
     sites = []

@@ -38,7 +38,7 @@ from circlespec import (
 )
 from circlespec import linalg, spectral
 from circlespec.circle import _PackedCodec
-from circlespec.spectral import _level_counts
+from circlespec.spectral import _level_counts, _multiset_totals, _ordered_totals
 
 from tests.helpers import designed_relation_measure, mass, point_strategy, small_measures
 
@@ -612,25 +612,49 @@ def brute_level_counts(mu, k, m, select):
     return sorted(counts.items(), key=lambda kv: kv[0].sort_key()), totals
 
 
-def decoded_level_counts(mu, k, m, select):
+def decoded_level_counts(mu, k, m, count):
     """`_level_counts` with each part decoded through its codec, in eigenvalue order."""
-    codec, (counts,) = _level_counts(mu, k, (m,), select)
+    codec, (counts,) = _level_counts(mu, k, (m,), count)
     return {name: dict(codec.ordered(part.items())) for name, part in counts.items()}
 
 
 def _tensor_level_counts(mu, k, m):
-    return decoded_level_counts(mu, k, m, lambda xs, m: itertools.product(xs, repeat=m))
+    return decoded_level_counts(mu, k, m, _ordered_totals)
 
 
 def _symmetric_level_counts(mu, k, m):
-    return decoded_level_counts(mu, k, m, itertools.combinations_with_replacement)
+    return decoded_level_counts(mu, k, m, _multiset_totals)
 
 
-# The level counts that check_tensor_power and check_symmetric_power run.
+# The level counts that check_tensor_power and check_symmetric_power run, each
+# with the enumeration of selections that the references count.
 LEVEL_ROUTES = [
     (_tensor_level_counts, lambda xs, m: itertools.product(xs, repeat=m)),
     (_symmetric_level_counts, itertools.combinations_with_replacement),
 ]
+# The counter of raw level totals that `_level_counts` takes in place of each enumeration.
+COUNTER_OF = dict(zip((select for _, select in LEVEL_ROUTES), (_ordered_totals, _multiset_totals)))
+
+
+@pytest.mark.parametrize("select", [select for _, select in LEVEL_ROUTES])
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+)
+@example(d=1, k=1, first=4, last=4)
+@example(d=2, k=2, first=1, last=4)
+def test_level_counters_total_as_the_enumeration(select, d, k, first, last):
+    """Each counter's totals are the enumerated selections' sums, counted: for
+    m = 1..4, for several consecutive m in one call, and below km atoms."""
+    ms = range(min(first, last), max(first, last) + 1)
+    atoms = generic_measure(d).support()
+    assume(math.comb(d + k - 1, k) ** ms[-1] <= 20000)
+    keys = map(_PackedCodec(atoms, k * ms[-1]).key, atoms)
+    levels = [sum(c) for c in itertools.combinations_with_replacement(keys, k)]
+    assert COUNTER_OF[select](levels, ms) == [Counter(map(sum, select(levels, m))) for m in ms]
 
 
 @pytest.mark.parametrize("route, select", LEVEL_ROUTES)
@@ -693,9 +717,9 @@ def reference_level_counts(sigma, k, m, select):
     return out
 
 
-def _level_counts_or_error(count, mu, k, m, select):
+def _level_counts_or_error(level_counts, *args):
     try:
-        return {name: list(part.items()) for name, part in count(mu, k, m, select).items()}
+        return {name: list(part.items()) for name, part in level_counts(*args).items()}
     except RuntimeError as exc:
         return str(exc)
 
@@ -712,7 +736,7 @@ def test_level_counts_match_the_count_vector_reference(select, mu, k, m):
     or the same non-generic error text, witness included."""
     assume(math.comb(len(mu) + k - 1, k) ** m <= 5000)
     expected = _level_counts_or_error(reference_level_counts, mu, k, m, select)
-    assert _level_counts_or_error(decoded_level_counts, mu, k, m, select) == expected
+    assert _level_counts_or_error(decoded_level_counts, mu, k, m, COUNTER_OF[select]) == expected
 
 
 @pytest.mark.parametrize("route, select", LEVEL_ROUTES)
@@ -748,25 +772,39 @@ def test_level_counts_reject_non_generic_base(route):
 def test_level_counts_of_several_levels_are_each_level_alone(select):
     """One call over levels 1..3 counts each level as a call for it alone,
     and its guard finds a repeat of a lower level at the top one."""
-    sigma = generic_measure(4)
-    codec, per_m = _level_counts(sigma, 2, (1, 2, 3), select)
+    sigma, count = generic_measure(4), COUNTER_OF[select]
+    codec, per_m = _level_counts(sigma, 2, (1, 2, 3), count)
     for m, counts in zip((1, 2, 3), per_m):
         decoded = {name: dict(codec.ordered(part.items())) for name, part in counts.items()}
-        assert decoded == decoded_level_counts(sigma, 2, m, select)
+        assert decoded == decoded_level_counts(sigma, 2, m, count)
     g0, g1 = CirclePoint.generator(0), CirclePoint.generator(1)
     mu = AtomicMeasure({g0: 1, g1: 1, g0 * g0 * g1.inverse(): 1})  # g0*g0 = g1*(g0^2 g1^-1) at level 1
     top = r"\[\['g0\^1', 'g0\^1', 'g1\^1', 'g1\^1'\], \['g0\^2 \* g1\^-1', 'g1\^1', 'g1\^1', 'g1\^1'\]\]"
     with pytest.raises(RuntimeError, match=rf"^base measure is not generic: 2 multisets {top} share product g0\^2 \* g1\^2"):
-        _level_counts(mu, 2, (1, 2), select)
+        _level_counts(mu, 2, (1, 2), count)
 
 
 @pytest.mark.parametrize("select", [select for _, select in LEVEL_ROUTES])
 def test_level_counts_decode_only_the_key_their_guard_names(select, decodes):
-    codec, (counts,) = _level_counts(generic_measure(5), 2, (2,), select)
+    count = COUNTER_OF[select]
+    codec, (counts,) = _level_counts(generic_measure(5), 2, (2,), count)
     assert decodes == [] and all(isinstance(key, int) for key in counts["entries"])
     with pytest.raises(RuntimeError, match="not generic"):
-        _level_counts(designed_relation_measure(), 1, (2,), select)
+        _level_counts(designed_relation_measure(), 1, (2,), count)
     assert len(decodes) == 1
+
+
+def test_level_counts_refuse_totals_that_are_not_the_grouping():
+    """A counter that misses a total or adds one is an engine error, named by level."""
+    for change in (lambda totals: totals.pop(next(iter(totals))), lambda totals: totals.update({-1: 1})):
+
+        def count(levels, ms, change=change):
+            per_m = _multiset_totals(levels, ms)
+            change(per_m[-1])
+            return per_m
+
+        with pytest.raises(RuntimeError, match=r"^the level-2 totals are not the products of the 4-multisets$"):
+            _level_counts(generic_measure(4), 2, (1, 2), count)
 
 
 def test_fock_levels_and_translate_singularity_decode_nothing(decodes):
