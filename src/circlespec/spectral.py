@@ -19,8 +19,9 @@ tuples for s in `G.generators`, one row per pair of tuples a generator
 maps onto each other.  The checks run every route their caps allow and
 insist on exact agreement.  Multiset-partition counting counts selections of
 level atoms (k-multisets of atoms) per raw key total without building one:
-ordered selections by folding one level atom at a time (`_ordered_totals`),
-unordered ones by adding each head of a multiset to its tails (`_multiset_totals`).
+one fold step, t -> t + l for a level atom l, taken in two loop orders: sizes
+outside and atoms inside counts ordered selections (`_ordered_totals`), atoms
+outside and sizes rising inside counts multisets (`_multiset_totals`).
 """
 
 from __future__ import annotations
@@ -407,46 +408,34 @@ def _ordered_totals(levels: Sequence[int], ms: Sequence[int]) -> list[dict[int, 
     return out
 
 
-def _multiset_totals(levels: Sequence[int], ms: Sequence[int]) -> list[Counter]:
+def _multiset_totals(levels: Sequence[int], ms: Sequence[int]) -> list[dict[int, int]]:
     """Per m in the consecutive ms, the raw totals of the m-multisets of the T `levels`, each with
-    its multiset count.  A sorted multiset splits into a head, its first m // 2 level atoms, and a
-    tail of the rest, whose first index is at least the head's last.  In lexicographic order the
-    b-multisets starting at index j or later are the last C(T-j+b-1, b), so one list of tail sums
-    serves every head (and both m that share its size), and each head is added to its tails by
-    `Counter.update` in C.  No m-tuple is built: each multiset costs one addition.  Folding does
-    not apply, as a multiset must not count its orderings; Newton's identity, n h_n = sum of
-    p_i * h_(n-i) with p_i the level atoms taken i times, ran slower than this split at two of
-    the three sizes measured, since it repeats each fold step n times."""
-    T, out, size = len(levels), [], None
-    for m in ms:
-        head_size, b = m // 2, m - m // 2
-        if b != size:
-            tails, size = list(map(sum, itertools.combinations_with_replacement(levels, b))), b
-        if not head_size:  # m = 1: the tails are the multisets
-            out.append(Counter(tails))
-            continue
-        totals = Counter()
-        for j, last in enumerate(levels):
-            later = tails[len(tails) - math.comb(T - j + b - 1, b) :]
-            firsts = itertools.combinations_with_replacement(levels[: j + 1], head_size - 1)
-            for head in map(last.__add__, map(sum, firsts)):
-                totals.update(map(head.__add__, later))
-        out.append(totals)
-    return out
+    its multiset count: the fold of `_ordered_totals` with its loops swapped.  With h_0 = {0: 1},
+    each level atom l in turn adds h_{j-1}[t] to h_j[t + l] for j rising, so h_{j-1} already holds
+    the multisets that take l and l may repeat, while a multiset is reached in one order only, its
+    level atoms in the order of `levels`.  One pass serves every m up to ms[-1]; each atom takes
+    one addition per total of sizes below ms[-1], and no multiset is built."""
+    h = [{0: 1}] + [{} for _ in range(ms[-1])]
+    for level in levels:
+        for previous, current in zip(h, h[1:]):
+            get = current.get
+            for t, c in previous.items():
+                total = t + level
+                current[total] = get(total, 0) + c
+    return h[ms[0] :]
 
 
 def _level_counts(
     sigma: AtomicMeasure, k: int, ms: Sequence[int], count, tuple_cap: int = Caps.tuples
 ) -> tuple[_PackedCodec, list[dict[str, dict[int, int]]]]:
     """(codec, counts per m in ms): `count(levels, ms)` counts the selections of m level atoms,
-    each level atom the raw key sum of a k-multiset of base atoms, per raw total
-    (`_ordered_totals` for tuples, `_multiset_totals` for multisets), and each distinct total
-    is reduced to its key, undecoded.  The totals of m are the level-km groups of one grouping
-    call, as each km-multiset totals its sorted runs of k, and a counter that misses or adds one
-    is an engine error.  Past the guard below each key holds one multiset, generic when its atoms
-    are distinct, so the generic keys are the key sums of the km-combinations of atoms, taken in C
-    without reading a multiset.  The ms run
-    consecutively, so the engine admits one lazy range.
+    each level atom the raw key sum of a k-multiset of base atoms, per raw total, by one fold step
+    in two loop orders (`_ordered_totals` for tuples, `_multiset_totals` for multisets), and each
+    distinct total is reduced to its key, undecoded.  The totals of m are the level-km groups of
+    one grouping call, as each km-multiset totals its sorted runs of k, and a counter that misses
+    or adds one is an engine error.  Past the guard below each key holds one multiset, generic when
+    its atoms are distinct, so the generic keys are the key sums of the km-combinations of atoms,
+    taken in C without reading a multiset.  The ms run consecutively, so the engine admits one lazy range.
     A shared product means a non-generic base: a caller error, named by the top level's witness
     (`_first_nonsimple_fiber`; a repeat at level j repeats above it).  The caller admits the selections."""
     atoms, codec, groups = _group_by_product(sigma, range(k * ms[0], k * ms[-1] + 1, k), tuple_cap=tuple_cap)

@@ -470,6 +470,16 @@ def test_no_level_count_enumerates_ordered_selections():
     assert uses == []
 
 
+def test_level_counters_are_folds_over_dicts():
+    """`_ordered_totals` and `_multiset_totals` name neither `itertools`, `math` nor
+    `Counter`: each stays one fold step over dicts of totals and builds no selection."""
+    tree = ast.parse((Path(circlespec.__file__).parent / "spectral.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_ordered_totals", "_multiset_totals"):
+        names = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+        assert names.isdisjoint({"itertools", "math", "Counter"}), name
+
+
 def _accumulators(tree):
     """Lines of `x = x and ...`: a verdict restated in a second variable."""
     sites = []

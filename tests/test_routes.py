@@ -157,10 +157,15 @@ CAUGHT = {
         spectral, "multiplicity", _orbit_route_packed_one_higher
     ),
     ("fock-multiplicity-set", "one generic level count +1"): _bump_first("generic"),
-    # The tails of index j or later are the last C(T-j+b-1, b); one fewer index drops those
-    # of index j, so a total reached only by a repeated level atom, (l, l) at m = 2, is lost.
-    ("fock-multiplicity-set", "the split drops tails that start at the head's last index"): (
-        spectral, "_multiset_totals", _mutant(spectral._multiset_totals, "T - j + b - 1", "T - j + b - 2")
+    ("fock-multiplicity-set", "the multiset fold adds 1 instead of a total's count"): (
+        spectral, "_multiset_totals", _mutant(spectral._multiset_totals, "get(total, 0) + c", "get(total, 0) + 1")
+    ),
+    # Falling sizes read h_{j-1} before this level atom reaches it, so no atom repeats, and a
+    # total reached only by a repeated level atom, (l, l) at m = 2, is lost.
+    ("fock-multiplicity-set", "the multiset fold takes sizes falling, so no level atom repeats"): (
+        spectral,
+        "_multiset_totals",
+        _mutant(spectral._multiset_totals, "zip(h, h[1:])", "reversed(list(zip(h, h[1:])))"),
     ),
     ("nonsimple-symmetric-square", "every level simple"): (spectral, "_first_nonsimple_fiber", lambda *a: None),
     ("simplicity-monotone", "every level simple"): (spectral, "_first_nonsimple_fiber", lambda *a: None),

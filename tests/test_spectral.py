@@ -641,14 +641,17 @@ COUNTER_OF = dict(zip((select for _, select in LEVEL_ROUTES), (_ordered_totals, 
 @given(
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=1, max_value=3),
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
 )
-@example(d=1, k=1, first=4, last=4)
+@example(d=1, k=1, first=8, last=8)
 @example(d=2, k=2, first=1, last=4)
+@example(d=2, k=1, first=1, last=8)
+@example(d=3, k=1, first=5, last=8)
 def test_level_counters_total_as_the_enumeration(select, d, k, first, last):
     """Each counter's totals are the enumerated selections' sums, counted: for
-    m = 1..4, for several consecutive m in one call, and below km atoms."""
+    m = 1..8, so that a level atom repeats up to 8 times, for several consecutive
+    m in one call, and below km atoms."""
     ms = range(min(first, last), max(first, last) + 1)
     atoms = generic_measure(d).support()
     assume(math.comb(d + k - 1, k) ** ms[-1] <= 20000)
