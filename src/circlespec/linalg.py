@@ -1,13 +1,11 @@
 """Exact matrices over the rationals; nothing here touches floating point.
 
-`rank`, an independent verification route, eliminates sparse integer rows
-{column: nonzero int}: the rank route builds only such rows, each one ±1
-difference row.  Inclusion-exclusion calls the dense `kron` and `mat_add` on
-lists of rows; `bench/spans.py` wraps `kron`, `mat_add` and `mat_mul` by name,
-so deleting one breaks its traced run.
+`rank`, an independent verification route, ranks difference rows e_i - e_j
+given as column pairs (i, j): the rank route builds only such rows.
+Inclusion-exclusion calls the dense `kron` and `mat_add` on lists of rows;
+`bench/spans.py` wraps `kron`, `mat_add` and `mat_mul` by name, so deleting
+one breaks its traced run.
 """
-
-import math
 
 
 def mat_add(a, b):
@@ -33,33 +31,25 @@ def kron(a, b):
 
 
 def rank(a):
-    """Rank over Q of sparse integer rows {column: nonzero int}, by
-    fraction-free elimination.  The caller's rows are never changed.
-
-    A row's leading column is its least key; the keys need not be sorted.
-    If the leading column c of row v has an echelon row p, v becomes
-    (p[c]/g)*v - (v[c]/g)*p with g = gcd(p[c], v[c]): a copy of v, scaled
-    when p[c]/g != 1, with p folded in, which clears c and drops the entries
-    it zeroes; otherwise v is the echelon row for c.  The rank is the number
-    of echelon rows.  The step is exact on any integer rows.  No content is
-    divided out: that would only keep entries small, and the rank route's
-    rows e_i - e_j never need it, since they are totally unimodular and keep
-    at most two entries, both ±1, under this step.  No residue arithmetic: a
-    rank taken mod a prime can undercount.
+    """Rank over any field of the rows e_i - e_j, one per column pair (i, j)
+    in `a`; a pair (i, i) is the zero row.  The edge rows of a graph have
+    rank its vertices less its components (the incidence-matrix rank; Biggs,
+    Algebraic Graph Theory, ch. 4), so the rank counts the pairs that join
+    two components of the graph of the pairs before them.  `root` maps a
+    column to its parent, a column not in it being its own root, and each
+    find points the columns on its path at their grandparents (path
+    halving).  The caller's pairs are only read.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for v in a:
-        while v:
-            lead = min(v)
-            p = pivots.setdefault(lead, v)
-            if p is v:
-                break
-            g = math.gcd(p[lead], v[lead])
-            s, t = p[lead] // g, v[lead] // g
-            v = dict(v) if s == 1 else {c: s * x for c, x in v.items()}
-            for c, x in p.items():
-                if y := v.get(c, 0) - t * x:
-                    v[c] = y
-                else:
-                    del v[c]
-    return len(pivots)
+    root: dict[int, int] = {}
+
+    def find(c):
+        while (p := root.get(c, c)) != c:
+            root[c] = c = root.get(p, p)  # root[c] is set before c moves on
+        return c
+
+    joins = 0
+    for i, j in a:
+        if (i := find(i)) != (j := find(j)):
+            root[i] = j
+            joins += 1
+    return joins

@@ -317,15 +317,16 @@ def matrix_oracle(
     it, so the invariant subspace is the common kernel of the U_s - I.  Each
     tuple t and generator s with s(t) != t gives the row e_{s(t)} - e_t;
     rows that differ only in sign span the same line, so each unordered
-    pair of columns becomes one row e_min - e_max.  Identity generators give
-    no row and are skipped, so every getter moves two or more positions and
-    returns a tuple.  Generators move positions, not values, so they act alike
-    on multisets of one shape: each entry relabelled by its first position
-    ((3, 3, 5, 7) has shape (0, 0, 2, 3)).  Each shape's arrangement count and
-    sorted column pairs are built once per call, and a multiset's rows are
-    its shape's pairs shifted past the columns before it.  `linalg.rank` takes
-    each fiber's rows in one call.  The route reads the generators and the
-    fibers' multisets, never `G.elements`, orbits or multiplicity patterns.
+    pair of columns is one row, passed to `linalg.rank` as (min, max).
+    Identity generators give no row and are skipped, so every getter moves
+    two or more positions and returns a tuple.  Generators move positions,
+    not values, so they act alike on multisets of one shape: each entry
+    relabelled by its first position ((3, 3, 5, 7) has shape (0, 0, 2, 3)).
+    Each shape's arrangement count and sorted column pairs are built once
+    per call, and a multiset's pairs are its shape's, shifted past the
+    columns before it; `linalg.rank` takes each fiber's pairs in one call.
+    The route reads the generators and the fibers' multisets, never
+    `G.elements`, orbits or multiplicity patterns.
     """
     if G.degree != n:
         raise ValueError(f"group degree {G.degree} does not match power {n}")
@@ -346,7 +347,7 @@ def matrix_oracle(
                 moves = ((index_of[get(t)], j) for j, t in enumerate(tuples) for get in getters)
                 templates[shape] = len(tuples), sorted({(i, j) if i < j else (j, i) for i, j in moves if i != j})
             count, pairs = templates[shape]
-            rows += [{i + size: 1, j + size: -1} for i, j in pairs]
+            rows += [(i + size, j + size) for i, j in pairs]
             size += count
         classified.append((size - linalg.rank(rows), size))
     return MultiplicityReport(n, G, fcs, classified)

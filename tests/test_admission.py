@@ -413,16 +413,23 @@ def test_markov_reaches_linalg_only_through_kron_and_mat_add():
     assert "mat_sub" not in {node.name for node in ast.walk(linalg_tree) if isinstance(node, ast.FunctionDef)}
 
 
-def test_rank_takes_integer_rows_as_they_are():
-    """`linalg.rank` scales no row into integers and divides out no content:
-    it names neither `Fraction` nor `lcm`, and each `gcd` it takes is of
-    two leading entries, never of a whole row."""
-    tree = ast.parse((Path(circlespec.__file__).parent / "linalg.py").read_text(encoding="utf-8"))
-    (rank,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "rank"]
+def test_rank_is_a_union_find_over_column_pairs():
+    """`linalg.rank` eliminates nothing: it names none of `gcd`, `lcm`,
+    `Fraction` and `min`, and `matrix_oracle` builds no dict row for it:
+    every row it adds to `rows` is a tuple."""
+    src = Path(circlespec.__file__).parent
+    linalg_tree = ast.parse((src / "linalg.py").read_text(encoding="utf-8"))
+    (rank,) = [node for node in linalg_tree.body if isinstance(node, ast.FunctionDef) and node.name == "rank"]
     names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(rank)}
-    assert not names & {"Fraction", "lcm"}
-    gcds = [node for node in ast.walk(rank) if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "gcd"]
-    assert gcds and all(len(call.args) == 2 and not any(isinstance(x, ast.Starred) for x in call.args) for call in gcds)
+    assert not names & {"gcd", "lcm", "Fraction", "min"}
+    spectral_tree = ast.parse((src / "spectral.py").read_text(encoding="utf-8"))
+    (oracle,) = [node for node in spectral_tree.body if getattr(node, "name", None) == "matrix_oracle"]
+    added = [
+        node.value
+        for node in ast.walk(oracle)
+        if isinstance(node, ast.AugAssign) and getattr(node.target, "id", None) == "rows"
+    ]
+    assert added and all(isinstance(value, ast.ListComp) and isinstance(value.elt, ast.Tuple) for value in added)
 
 
 def test_markov_derivations_build_no_fraction():

@@ -146,6 +146,9 @@ CAUGHT = {
     ),
     ("fock-multiplicity-set", "levels meet"): _wrap(spectral, "_level_counts", _meet_levels),
     ("tensor-power-multiplicity", "linalg.rank one less"): _wrap(linalg, "rank", lambda r: r - 1),
+    ("tensor-power-multiplicity", "the union-find counts a pair whose columns already share a root"): (
+        linalg, "rank", _mutant(linalg.rank, "!= (j := find(j)):", "!= (j := find(j)) or True:")
+    ),
     ("tensor-power-multiplicity", "one orbit count +1"): _wrap(spectral, "_orbit_counts", _bump_orbit_count),
     ("tensor-power-multiplicity", "one level count +1"): _bump_first("entries"),
     ("tensor-power-multiplicity", "the fold adds 1 instead of a total's count"): (

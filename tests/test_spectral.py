@@ -208,9 +208,9 @@ def test_orbit_route_matches_rank_route_and_tuple_orbits(mu, n):
 )
 def test_rank_route_passes_one_row_per_column_pair(monkeypatch, G):
     # Transpositions map tuples both ways; each unordered pair of columns
-    # must reach linalg.rank once, as one row {i: 1, j: -1} with i < j and
-    # int entries: the kernel takes such rows as they are, and neither
-    # scales a Fraction nor drops a zero.
+    # must reach linalg.rank once, as one int tuple (i, j) with i < j: the
+    # union-find counts each pair that joins two components, so the row
+    # e_i - e_j needs no signs and no entries.
     mu, n = designed_relation_measure(), 4
     calls = []
     rank = linalg.rank
@@ -224,10 +224,9 @@ def test_rank_route_passes_one_row_per_column_pair(monkeypatch, G):
     assert len(calls) == len(fibers(mu, n))
     for rows in calls:
         for row in rows:
-            (i, x), (j, y) = sorted(row.items())
-            assert i < j and (x, y) == (1, -1) and type(x) is type(y) is int
-        pairs = [frozenset(row) for row in rows]
-        assert len(pairs) == len(set(pairs))
+            i, j = row
+            assert type(row) is tuple and type(i) is type(j) is int and i < j
+        assert len(rows) == len(set(rows))
     assert any(calls)
     assert entries == list(projector_ranks(mu, n, G).items())
 
@@ -278,7 +277,7 @@ def relation_rich_measures(draw, max_atoms=6):
 def per_multiset_rows(fc, G):
     """(columns, rows) of the rank route built multiset by multiset, with
     no shape template: the arrangements of each multiset in sorted order,
-    numbered on from those of the multisets before it, one row e_min - e_max
+    numbered on from those of the multisets before it, one pair (min, max)
     per pair of columns a generator maps onto each other."""
     tuples = [t for ms in fc.index_multisets for t in sorted(set(itertools.permutations(ms)))]
     index_of = {t: j for j, t in enumerate(tuples)}
@@ -288,7 +287,7 @@ def per_multiset_rows(fc, G):
         for s in G.generators
         if (i := index_of[tuple(t[k] for k in s.images)]) != j
     }
-    return len(tuples), [{i: 1, j: -1} for i, j in pairs]
+    return len(tuples), list(pairs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,7 +300,7 @@ def test_shape_template_rows_are_the_per_multiset_rows(mu, n):
         for fc, rows in zip(fcs, calls):  # one rank call per fiber, in grouping order
             columns, reference = per_multiset_rows(fc, G)
             assert len(rows) == len(reference)
-            assert {frozenset(row.items()) for row in rows} == {frozenset(row.items()) for row in reference}
+            assert set(rows) == set(reference)
             assert rep.entries[decode(fcs, fc)] == columns - linalg.rank(reference) == columns - linalg.rank(rows)
 
 
